@@ -12,7 +12,6 @@ from .core import (
     RBA,
     AxiomError,
     DegreeMap,
-    FeasibleTrace,
     NumericalError,
     RBAError,
     StructuralError,
@@ -21,19 +20,20 @@ from .core import (
     degree_map,
     gram_matrix,
     standardize,
+    to_standard_basis,
     validate,
 )
 from .decomp import (
     CentralIdempotent,
     Character,
     CharacterTable,
-    RegularRep,
     StarRep,
     center_basis,
     central_idempotents,
     character_table,
     charpoly_check,
     regular_rep,
+    rep_residual,
     star_rep_extract,
     symmetrize,
 )
@@ -43,7 +43,6 @@ from .indicator import (
     fs_indicator,
     indicator_report,
     rank7_trichotomy,
-    real_count_check,
 )
 from .ingest import from_group, from_scheme, parse_cayley, parse_scheme, thin_scheme
 from .integrality import (
@@ -69,7 +68,6 @@ __all__ = [
     "RBA",
     "AxiomError",
     "DegreeMap",
-    "FeasibleTrace",
     "NumericalError",
     "RBAError",
     "StructuralError",
@@ -78,17 +76,18 @@ __all__ = [
     "degree_map",
     "gram_matrix",
     "standardize",
+    "to_standard_basis",
     "validate",
     "CentralIdempotent",
     "Character",
     "CharacterTable",
-    "RegularRep",
     "StarRep",
     "center_basis",
     "central_idempotents",
     "character_table",
     "charpoly_check",
     "regular_rep",
+    "rep_residual",
     "star_rep_extract",
     "symmetrize",
     "IndicatorReport",
@@ -96,7 +95,6 @@ __all__ = [
     "fs_indicator",
     "indicator_report",
     "rank7_trichotomy",
-    "real_count_check",
     "from_group",
     "from_scheme",
     "parse_cayley",

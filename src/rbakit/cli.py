@@ -8,7 +8,6 @@ mathematical verdict is negative, 2 input or contract error.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -16,7 +15,7 @@ from .core import DEFAULT_TOL, RBA, RBAError, StructuralError, ToleranceConfig, 
 from .fixtures import fixture_text
 from .ingest import from_group, from_scheme, parse_cayley, parse_scheme
 from .quaternion import hilbert_places, symbol
-from .report import analyze, encode_value, write_atomic
+from .report import analyze, canonical_json, validation_section, write_atomic
 from .integrality import integral_check
 from . import __version__
 
@@ -61,10 +60,6 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _json_dump(obj) -> str:
-    return json.dumps(encode_value(obj), sort_keys=True, indent=2) + "\n"
-
-
 def _cmd_analyze(args) -> int:
     tol = _tolerances(args)
     paths = [args.path]
@@ -93,14 +88,7 @@ def _cmd_validate(args) -> int:
     rba = _load_rba(args.path, args)
     rep = validate(rba, tol)
     if args.json:
-        payload = {
-            "passed": rep.passed,
-            "checks": [
-                {"name": c.name, "passed": c.passed, "residual": c.residual, "detail": c.detail}
-                for c in rep.checks
-            ],
-        }
-        _emit(args, _json_dump(payload))
+        _emit(args, canonical_json(validation_section(rep)))
     else:
         _emit(args, rep.summary() + "\n")
     return 0 if rep.passed else 1
@@ -109,10 +97,7 @@ def _cmd_validate(args) -> int:
 def _cmd_quaternion(args) -> int:
     tol = _tolerances(args)
     rba = _load_rba(args.path, args)
-    try:
-        sym = symbol(rba, tol)
-    except ValueError as exc:
-        raise StructuralError(str(exc)) from exc
+    sym = symbol(rba, tol)
     payload = {
         "a": sym.a_exact if sym.a_exact is not None else sym.a,
         "beta": sym.beta_exact if sym.beta_exact is not None else sym.beta,
@@ -124,7 +109,7 @@ def _cmd_quaternion(args) -> int:
         "anticommute_residual": sym.anticommute_residual,
     }
     if args.json:
-        _emit(args, _json_dump(payload))
+        _emit(args, canonical_json(payload))
     else:
         _emit(
             args,
@@ -155,7 +140,7 @@ def _cmd_hilbert(args) -> int:
         "verdict": verdict,
     }
     if args.json:
-        _emit(args, _json_dump(payload))
+        _emit(args, canonical_json(payload))
     else:
         _emit(args, f"places: {payload['places']}\nproduct: {product}\nverdict: {verdict}\n")
     return 0 if verdict == "split" else 1
@@ -172,12 +157,14 @@ def _cmd_check_integrality(args) -> int:
         ],
         "offender_count": len(result.offenders),
     }
-    rep = analyze(rba, tol)
-    two = rep.data.get("integrality", {}).get("two_adic")
+    two = None
+    if rba.rank == 7 and rba.star_fixed_count() == 1:
+        # the only inputs that analyze gives a 2-adic section
+        two = analyze(rba, tol).data.get("integrality", {}).get("two_adic")
     if two:
         payload["two_adic"] = two
     if args.json:
-        _emit(args, _json_dump(payload))
+        _emit(args, canonical_json(payload))
     else:
         text = "integral\n" if result.integral else (
             f"non-integral ({len(result.offenders)} offending entries, first "
@@ -273,10 +260,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (StructuralError, ValueError, FileNotFoundError, IsADirectoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RBAError as exc:
+    except (RBAError, ValueError, FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

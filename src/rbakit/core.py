@@ -24,7 +24,6 @@ __all__ = [
     "ToleranceConfig",
     "RBA",
     "DegreeMap",
-    "FeasibleTrace",
     "CheckResult",
     "ValidationReport",
     "snap_rational",
@@ -32,6 +31,7 @@ __all__ = [
     "validate",
     "degree_map",
     "standardize",
+    "to_standard_basis",
     "gram_matrix",
 ]
 
@@ -120,8 +120,9 @@ def as_float_array(values) -> np.ndarray:
     return arr.astype(float)
 
 
-def _parse_scalar(token: str):
-    """Parse an .rba numeric token: 'p/q' and integer stay exact, decimals are floats."""
+def _parse_scalar(token: str, lineno: int):
+    """Parse an .rba numeric token: 'p/q' and integer stay exact, decimals are
+    floats. nan and inf (spelled out, or reached by overflow) are refused."""
     token = token.strip()
     try:
         if "/" in token:
@@ -129,9 +130,12 @@ def _parse_scalar(token: str):
             return Fraction(int(num), int(den))
         if token.lstrip("+-").isdigit():
             return Fraction(int(token))
-        return float(token)
+        value = float(token)
     except (ValueError, ZeroDivisionError) as exc:
-        raise StructuralError(f"bad numeric token {token!r}") from exc
+        raise StructuralError(f"line {lineno}: bad numeric token {token!r}") from exc
+    if not math.isfinite(value):
+        raise StructuralError(f"line {lineno}: non-finite value {token!r}")
+    return value
 
 
 def format_scalar(v) -> str:
@@ -257,7 +261,7 @@ class RBA:
                     star = [int(t) for t in fields[1:]]
                 elif fields[0] == "lambda":
                     i, j, k = int(fields[1]), int(fields[2]), int(fields[3])
-                    entries.append((i, j, k, _parse_scalar(fields[4])))
+                    entries.append((i, j, k, _parse_scalar(fields[4], lineno)))
                 else:
                     raise StructuralError(f"line {lineno}: unknown directive {fields[0]!r}")
             except (IndexError, ValueError) as exc:
@@ -281,10 +285,6 @@ class RBA:
     def from_file(cls, path) -> "RBA":
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_text(fh.read())
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_text())
 
     def __repr__(self):
         mode = "exact" if self.exact else "float"
@@ -313,16 +313,6 @@ class DegreeMap:
     @property
     def n_float(self) -> float:
         return float(self.values_float.sum())
-
-
-@dataclass
-class FeasibleTrace:
-    """The trace functional picking n times the b_0-coefficient."""
-
-    dm: DegreeMap
-
-    def __call__(self, coeffs):
-        return self.dm.n_float * float(np.asarray(coeffs, dtype=float)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -533,6 +523,18 @@ def standardize(rba: RBA, dm: DegreeMap) -> RBA:
     t = dm.values_float / diag
     lam = lamf * t[:, None, None] * t[None, :, None] / t[None, None, :]
     return RBA(lam, star, rba.labels)
+
+
+def to_standard_basis(rba: RBA, dm: DegreeMap, tol: ToleranceConfig = DEFAULT_TOL):
+    """(rba', dm', was_standard): the RBA in the standard basis and its degree map.
+
+    An input within tol.eps_residual of its rescaling counts as already
+    standard and comes back unchanged, with the dm it came with.
+    """
+    standard = standardize(rba, dm)
+    if float(abs(standard.lam_float - rba.lam_float).max()) <= tol.eps_residual:
+        return rba, dm, True
+    return standard, degree_map(standard, tol), False
 
 
 def gram_matrix(rba: RBA, dm: DegreeMap) -> np.ndarray:

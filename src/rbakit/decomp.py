@@ -29,12 +29,12 @@ from .core import (
 )
 
 __all__ = [
-    "RegularRep",
     "CentralIdempotent",
     "Character",
     "CharacterTable",
     "StarRep",
     "regular_rep",
+    "rep_residual",
     "center_basis",
     "central_idempotents",
     "character_table",
@@ -46,25 +46,19 @@ __all__ = [
 ]
 
 
-@dataclass
-class RegularRep:
-    """Left regular matrices L_i with (L_i)[k, j] = lam[i, j, k]."""
-
-    matrices: np.ndarray  # (r, r, r) float64
-
-    def product_residual(self, rba: RBA) -> float:
-        lam = rba.lam_float
-        L = self.matrices
-        worst = 0.0
-        for i in range(rba.rank):
-            prod = L[i] @ L
-            expect = np.einsum("jk,kab->jab", lam[i], L)
-            worst = max(worst, float(abs(prod - expect).max()))
-        return worst
+def regular_rep(rba: RBA) -> np.ndarray:
+    """Left regular matrices L_i with (L_i)[k, j] = lam[i, j, k], shape (r, r, r)."""
+    return np.ascontiguousarray(rba.lam_float.transpose(0, 2, 1))
 
 
-def regular_rep(rba: RBA) -> RegularRep:
-    return RegularRep(np.ascontiguousarray(rba.lam_float.transpose(0, 2, 1)))
+def rep_residual(rba: RBA, mats) -> float:
+    """max |X(b_i) X(b_j) - sum_k lam[i,j,k] X(b_k)|: zero iff the images of the
+    basis, mats of shape (r, d, d), multiply as the basis does."""
+    lam = rba.lam_float
+    return max(
+        float(abs(mats[i] @ mats - np.einsum("jk,kab->jab", lam[i], mats)).max())
+        for i in range(rba.rank)
+    )
 
 
 def center_basis(rba: RBA, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -193,14 +187,13 @@ def central_idempotents(rba: RBA, tol: ToleranceConfig = DEFAULT_TOL):
 
 @dataclass
 class Character:
-    """One irreducible character: degree, values on the basis, multiplicity, indicator."""
+    """One irreducible character: degree, values on the basis, multiplicity."""
 
     degree: int
     values_raw: np.ndarray          # complex128, length r
     multiplicity_raw: float
     values: list = field(default_factory=list)   # per-entry Fraction when snapped
     multiplicity: object = None                  # Fraction | float
-    nu: object = None                            # -1 | 0 | +1 once computed
     idempotent: CentralIdempotent = None
 
     @property
@@ -239,9 +232,6 @@ class CharacterTable:
     def multiplicities(self):
         return [c.multiplicity for c in self.characters]
 
-    def values_matrix(self) -> np.ndarray:
-        return np.array([c.values_raw for c in self.characters])
-
     def degree_two(self):
         """The characters of degree 2 (handles for the quaternion pipeline)."""
         return [c for c in self.characters if c.degree == 2]
@@ -262,7 +252,7 @@ def character_table(
     if idempotents is None:
         idempotents = central_idempotents(rba, tol)
     r = rba.rank
-    L = regular_rep(rba).matrices.astype(complex)
+    L = regular_rep(rba).astype(complex)
     n = dm.n_float
     warnings = []
     chars = []
@@ -336,15 +326,6 @@ class StarRep:
     dim: int
     matrices: np.ndarray  # (r, dim, dim) float64
 
-    def product_residual(self, rba: RBA) -> float:
-        lam = rba.lam_float
-        X = self.matrices
-        worst = 0.0
-        for i in range(rba.rank):
-            expect = np.einsum("jk,kab->jab", lam[i], X)
-            worst = max(worst, float(abs(X[i] @ X - expect).max()))
-        return worst
-
     def star_residual(self, rba: RBA) -> float:
         X = self.matrices
         return float(abs(X[rba.star] - X.transpose(0, 2, 1)).max())
@@ -360,7 +341,7 @@ def _orthonormalized_regular(rba: RBA, dm: DegreeMap, tol: ToleranceConfig):
     left multiplication by b_i. Standard bases have a diagonal Gram matrix,
     so the conjugation is a diagonal scaling there.
     """
-    L = regular_rep(rba).matrices
+    L = regular_rep(rba)
     g = gram_matrix(rba, dm)
     off = abs(g - np.diag(np.diag(g))).max()
     if off <= tol.eps_residual * max(1.0, abs(g).max()):
@@ -420,7 +401,7 @@ def star_rep_extract(
         rep = StarRep(dim=nchi, matrices=mats)
         scale = max(1.0, abs(lam).max())
         if (
-            rep.product_residual(rba) < tol.eps_residual * scale
+            rep_residual(rba, mats) < tol.eps_residual * scale
             and rep.star_residual(rba) < tol.eps_residual * scale
             and abs(rep.traces() - chi_vals.real).max() < tol.eps_residual * scale
         ):
@@ -454,12 +435,8 @@ def symmetrize(
     r = rba.rank
     if phi.shape[0] != r or phi.ndim != 3 or phi.shape[1] != phi.shape[2]:
         raise ValueError(f"expected (r, d, d) images, got {phi.shape}")
-    lam = rba.lam_float
-    scale = max(1.0, abs(lam).max(), float(abs(phi).max()) ** 2)
-    prod_res = max(
-        float(abs(phi[i] @ phi - np.einsum("jk,kab->jab", lam[i], phi)).max())
-        for i in range(r)
-    )
+    scale = max(1.0, abs(rba.lam_float).max(), float(abs(phi).max()) ** 2)
+    prod_res = rep_residual(rba, phi)
     if prod_res > tol.eps_residual * scale:
         raise ValueError(f"Phi is not a representation (product residual {prod_res:.3e})")
     avg = averaging_matrix(dm, phi)

@@ -7,7 +7,7 @@ from importlib import resources
 from .core import RBA
 from .ingest import from_group
 
-__all__ = ["fixture_path", "fixture_text", "load_fixture", "FIXTURES"]
+__all__ = ["fixture_text", "load_fixture", "FIXTURES"]
 
 FIXTURES = {
     "c2": "c2.cayley",
@@ -16,14 +16,6 @@ FIXTURES = {
     "s3.rba": "s3.rba",
     "rank7_h": "rank7_h.rba",
 }
-
-
-def fixture_path(name: str):
-    """Filesystem path of a bundled fixture (name or bare filename)."""
-    fname = FIXTURES.get(name, name)
-    ref = resources.files("rbakit") / "fixtures" / fname
-    with resources.as_file(ref) as p:
-        return p
 
 
 def fixture_text(name: str) -> str:

@@ -26,7 +26,6 @@ __all__ = [
     "TrichotomyResult",
     "fs_indicator",
     "indicator_report",
-    "real_count_check",
     "classify_one_pair",
     "rank7_trichotomy",
 ]
@@ -64,22 +63,8 @@ def fs_indicator(
     dm: DegreeMap,
     tol: ToleranceConfig = DEFAULT_TOL,
 ):
-    """Snapped indicator per character (also written onto the characters).
-
-    Raw values farther than tol.eps_residual from every element of
-    {-1, 0, 1} abort instead of rounding silently.
-    """
-    nus = []
-    for char in table:
-        raw = _raw_indicator(rba, dm, char)
-        best = min((-1, 0, 1), key=lambda t: abs(raw - t))
-        if abs(raw - best) > tol.eps_residual * max(1.0, abs(rba.lam_float).max()):
-            raise NumericalError(
-                f"indicator out of range: raw value {raw} is not near -1, 0 or 1"
-            )
-        char.nu = int(best)
-        nus.append(int(best))
-    return nus
+    """Snapped indicator per character, in table order."""
+    return indicator_report(table, rba, dm, tol).nu
 
 
 def indicator_report(
@@ -88,8 +73,21 @@ def indicator_report(
     dm: DegreeMap,
     tol: ToleranceConfig = DEFAULT_TOL,
 ) -> IndicatorReport:
-    nus = fs_indicator(table, rba, dm, tol)
+    """Raw and snapped indicators of every character, and the real count.
+
+    Raw values farther than tol.eps_residual from every element of
+    {-1, 0, 1} abort instead of rounding silently.
+    """
     raws = [_raw_indicator(rba, dm, c) for c in table]
+    bound = tol.eps_residual * max(1.0, abs(rba.lam_float).max())
+    nus = []
+    for raw in raws:
+        best = min((-1, 0, 1), key=lambda t: abs(raw - t))
+        if abs(raw - best) > bound:
+            raise NumericalError(
+                f"indicator out of range: raw value {raw} is not near -1, 0 or 1"
+            )
+        nus.append(int(best))
     s_pred = sum(nu * c.degree for nu, c in zip(nus, table))
     if -1 in nus:
         pattern = "has-minus"
@@ -104,11 +102,6 @@ def indicator_report(
         s_actual=rba.star_fixed_count(),
         pattern=pattern,
     )
-
-
-def real_count_check(report: IndicatorReport) -> bool:
-    """s = sum nu(psi) psi(b_0), exactly."""
-    return report.consistent
 
 
 @dataclass

@@ -17,7 +17,7 @@ type, used to verify quaternion-valued representations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -30,13 +30,13 @@ from .core import (
     ToleranceConfig,
     snap_rational,
     degree_map,
+    to_standard_basis,
 )
-from .decomp import CharacterTable, StarRep, character_table, star_rep_extract
+from .decomp import Character, CharacterTable, StarRep, character_table, star_rep_extract
 from .indicator import classify_one_pair, indicator_report
 
 __all__ = [
     "Quaternion",
-    "PairBasis",
     "QuaternionSymbol",
     "dc_change_of_basis",
     "x_generator",
@@ -113,28 +113,12 @@ def _as_quat(v) -> Quaternion:
 # generators of the degree-2 component
 # ---------------------------------------------------------------------------
 
-@dataclass
-class PairBasis:
-    """The *-adapted combinations c = b_p + b_p*, d = b_p - b_p* of the unique pair."""
-
-    pair: tuple                 # (p, p*) with p < p*
-    c_coeffs: np.ndarray
-    d_coeffs: np.ndarray
-
-
-def dc_change_of_basis(rba: RBA) -> PairBasis:
+def dc_change_of_basis(rba: RBA) -> tuple:
+    """The unique nonreal pair (p, p*), p < p*, spanning c = b_p + b_p* and d = b_p - b_p*."""
     pairs = rba.nonreal_pairs()
     if len(pairs) != 1:
         raise ValueError(f"{len(pairs)} nonreal pairs (need exactly 1)")
-    p, ps = pairs[0]
-    c = np.zeros(rba.rank)
-    d = np.zeros(rba.rank)
-    c[p] = c[ps] = 1.0
-    d[p], d[ps] = 1.0, -1.0
-    # d* = -d and c* = c at the coefficient level
-    assert np.array_equal(rba.star_coeffs(c), c)
-    assert np.array_equal(rba.star_coeffs(d), -d)
-    return PairBasis(pair=(p, ps), c_coeffs=c, d_coeffs=d)
+    return pairs[0]
 
 
 def x_generator(rep: StarRep, rba: RBA, dm: DegreeMap, m_chi: float,
@@ -146,8 +130,7 @@ def x_generator(rep: StarRep, rba: RBA, dm: DegreeMap, m_chi: float,
     """
     if rep.dim != 2:
         raise ValueError(f"x generator needs a degree-2 representation, got dim {rep.dim}")
-    pb = dc_change_of_basis(rba)
-    p, ps = pb.pair
+    p, ps = dc_change_of_basis(rba)
     xd = rep.matrices[p] - rep.matrices[ps]
     if abs(xd + xd.T).max() > tol.eps_residual * max(1.0, abs(xd).max()):
         raise NumericalError("X(d) is not antisymmetric; *-representation contract violated")
@@ -175,8 +158,7 @@ def y_generator(rep: StarRep, rba: RBA, tol: ToleranceConfig = DEFAULT_TOL):
     (y, beta, label) with y = 2 X(d_l) - tr X(d_l) I, y^2 = beta I, beta > 0."""
     if rep.dim != 2:
         raise ValueError(f"y generator needs a degree-2 representation, got dim {rep.dim}")
-    pb = dc_change_of_basis(rba)
-    p, ps = pb.pair
+    p, ps = dc_change_of_basis(rba)
     candidates = [(str(i), rep.matrices[i]) for i in range(1, rba.rank) if i not in (p, ps)]
     c_img = rep.matrices[p] + rep.matrices[ps]
     candidates.append(("c", c_img))
@@ -328,13 +310,18 @@ class QuaternionSymbol:
     pair: tuple = None
     y_label: str = ""
     anticommute_residual: float = 0.0
-    details: dict = field(default_factory=dict)
 
 
 def symbol(rba: RBA, tol: ToleranceConfig = DEFAULT_TOL, *,
-           dm: DegreeMap = None, table: CharacterTable = None,
+           dm: DegreeMap = None, chi: Character = None,
            rep: StarRep = None) -> QuaternionSymbol:
-    """Run the one-nonreal-pair pipeline and assemble the quaternion symbol.
+    """Assemble the quaternion symbol of the degree-2 component.
+
+    A caller that has run the pipeline passes the degree-2 character chi
+    that classify_one_pair returned, with the standard-basis rba and dm it
+    came from. Without chi, this runs the pipeline as analyze does: the
+    basis is standardized first, then the one-nonreal-pair contract is
+    checked, and a rejection raises ValueError.
 
     beta > 0 already splits the component over the reals; in rational mode
     the verdict is "split" iff every local Hilbert symbol of the snapped
@@ -342,13 +329,13 @@ def symbol(rba: RBA, tol: ToleranceConfig = DEFAULT_TOL, *,
     """
     if dm is None:
         dm = degree_map(rba, tol)
-    if table is None:
+    if chi is None:
+        rba, dm, _ = to_standard_basis(rba, dm, tol)
         table = character_table(rba, dm, tol=tol)
-    report = indicator_report(table, rba, dm, tol)
-    verdict = classify_one_pair(rba, table, report)
-    if not verdict.passed:
-        raise ValueError(f"one-nonreal-pair pipeline rejected: {verdict.reason}")
-    chi = verdict.chi
+        verdict = classify_one_pair(rba, table, indicator_report(table, rba, dm, tol))
+        if not verdict.passed:
+            raise ValueError(f"one-nonreal-pair pipeline rejected: {verdict.reason}")
+        chi = verdict.chi
     if rep is None:
         rep = star_rep_extract(rba, dm, chi.idempotent, tol)
     x, a = x_generator(rep, rba, dm, chi.multiplicity_raw, tol)
@@ -360,7 +347,7 @@ def symbol(rba: RBA, tol: ToleranceConfig = DEFAULT_TOL, *,
     beta_exact = snap_rational(beta, tol.eps_zero * max(1.0, beta))
     sym = QuaternionSymbol(
         a=a, beta=beta, a_exact=a_exact, beta_exact=beta_exact,
-        pair=dc_change_of_basis(rba).pair, y_label=label,
+        pair=dc_change_of_basis(rba), y_label=label,
         anticommute_residual=anti,
     )
     if rba.exact and a_exact is not None and beta_exact is not None:

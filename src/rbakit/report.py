@@ -25,15 +25,23 @@ from .core import (
     degree_map,
     gram_matrix,
     snap_value,
-    standardize,
+    to_standard_basis,
     validate,
 )
-from .decomp import character_table, regular_rep
+from .decomp import character_table, regular_rep, rep_residual
 from .indicator import classify_one_pair, indicator_report, rank7_trichotomy
 from .integrality import integral_check, two_adic_obstruction
 from .quaternion import symbol
 
-__all__ = ["AnalysisReport", "analyze", "encode_value", "decode_value", "write_atomic"]
+__all__ = [
+    "AnalysisReport",
+    "analyze",
+    "canonical_json",
+    "validation_section",
+    "encode_value",
+    "decode_value",
+    "write_atomic",
+]
 
 
 def encode_value(v):
@@ -61,6 +69,11 @@ def encode_value(v):
     if isinstance(v, np.ndarray):
         return [encode_value(x) for x in v.tolist()]
     return str(v)
+
+
+def canonical_json(obj) -> str:
+    """Sorted, indented JSON of encode_value(obj); nan and inf raise ValueError."""
+    return json.dumps(encode_value(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def decode_value(v):
@@ -94,7 +107,7 @@ class AnalysisReport:
         return 0 if self.overall_pass else 1
 
     def to_json(self) -> str:
-        return json.dumps(encode_value(self.data), sort_keys=True, indent=2, allow_nan=False) + "\n"
+        return canonical_json(self.data)
 
     @classmethod
     def from_json(cls, text: str) -> "AnalysisReport":
@@ -166,15 +179,26 @@ class AnalysisReport:
         return "\n".join(lines) + "\n"
 
 
-def _table_section(table, tol):
+def validation_section(val) -> dict:
+    """The verdict and per-check rows of a ValidationReport."""
+    return {
+        "passed": val.passed,
+        "checks": [
+            {"name": c.name, "passed": c.passed, "residual": c.residual, "detail": c.detail}
+            for c in val.checks
+        ],
+    }
+
+
+def _table_section(table, nus):
     rows = []
-    for c in table:
+    for c, nu in zip(table, nus):
         rows.append(
             {
                 "degree": c.degree,
                 "values": encode_value(c.values),
                 "multiplicity": encode_value(c.multiplicity),
-                "nu": c.nu,
+                "nu": nu,
                 "exact": c.is_exact,
             }
         )
@@ -228,14 +252,8 @@ def analyze(source, tol: ToleranceConfig = DEFAULT_TOL, force_float: bool = Fals
     verdicts = []
 
     val = validate(rba, tol)
-    data["validation"] = {
-        "passed": val.passed,
-        "max_residual": max(c.residual for c in val.checks),
-        "checks": [
-            {"name": c.name, "passed": c.passed, "residual": c.residual, "detail": c.detail}
-            for c in val.checks
-        ],
-    }
+    data["validation"] = validation_section(val)
+    data["validation"]["max_residual"] = max(c.residual for c in val.checks)
     verdicts.append(val.passed)
     if not val.passed:
         data["rba"]["order"] = None
@@ -249,24 +267,18 @@ def analyze(source, tol: ToleranceConfig = DEFAULT_TOL, force_float: bool = Fals
         else [snap_value(v, tol.eps_zero) for v in dm.values_float]
     )
 
-    standard = standardize(rba, dm)
-    was_standard = (
-        float(abs(standard.lam_float - rba.lam_float).max()) <= tol.eps_residual
-    )
+    rba, dm, was_standard = to_standard_basis(rba, dm, tol)
     data["rba"]["standard_basis"] = was_standard
-    if not was_standard:
-        rba = standard
-        dm = degree_map(rba, tol)
 
     residuals = {
         "validation": data["validation"]["max_residual"],
-        "regular_rep": regular_rep(rba).product_residual(rba),
+        "regular_rep": rep_residual(rba, regular_rep(rba)),
     }
     gram_matrix(rba, dm)  # raises if the trace form degenerates
 
     table = character_table(rba, dm, tol=tol)
     ind = indicator_report(table, rba, dm, tol)
-    data["character_table"] = _table_section(table, tol)
+    data["character_table"] = _table_section(table, ind.nu)
     data["indicators"] = {
         "nu": ind.nu,
         "s_predicted": ind.s_predicted,
@@ -292,7 +304,7 @@ def analyze(source, tol: ToleranceConfig = DEFAULT_TOL, force_float: bool = Fals
 
     if one_pair.passed:
         try:
-            sym = symbol(rba, tol, dm=dm, table=table)
+            sym = symbol(rba, tol, dm=dm, chi=one_pair.chi)
             data["quaternion"] = {
                 "status": "computed",
                 "a": encode_value(sym.a_exact if sym.a_exact is not None else sym.a),
@@ -308,9 +320,8 @@ def analyze(source, tol: ToleranceConfig = DEFAULT_TOL, force_float: bool = Fals
             data["quaternion"] = {"status": f"failed: {exc}"}
             verdicts.append(False)
     else:
-        quaternionic = [c for c in table if c.degree == 2 and c.nu == -1]
         status = "not applicable: " + one_pair.reason
-        if quaternionic:
+        if any(c.degree == 2 and nu == -1 for c, nu in zip(table, ind.nu)):
             status += "; degree-2 component is quaternionic (nu = -1), no real 2x2 *-representation"
         data["quaternion"] = {"status": status}
 

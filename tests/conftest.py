@@ -50,6 +50,15 @@ def c_n_table(n):
     return np.array([[(i + j) % n for j in range(n)] for i in range(n)])
 
 
+def rescale(rba, scale):
+    """Rescaled basis b_i' = scale[i] * b_i (scale must respect the pairing)."""
+    r = rba.rank
+    lam = rba.lam.copy()
+    for i, j, k in itertools.product(range(r), repeat=3):
+        lam[i, j, k] = rba.lam[i, j, k] * scale[i] * scale[j] / scale[k]
+    return RBA(lam, rba.star)
+
+
 # classical character tables, frozen from the representation theory of the
 # groups themselves (degrees, values in the element order above)
 S3_CLASSICAL = {

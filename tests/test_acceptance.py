@@ -99,7 +99,7 @@ def test_criterion_2_main_theorem(fixture, xd_square, a_expected, request, capsy
         xd = rep.matrices[p] - rep.matrices[ps]
         x, a = x_generator(rep, rba, dm, chi.multiplicity_raw, TOL)
         y, beta, _ = y_generator(rep, rba, TOL)
-        sym = symbol(rba, TOL, dm=dm, table=table, rep=rep)
+        sym = symbol(rba, TOL, dm=dm, chi=chi, rep=rep)
         elapsed = time.perf_counter() - t0
         n = dm.n_float
         delta_p = dm.values_float[p]

@@ -11,15 +11,15 @@ from rbakit.core import (
     NumericalError,
     StructuralError,
     ToleranceConfig,
-    FeasibleTrace,
     degree_map,
     gram_matrix,
     snap_rational,
     standardize,
+    to_standard_basis,
     validate,
 )
 
-from conftest import TOL
+from conftest import TOL, rescale
 
 
 # ---------------------------------------------------------------------------
@@ -73,6 +73,12 @@ def test_text_parse_errors(tmp_path):
     path = tmp_path / "t.rba"
     path.write_text("rank 1\nstar 0\nlambda 0 0 0 1\n")
     assert RBA.from_file(path).rank == 1
+
+
+@pytest.mark.parametrize("token", ["nan", "NaN", "inf", "-inf", "Infinity", "1e999"])
+def test_text_parse_rejects_non_finite(token):
+    with pytest.raises(StructuralError, match=f"line 3: non-finite value '{token}'"):
+        RBA.from_text(f"rank 1\nstar 0\nlambda 0 0 0 {token}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -178,22 +184,11 @@ def test_standardize_fixed_point(s3_rba):
     assert np.array_equal(again.lam, s3_rba.lam)
 
 
-def _rescale(rba, scale):
-    """Rescaled basis b_i' = scale[i] * b_i (scale must respect the pairing)."""
-    r = rba.rank
-    lam = rba.lam.copy()
-    for i in range(r):
-        for j in range(r):
-            for k in range(r):
-                lam[i, j, k] = rba.lam[i, j, k] * scale[i] * scale[j] / scale[k]
-    return RBA(lam, rba.star)
-
-
 def test_standardize_round_trip(s3_rba):
     # rescale the nonreal pair by 3: lam[1,1*,0] becomes 9 while the degree
     # of the rescaled element is 3, so t = 1/3 restores the original tensor
     scale = [Fraction(1), Fraction(3), Fraction(3), Fraction(1), Fraction(1), Fraction(1)]
-    rescaled = _rescale(s3_rba, scale)
+    rescaled = rescale(s3_rba, scale)
     assert rescaled.lam[1, 2, 0] == 9
     assert validate(rescaled, TOL).passed
     dm = degree_map(rescaled, TOL)
@@ -204,7 +199,7 @@ def test_standardize_round_trip(s3_rba):
 
 def test_standardize_idempotent(s3_rba):
     scale = [Fraction(1), Fraction(5, 2), Fraction(5, 2), Fraction(2), Fraction(1), Fraction(1)]
-    rescaled = _rescale(s3_rba, scale)
+    rescaled = rescale(s3_rba, scale)
     dm = degree_map(rescaled, TOL)
     std = standardize(rescaled, dm)
     dm2 = degree_map(std, TOL)
@@ -213,6 +208,17 @@ def test_standardize_idempotent(s3_rba):
     # the standard-basis property: lam[i,i*,0] equals the degree of the new basis
     for i in range(6):
         assert std.lam[i, std.star[i], 0] == dm2.values[i]
+
+
+def test_to_standard_basis(s3_rba):
+    dm = degree_map(s3_rba, TOL)
+    assert to_standard_basis(s3_rba, dm, TOL) == (s3_rba, dm, True)
+    scale = [Fraction(1), Fraction(3), Fraction(3), Fraction(2), Fraction(1), Fraction(1)]
+    rescaled = rescale(s3_rba, scale)
+    std, dm2, was_standard = to_standard_basis(rescaled, degree_map(rescaled, TOL), TOL)
+    assert not was_standard
+    assert np.array_equal(std.lam, s3_rba.lam)
+    assert list(dm2.values) == list(dm.values)
 
 
 def test_standardize_rejects_bad_diagonal(s3_rba):
@@ -254,15 +260,11 @@ def test_gram_rank7(rank7_rba):
 
 
 def test_feasible_trace(s3_rba):
+    # tau picks n times the b_0-coefficient, so tau(b_i b_j*) = n lam[i,j*,0]
+    # is the Gram form: tau(b_0 b_0*) = n = 6, symmetric positive definite
     dm = degree_map(s3_rba, TOL)
-    tau = FeasibleTrace(dm)
-    assert tau([1, 0, 0, 0, 0, 0]) == 6.0
-    for i in range(1, 6):
-        e = np.zeros(6)
-        e[i] = 1.0
-        assert tau(e) == 0.0
-    # tau(b_i b_j*) is the Gram form: symmetric positive definite
     g = gram_matrix(s3_rba, dm)
+    assert g[0, 0] == dm.n_float == 6.0
     assert np.allclose(g, g.T)
     assert np.linalg.eigvalsh(g).min() > 0
 

@@ -9,7 +9,6 @@ from rbakit.indicator import (
     fs_indicator,
     indicator_report,
     rank7_trichotomy,
-    real_count_check,
 )
 
 from conftest import D8_CLASSICAL, RANK7_TABLE, S3_CLASSICAL, TOL
@@ -35,7 +34,7 @@ def test_delta_indicator_is_one(fixture, request):
 def test_real_count_identity(fixture, request):
     rba = request.getfixturevalue(fixture)
     _, table, report = _report(rba)
-    assert real_count_check(report)
+    assert report.consistent
     assert report.s_actual == rba.star_fixed_count()
 
 
@@ -90,12 +89,11 @@ def test_raw_values_close_to_snapped(s3_rba, d8_rba, rank7_rba):
             assert abs(raw - nu) < 1e-8
 
 
-def test_fs_indicator_writes_nu(s3_rba):
+def test_fs_indicator_matches_report(s3_rba):
     dm = degree_map(s3_rba, TOL)
     table = character_table(s3_rba, dm, central_idempotents(s3_rba, TOL), TOL)
-    assert all(c.nu is None for c in table)
-    fs_indicator(table, s3_rba, dm, TOL)
-    assert [c.nu for c in table] == [1, 1, 1]
+    assert fs_indicator(table, s3_rba, dm, TOL) == [1, 1, 1]
+    assert indicator_report(table, s3_rba, dm, TOL).nu == [1, 1, 1]
 
 
 # ---------------------------------------------------------------------------

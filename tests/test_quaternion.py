@@ -1,10 +1,12 @@
 """Quaternion arithmetic, symbol generators, Hilbert symbols."""
 
+import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from rbakit.cli import main
 from rbakit.core import degree_map
 from rbakit.decomp import central_idempotents, character_table, star_rep_extract
 from rbakit.quaternion import (
@@ -18,8 +20,9 @@ from rbakit.quaternion import (
     y_generator,
 )
 from rbakit.integrality import RANK7_IMAGES
+from rbakit.report import analyze
 
-from conftest import TOL, padic_norm_oracle
+from conftest import TOL, padic_norm_oracle, rescale
 
 
 def _deg2_rep(rba):
@@ -92,11 +95,8 @@ def test_rank7_image_char_polys():
 # ---------------------------------------------------------------------------
 
 def test_dc_change_of_basis(s3_rba, d8_rba, rank7_rba):
-    pb = dc_change_of_basis(s3_rba)
-    assert pb.pair == (1, 2)
-    assert list(pb.d_coeffs) == [0, 1, -1, 0, 0, 0]
-    pb8 = dc_change_of_basis(d8_rba)
-    assert pb8.pair == (1, 3)
+    assert dc_change_of_basis(s3_rba) == (1, 2)
+    assert dc_change_of_basis(d8_rba) == (1, 3)
     with pytest.raises(ValueError, match="3 nonreal pairs"):
         dc_change_of_basis(rank7_rba)
 
@@ -158,6 +158,29 @@ def test_symbol_split(fixture, a_expected, request):
     assert sym.verdict == "split"
     assert all(v == 1 for v in sym.local_symbols.values())
     assert sym.anticommute_residual < 1e-8
+
+
+@pytest.mark.parametrize("fixture,a_expected", [("s3_rba", -12), ("d8_rba", -16)])
+def test_symbol_standardizes_the_basis_first(fixture, a_expected, request, tmp_path, capsys):
+    # b_i' = t_i b_i with distinct t_i = t_{i*} > 0 is the same algebra in a
+    # non-standard basis: symbol(), `rbakit quaternion` and analyze all
+    # standardize it first
+    rba = request.getfixturevalue(fixture)
+    t = [Fraction(1)] + [Fraction(min(i, int(rba.star[i])) + 2, 2) for i in range(1, rba.rank)]
+    rba = rescale(rba, t)
+    report = analyze(rba, TOL).data
+    assert report["rba"]["standard_basis"] is False
+    q = report["quaternion"]
+    assert (q["a"], q["beta"], q["verdict"]) == (str(a_expected), "4", "split")
+
+    sym = symbol(rba, TOL)
+    assert (sym.a_exact, sym.beta_exact, sym.verdict) == (a_expected, 4, "split")
+
+    path = tmp_path / "rescaled.rba"
+    path.write_text(rba.to_text())
+    assert main(["quaternion", str(path), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["a"], payload["beta"], payload["verdict"]) == (q["a"], q["beta"], q["verdict"])
 
 
 def test_symbol_rejects_rank7(rank7_rba):

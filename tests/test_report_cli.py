@@ -10,7 +10,7 @@ from rbakit.cli import main
 from rbakit.fixtures import fixture_text, load_fixture
 from rbakit.report import AnalysisReport, analyze, decode_value, encode_value
 
-from conftest import TOL
+from conftest import TOL, c_n_table
 
 
 @pytest.fixture(scope="module")
@@ -200,6 +200,15 @@ def test_cli_check_integrality(tmp_path, capsys):
     assert payload["two_adic"]["verdict"] == "obstructed-non-integral"
 
 
+def test_cli_check_integrality_skips_analysis_outside_rank7(tmp_path, capsys):
+    # C24 has no 2-adic section; its integrality verdict needs no decomposition
+    from rbakit.ingest import from_group
+    path = tmp_path / "c24.rba"
+    path.write_text(from_group(c_n_table(24)).to_text())
+    assert main(["check-integrality", str(path)]) == 0
+    assert capsys.readouterr().out == "integral\n"
+
+
 def test_cli_from_group_and_scheme(tmp_path, capsys):
     cayley = tmp_path / "s3.cayley"
     cayley.write_text(fixture_text("s3"))
@@ -282,3 +291,35 @@ def test_cli_structural_error(tmp_path, capsys):
     assert main(["validate", str(bad)]) == 2
     assert "error:" in capsys.readouterr().err
     assert main(["validate", str(tmp_path / "missing.rba")]) == 2
+
+
+RBA_COMMANDS = ["analyze", "validate", "quaternion", "check-integrality"]
+
+
+@pytest.mark.parametrize("command", RBA_COMMANDS)
+def test_cli_rejects_non_finite_tokens(command, tmp_path, capsys):
+    for token in ("nan", "inf", "-inf", "1e999"):
+        bad = tmp_path / "bad.rba"
+        bad.write_text(f"rank 1\nstar 0\nlambda 0 0 0 {token}\n")
+        assert main([command, str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "line 3: non-finite value" in captured.err
+
+
+def test_cli_json_output_is_strict(tmp_path, capsys):
+    # 1e308 is finite, but the associativity residual of this rank-1 tensor is
+    # inf - inf: --json must fail (exit 2) rather than print bare NaN
+    overflow = tmp_path / "overflow.rba"
+    overflow.write_text("rank 1\nstar 0\nlambda 0 0 0 1e308\n")
+    inputs = [_write_s3(tmp_path), str(overflow)]
+    runs = [[command, path, "--json"] for command in RBA_COMMANDS for path in inputs]
+    runs += [["hilbert", "-1", "-1", "--json"], ["hilbert", "2", "3", "--json"]]
+    for argv in runs:
+        code = main(argv)
+        out = capsys.readouterr().out
+        assert "NaN" not in out and "Infinity" not in out, argv
+        if out:
+            json.loads(out, parse_constant=lambda c: pytest.fail(f"{argv}: {c}"))
+        else:
+            assert code == 2, argv
