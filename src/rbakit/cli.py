@@ -19,6 +19,8 @@ from .report import analyze, canonical_json, validation_section, write_atomic
 from .integrality import integral_check
 from . import __version__
 
+INPUT_ERRORS = (RBAError, ValueError, FileNotFoundError, IsADirectoryError)  # exit code 2
+
 
 def _tolerances(args) -> ToleranceConfig:
     eps = args.tol
@@ -74,8 +76,14 @@ def _cmd_analyze(args) -> int:
     worst = 0
     chunks = []
     for p in paths:
-        rba = _load_rba(p, args)
-        rep = analyze(rba, tol)
+        try:
+            rep = analyze(_load_rba(p, args), tol)
+        except INPUT_ERRORS as exc:
+            if p == args.path:  # a single input: main reports it
+                raise
+            print(f"error: {p}: {exc}", file=sys.stderr)
+            worst = 2
+            continue
         rep.data["meta"]["source"] = os.path.basename(p) if p != "-" else "<stdin>"
         worst = max(worst, rep.exit_code)
         chunks.append(rep.to_json() if args.json else rep.render_text())
@@ -260,7 +268,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (RBAError, ValueError, FileNotFoundError, IsADirectoryError) as exc:
+    except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -2,7 +2,10 @@
 
 An RBA is held as a dense structure-constant tensor lam[i, j, k] (the
 coefficient of b_k in b_i*b_j), a basis involution ``star`` acting on
-indices, and a mode flag: exact (every entry a Fraction) or float.
+indices, and a mode flag: exact (every entry a Fraction) or float. An exact
+RBA also has an integer view lam = N / D (``lam_int``): the axiom checks, the
+degree-map homomorphism test and the integrality test run one array code, on
+(D, N) with zero tolerances or on (1, lam_float) with the float tolerances.
 Eigen-computations always run in doubles; exact mode only changes how
 identities are checked and how derived values are snapped back.
 """
@@ -36,6 +39,7 @@ __all__ = [
 ]
 
 SNAP_MAX_DENOMINATOR = 10**6
+ASSOC_BLOCK = 2**20  # entries per block of the associativity check: memory r^3, not r^4
 
 
 class RBAError(Exception):
@@ -112,12 +116,15 @@ def snap_value(x, eps: float):
     snapped = snap_rational(z.real, eps)
     return snapped if snapped is not None else z.real
 
+def over_common_denominator(fractions):
+    """(D, N): the lcm D of the denominators, and the Python ints N = D * fractions."""
+    d = math.lcm(*(f.denominator for f in fractions))
+    return d, np.array([f.numerator * (d // f.denominator) for f in fractions], dtype=object)
+
+
 def as_float_array(values) -> np.ndarray:
-    """Coerce a (possibly Fraction-valued) array to float64."""
-    arr = np.asarray(values)
-    if arr.dtype == object:
-        return np.array([float(v) for v in arr.ravel()], dtype=float).reshape(arr.shape)
-    return arr.astype(float)
+    """Coerce a (possibly Fraction-valued) array to a new float64 array."""
+    return np.array(values, dtype=float)
 
 
 def _parse_scalar(token: str, lineno: int):
@@ -171,22 +178,16 @@ class RBA:
         star = np.asarray(star, dtype=int)
         if star.shape != (r,) or sorted(star.tolist()) != list(range(r)):
             raise StructuralError("star must be a permutation of 0..r-1")
-        flat = lam.ravel()
-        exact = True
-        for v in flat:
-            if isinstance(v, (Fraction, int, np.integer)):
-                continue
-            exact = False
-            break
-        if exact:
-            self.lam = np.array([Fraction(v) for v in flat], dtype=object).reshape(lam.shape)
+        self.exact = all(isinstance(v, (Fraction, int, np.integer)) for v in lam.flat)
+        if self.exact:
+            self.lam = np.array([Fraction(v) for v in lam.flat], dtype=object).reshape(lam.shape)
         else:
             self.lam = as_float_array(lam)
-        self.exact = exact
         self.rank = r
         self.star = star
         self.labels = list(labels) if labels is not None else None
         self._lam_float = None
+        self._lam_int = None
 
     @property
     def lam_float(self) -> np.ndarray:
@@ -194,6 +195,18 @@ class RBA:
         if self._lam_float is None:
             self._lam_float = as_float_array(self.lam)
         return self._lam_float
+
+    @property
+    def lam_int(self):
+        """(D, N) with lam = N / D exactly, for an exact RBA (cached). N is int64
+        when r * max(D, max|N|)^2 < 2^62, so no sum of r products (nor the
+        difference of two) overflows; otherwise it holds Python ints."""
+        if self._lam_int is None:
+            d, n = over_common_denominator(self.lam.ravel())
+            n = n.reshape(self.lam.shape)
+            big = max(d, int(abs(n).max()))
+            self._lam_int = (d, n.astype(np.int64) if self.rank * big * big < 2**62 else n)
+        return self._lam_int
 
     # -- basis structure ----------------------------------------------------
 
@@ -211,18 +224,6 @@ class RBA:
 
     def mul(self, u, v):
         """Product of two elements given by basis-coefficient vectors."""
-        u = np.asarray(u)
-        v = np.asarray(v)
-        if u.dtype == object or v.dtype == object:
-            out = np.empty(self.rank, dtype=object)
-            for k in range(self.rank):
-                out[k] = sum(
-                    u[i] * v[j] * self.lam[i, j, k]
-                    for i in range(self.rank)
-                    for j in range(self.rank)
-                    if u[i] and v[j]
-                ) or Fraction(0)
-            return out
         return np.einsum("i,j,ijk->k", u, v, self.lam_float)
 
     def star_coeffs(self, u):
@@ -239,7 +240,7 @@ class RBA:
         lines = [f"rank {self.rank}", "star " + " ".join(str(int(s)) for s in self.star)]
         for i, j, k in itertools.product(range(self.rank), repeat=3):
             v = self.lam[i, j, k]
-            if (v == 0) if self.exact else (v == 0.0):
+            if v == 0:
                 continue
             lines.append(f"lambda {i} {j} {k} {format_scalar(v)}")
         return "\n".join(lines) + "\n"
@@ -248,7 +249,7 @@ class RBA:
     def from_text(cls, text: str) -> "RBA":
         rank = None
         star = None
-        entries = []
+        entries = {}  # (i, j, k) -> (line number, value)
         for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -260,8 +261,13 @@ class RBA:
                 elif fields[0] == "star":
                     star = [int(t) for t in fields[1:]]
                 elif fields[0] == "lambda":
-                    i, j, k = int(fields[1]), int(fields[2]), int(fields[3])
-                    entries.append((i, j, k, _parse_scalar(fields[4], lineno)))
+                    key = (int(fields[1]), int(fields[2]), int(fields[3]))
+                    if key in entries:
+                        raise StructuralError(
+                            f"line {lineno}: duplicate lambda {' '.join(map(str, key))}"
+                            f" (first on line {entries[key][0]})"
+                        )
+                    entries[key] = (lineno, _parse_scalar(fields[4], lineno))
                 else:
                     raise StructuralError(f"line {lineno}: unknown directive {fields[0]!r}")
             except (IndexError, ValueError) as exc:
@@ -270,15 +276,11 @@ class RBA:
             raise StructuralError("missing or invalid 'rank' line")
         if star is None or len(star) != rank:
             raise StructuralError("missing or wrong-length 'star' line")
-        exact = all(isinstance(v, Fraction) for _, _, _, v in entries)
-        if exact:
-            lam = np.full((rank, rank, rank), Fraction(0), dtype=object)
-        else:
-            lam = np.zeros((rank, rank, rank))
-        for i, j, k, v in entries:
+        lam = np.zeros((rank, rank, rank), dtype=object)  # the RBA picks the mode
+        for (i, j, k), (_, v) in entries.items():
             if not (0 <= i < rank and 0 <= j < rank and 0 <= k < rank):
                 raise StructuralError(f"lambda index ({i},{j},{k}) out of range for rank {rank}")
-            lam[i, j, k] = v if exact else float(v)
+            lam[i, j, k] = v
         return cls(lam, star)
 
     @classmethod
@@ -354,23 +356,20 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def _exact_max_abs(diff_iter) -> float:
-    worst = Fraction(0)
-    for d in diff_iter:
-        if abs(d) > worst:
-            worst = abs(d)
-    return float(worst)
-
-
 def validate(rba: RBA, tol: ToleranceConfig = DEFAULT_TOL) -> ValidationReport:
     """Check every defining axiom, reporting a residual per check.
 
-    Exact mode checks identities exactly; float mode compares residuals
-    against tol.eps_residual (tol.eps_zero for is-zero decisions).
+    One body for both modes: exact mode reads lam = N / D as (D, N) with zero
+    tolerances, float mode reads (1, lam_float) with tol.eps_residual
+    (tol.eps_zero for is-zero decisions). Every axiom is homogeneous in lam
+    except the identity, whose 1 becomes D; residuals are divided by D (D^2
+    for associativity), so they keep the units of lam. A residual that is
+    not finite raises NumericalError naming its check.
     """
     r = rba.rank
     star = rba.star
-    lam = rba.lam_float
+    d, lam = rba.lam_int if rba.exact else (1, rba.lam_float)
+    eps_zero, eps_res = (0, 0) if rba.exact else (tol.eps_zero, tol.eps_residual)
     report = ValidationReport()
 
     # star is an involution fixing 0
@@ -378,61 +377,53 @@ def validate(rba: RBA, tol: ToleranceConfig = DEFAULT_TOL) -> ValidationReport:
     report.checks.append(CheckResult("star-involution", invol_ok, 0.0 if invol_ok else 1.0))
 
     # b_0 is the two-sided identity
-    eye = np.eye(r)
+    eye = np.eye(r, dtype=lam.dtype) * d
     res_id = max(abs(lam[0] - eye).max(), abs(lam[:, 0, :] - eye).max())
-    report.checks.append(CheckResult("identity", res_id <= tol.eps_residual, float(res_id)))
+    report.checks.append(CheckResult("identity", res_id <= eps_res, res_id / d))
 
     # anti-automorphism: lam[i,j,k] = lam[j*,i*,k*]
     res_star = abs(lam - lam[star][:, star][:, :, star].transpose(1, 0, 2)).max()
-    report.checks.append(
-        CheckResult("anti-automorphism", res_star <= tol.eps_residual, float(res_star))
-    )
+    report.checks.append(CheckResult("anti-automorphism", res_star <= eps_res, res_star / d))
 
     # pseudo-inverse condition
     col0 = lam[:, :, 0]
     off = col0.copy()
-    off[np.arange(r), star] = 0.0
+    off[np.arange(r), star] = 0
     diag = col0[np.arange(r), star]
     diag_sym = abs(diag - col0[star, np.arange(r)]).max()
     worst_off = abs(off).max()
-    pos_ok = bool(diag.min() > tol.eps_zero)
+    pos_ok = bool(diag.min() > eps_zero)
     detail = ""
-    if not pos_ok or worst_off > tol.eps_zero:
-        bad = int(np.argmax(np.abs(off).max(axis=1) + (diag <= tol.eps_zero)))
+    if not pos_ok or worst_off > eps_zero:
+        bad = int(np.argmax(np.abs(off).max(axis=1) + (diag <= eps_zero)))
         detail = f"failing index pair ({bad}, {int(star[bad])})"
-    res_pi = max(float(worst_off), float(diag_sym))
     report.checks.append(
         CheckResult(
             "pseudo-inverse",
-            pos_ok and worst_off <= tol.eps_zero and diag_sym <= tol.eps_residual,
-            res_pi,
+            pos_ok and worst_off <= eps_zero and diag_sym <= eps_res,
+            max(worst_off, diag_sym) / d,
             detail,
         )
     )
 
-    # associativity: sum_m lam[i,j,m] lam[m,k,l] = sum_m lam[j,k,m] lam[i,m,l]
-    detail = ""
-    if rba.exact:
-        t = rba.lam
-        lhs = t.reshape(r * r, r).dot(t.reshape(r, r * r)).reshape(r, r, r, r)
-        # rhs[(j,k),(i,l)] = sum_m lam[j,k,m] lam[i,m,l]
-        rhs = (
-            t.reshape(r * r, r)
-            .dot(t.transpose(1, 0, 2).reshape(r, r * r))
-            .reshape(r, r, r, r)
-            .transpose(2, 0, 1, 3)
-        )
-        res_assoc = _exact_max_abs((lhs - rhs).ravel())
-        assoc_ok = res_assoc == 0.0
-    else:
-        lhs = np.einsum("ijm,mkl->ijkl", lam, lam)
-        rhs = np.einsum("jkm,iml->ijkl", lam, lam)
-        res_assoc = float(abs(lhs - rhs).max())
-        assoc_ok = res_assoc <= tol.eps_residual
-        if not assoc_ok:
-            i, j, k, l = np.unravel_index(int(abs(lhs - rhs).argmax()), lhs.shape)
-            detail = f"worst quadruple ({i},{j},{k},{l})"
-    report.checks.append(CheckResult("associativity", assoc_ok, float(res_assoc), detail))
+    # associativity: sum_m lam[i,j,m] lam[m,k,l] = sum_m lam[j,k,m] lam[i,m,l],
+    # over blocks of i so that memory stays at ASSOC_BLOCK entries, not r^4
+    step = max(1, ASSOC_BLOCK // r**3)
+    res_assoc, worst = 0, None
+    for i0 in range(0, r, step):
+        block = lam[i0:i0 + step]
+        diff = abs(np.einsum("ijm,mkl->ijkl", block, lam) - np.einsum("jkm,iml->ijkl", lam, block))
+        res = diff.max()
+        if res > res_assoc or res != res:  # a NaN is kept, never passed over
+            res_assoc = res
+            worst = np.unravel_index(int(diff.argmax()) + i0 * r**3, (r, r, r, r))
+    detail = f"worst quadruple ({','.join(map(str, worst))})" if res_assoc > eps_res else ""
+    report.checks.append(
+        CheckResult("associativity", res_assoc <= eps_res, res_assoc / (d * d), detail)
+    )
+    for c in report.checks:
+        if not math.isfinite(c.residual):
+            raise NumericalError(f"{c.name} residual is not finite ({c.residual})")
     return report
 
 
@@ -483,17 +474,13 @@ def degree_map(rba: RBA, tol: ToleranceConfig = DEFAULT_TOL) -> DegreeMap:
     vals = positive[0]
     if rba.exact:
         snapped = [snap_rational(x, tol.eps_zero) for x in vals]
-        if all(s is not None for s in snapped) and _is_exact_hom(rba, snapped):
-            return DegreeMap(np.array(snapped, dtype=object), exact=True)
+        if all(s is not None for s in snapped):
+            # sum_k lam[i,j,k] v_k = v_i v_j, times D E^2, with v = V / E
+            d, lam = rba.lam_int
+            e, v = over_common_denominator(snapped)
+            if np.array_equal(e * np.einsum("ijk,k->ij", lam, v), d * np.outer(v, v)):
+                return DegreeMap(np.array(snapped, dtype=object), exact=True)
     return DegreeMap(vals, exact=False)
-
-
-def _is_exact_hom(rba: RBA, vals) -> bool:
-    r = rba.rank
-    for i, j in itertools.product(range(r), repeat=2):
-        if sum(rba.lam[i, j, k] * vals[k] for k in range(r)) != vals[i] * vals[j]:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -507,21 +494,13 @@ def standardize(rba: RBA, dm: DegreeMap) -> RBA:
     """
     r = rba.rank
     star = rba.star
-    if rba.exact and dm.exact:
-        diag = [rba.lam[i, star[i], 0] for i in range(r)]
-        if any(d <= 0 for d in diag):
-            raise AxiomError("lam[i,i*,0] must be positive (pseudo-inverse violation)")
-        t = [dm.values[i] / diag[i] for i in range(r)]
-        lam = np.empty((r, r, r), dtype=object)
-        for i, j, k in itertools.product(range(r), repeat=3):
-            lam[i, j, k] = rba.lam[i, j, k] * t[i] * t[j] / t[k]
-        return RBA(lam, star, rba.labels)
-    lamf = rba.lam_float
-    diag = lamf[np.arange(r), star, 0]
+    exact = rba.exact and dm.exact
+    lam = rba.lam if exact else rba.lam_float
+    diag = lam[np.arange(r), star, 0]
     if diag.min() <= 0:
         raise AxiomError("lam[i,i*,0] must be positive (pseudo-inverse violation)")
-    t = dm.values_float / diag
-    lam = lamf * t[:, None, None] * t[None, :, None] / t[None, None, :]
+    t = (dm.values if exact else dm.values_float) / diag
+    lam = lam * t[:, None, None] * t[None, :, None] / t[None, None, :]
     return RBA(lam, star, rba.labels)
 
 

@@ -140,18 +140,12 @@ def integral_check(rba: RBA, eps: float = 1e-9) -> IntegralityResult:
     Exact mode tests denominators; float mode tests distance to the nearest
     integer against eps.
     """
-    offenders = []
-    r = rba.rank
-    for i, j, k in itertools.product(range(r), repeat=3):
-        v = rba.lam[i, j, k]
-        if rba.exact:
-            bad = v.denominator != 1
-        else:
-            bad = abs(v - round(v)) > eps
-        if bad:
-            offenders.append((i, j, k, v))
-            if len(offenders) >= 32:
-                break
+    if rba.exact:
+        d, n = rba.lam_int
+        bad = n % d != 0
+    else:
+        bad = abs(rba.lam_float - np.round(rba.lam_float)) > eps
+    offenders = [(int(i), int(j), int(k), rba.lam[i, j, k]) for i, j, k in np.argwhere(bad)[:32]]
     return IntegralityResult(integral=not offenders, offenders=offenders)
 
 

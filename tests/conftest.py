@@ -46,6 +46,13 @@ def d8_table():
     return np.array([[idx[mul(elems[i], elems[j])] for j in range(8)] for i in range(8)])
 
 
+def s4_table():
+    """S4 as permutations of {0,1,2,3} in lexicographic order (identity first)."""
+    perms = list(itertools.permutations(range(4)))
+    idx = {p: i for i, p in enumerate(perms)}
+    return np.array([[idx[tuple(p[q[x]] for x in range(4))] for q in perms] for p in perms])
+
+
 def c_n_table(n):
     return np.array([[(i + j) % n for j in range(n)] for i in range(n)])
 

@@ -81,6 +81,12 @@ def test_text_parse_rejects_non_finite(token):
         RBA.from_text(f"rank 1\nstar 0\nlambda 0 0 0 {token}\n")
 
 
+def test_text_parse_rejects_duplicate_lambda():
+    text = "rank 1\nstar 0\nlambda 0 0 0 1\n# again\nlambda 0 0 0 2\n"
+    with pytest.raises(StructuralError, match=r"line 5: duplicate lambda 0 0 0 \(first on line 3\)"):
+        RBA.from_text(text)
+
+
 # ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------
@@ -129,6 +135,45 @@ def test_validate_anti_automorphism_failure(s3_rba):
     broken = RBA(lam, s3_rba.star)
     rep = validate(broken, TOL)
     assert not rep.passed
+
+
+TINY = Fraction(1, 10**30)
+
+
+@pytest.mark.parametrize(
+    "entry, value, check",
+    [
+        ((0, 1, 1), 1 + Fraction(1, 10**10), "identity"),       # b_0 b_1 = (1 + 1e-10) b_1
+        ((1, 1, 2), 1 + TINY, "anti-automorphism"),             # r r = r^2, off by 1e-30
+        ((1, 1, 0), TINY, "pseudo-inverse"),                    # b_0 in b_1 b_1, 1* = 2
+    ],
+)
+def test_validate_exact_mode_is_exact(s3_rba, entry, value, check):
+    # each perturbation is below the float tolerances: float mode passes the
+    # check, exact mode must not
+    lam = s3_rba.lam.copy()
+    lam[entry] = value
+    broken = RBA(lam, s3_rba.star)
+    assert not validate(broken, TOL)[check].passed
+    assert validate(RBA(broken.lam_float, broken.star), TOL)[check].passed
+
+
+def test_validate_python_int_fallback(s3_rba):
+    # t = 3^10 off the identity puts lam[i,i*,0] at 3^20, past the int64 bound
+    big = rescale(s3_rba, [Fraction(1)] + [Fraction(3**10)] * 5)
+    d, n = big.lam_int
+    assert n.dtype == object and big.rank * int(abs(n).max()) ** 2 >= 2**63
+    assert validate(big, TOL).passed
+    lam = big.lam.copy()
+    lam[1, 1, 2] += TINY
+    rep = validate(RBA(lam, big.star), TOL)
+    assert not rep["anti-automorphism"].passed and not rep.passed
+
+
+def test_validate_non_finite_residual():
+    rba = RBA(np.full((1, 1, 1), 1e308), [0])   # lam^2 overflows: inf - inf
+    with pytest.raises(NumericalError, match="associativity residual is not finite"):
+        validate(rba, TOL)
 
 
 def test_tolerance_config_invariants():

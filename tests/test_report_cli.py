@@ -10,7 +10,7 @@ from rbakit.cli import main
 from rbakit.fixtures import fixture_text, load_fixture
 from rbakit.report import AnalysisReport, analyze, decode_value, encode_value
 
-from conftest import TOL, c_n_table
+from conftest import TOL, c_n_table, s4_table
 
 
 @pytest.fixture(scope="module")
@@ -53,6 +53,19 @@ def test_analyze_rank7(rank7_rba):
     assert "quaternionic" in d["quaternion"]["status"]
     ct = d["character_table"]
     assert ct["multiplicities"] == ["1", "52/45", "4/9", "26/5"]
+
+
+def test_analyze_exact_s4():
+    # rank 24, exact mode end to end: every axiom checked on integers
+    from rbakit.ingest import from_group
+    rep = analyze(from_group(s4_table()), TOL)
+    d = rep.data
+    assert rep.exit_code == 0 and d["meta"]["mode"] == "exact"
+    assert d["rba"]["rank"] == 24 and d["rba"]["order"] == "24"
+    assert d["character_table"]["degrees"] == [1, 1, 2, 3, 3]
+    assert d["character_table"]["multiplicities"] == ["1", "1", "2", "3", "3"]
+    assert d["indicators"]["nu"] == [1] * 5
+    assert d["indicators"]["s_actual"] == 10
 
 
 def test_analyze_invalid_rba():
@@ -240,6 +253,18 @@ def test_cli_batch_directory(tmp_path, capsys):
     assert out.count("rbakit analysis") == 2
 
 
+def test_cli_batch_directory_survives_a_bad_file(tmp_path, capsys):
+    (tmp_path / "s3.rba").write_text(fixture_text("s3.rba"))
+    (tmp_path / "bad.rba").write_text("rank 2\nstar 0\n")
+    assert main(["analyze", str(tmp_path / "s3.rba")]) == 0
+    s3_text = capsys.readouterr().out
+    code = main(["analyze", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2  # worst of the batch
+    assert captured.out == s3_text
+    assert captured.err == f"error: {tmp_path / 'bad.rba'}: missing or wrong-length 'star' line\n"
+
+
 def test_cli_out_flag(tmp_path, capsys):
     path = _write_s3(tmp_path)
     target = tmp_path / "report.json"
@@ -307,6 +332,16 @@ def test_cli_rejects_non_finite_tokens(command, tmp_path, capsys):
         assert "line 3: non-finite value" in captured.err
 
 
+@pytest.mark.parametrize("command", RBA_COMMANDS)
+def test_cli_rejects_duplicate_lambda(command, tmp_path, capsys):
+    bad = tmp_path / "dup.rba"
+    bad.write_text("rank 1\nstar 0\nlambda 0 0 0 1\nlambda 0 0 0 1\n")
+    assert main([command, str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "line 4: duplicate lambda 0 0 0 (first on line 3)" in captured.err
+
+
 def test_cli_json_output_is_strict(tmp_path, capsys):
     # 1e308 is finite, but the associativity residual of this rank-1 tensor is
     # inf - inf: --json must fail (exit 2) rather than print bare NaN
@@ -323,3 +358,15 @@ def test_cli_json_output_is_strict(tmp_path, capsys):
             json.loads(out, parse_constant=lambda c: pytest.fail(f"{argv}: {c}"))
         else:
             assert code == 2, argv
+
+
+@pytest.mark.parametrize("fmt", [[], ["--json"]])
+@pytest.mark.parametrize("command", ["validate", "analyze"])
+def test_cli_non_finite_residual_exits_2(command, fmt, tmp_path, capsys):
+    # text and --json agree: the NaN residual is an error, not a report
+    overflow = tmp_path / "overflow.rba"
+    overflow.write_text("rank 1\nstar 0\nlambda 0 0 0 1e308\n")
+    assert main([command, str(overflow), *fmt]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: associativity residual is not finite" in captured.err
