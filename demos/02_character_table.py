@@ -1,8 +1,8 @@
 """Semisimple decomposition: idempotents, character table, *-representations.
 
-The span of the basis is semisimple; a random central element separates
-the simple components by Lagrange interpolation, and the character table
-(with multiplicities) falls out of the central primitive idempotents.
+The span of the basis is semisimple; the eigenvectors of a random central
+element acting on the center are the central primitive idempotents, and the
+character table (with multiplicities) falls out of them.
 """
 
 import numpy as np

@@ -129,18 +129,23 @@ def as_float_array(values) -> np.ndarray:
 
 def _parse_scalar(token: str, lineno: int):
     """Parse an .rba numeric token: 'p/q' and integer stay exact, decimals are
-    floats. nan and inf (spelled out, or reached by overflow) are refused."""
+    floats. nan and inf (spelled out, or reached by overflow) are refused, and
+    so is an exact value beyond the range of a double."""
     token = token.strip()
     try:
         if "/" in token:
             num, den = token.split("/")
-            return Fraction(int(num), int(den))
-        if token.lstrip("+-").isdigit():
-            return Fraction(int(token))
-        value = float(token)
+            value = Fraction(int(num), int(den))
+        elif token.lstrip("+-").isdigit():
+            value = Fraction(int(token))
+        else:
+            value = float(token)
+        finite = math.isfinite(value)
     except (ValueError, ZeroDivisionError) as exc:
         raise StructuralError(f"line {lineno}: bad numeric token {token!r}") from exc
-    if not math.isfinite(value):
+    except OverflowError:
+        raise StructuralError(f"line {lineno}: value out of range") from None
+    if not finite:
         raise StructuralError(f"line {lineno}: non-finite value {token!r}")
     return value
 

@@ -1,7 +1,7 @@
 """Semisimple decomposition of the span of an RBA basis.
 
-Regular representation, center, central primitive idempotents (Lagrange
-interpolation at the eigenvalues of a random central element), character
+Regular representation, center, central primitive idempotents (eigenvectors
+of a random central element acting on the center), character
 table with multiplicities by two independent routes, extraction of an
 irreducible real *-representation, and symmetrization of an arbitrary real
 representation into a *-representation.
@@ -69,8 +69,7 @@ def center_basis(rba: RBA, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     r = rba.rank
     lam = rba.lam_float
     comm = (lam - lam.transpose(1, 0, 2)).transpose(1, 2, 0).reshape(r * r, r)
-    _, svals, vt = np.linalg.svd(comm)
-    svals = np.concatenate([svals, np.zeros(max(0, r - len(svals)))])
+    _, svals, vt = np.linalg.svd(comm, full_matrices=False)
     thr = tol.eps_cluster * max(float(svals[0]) if len(svals) else 0.0, tol.eps_zero)
     null_mask = svals <= thr
     kept = svals[~null_mask]
@@ -101,72 +100,40 @@ class CentralIdempotent:
 
 def _left_mult_matrix(rba: RBA, coeffs) -> np.ndarray:
     """Matrix of left multiplication by the element with the given coefficients."""
-    lam = rba.lam_float
-    if np.iscomplexobj(coeffs):
-        return np.einsum("i,ijk->kj", np.asarray(coeffs), lam.astype(complex))
-    return np.einsum("i,ijk->kj", np.asarray(coeffs, dtype=float), lam)
-
-
-def _cluster(values, eps: float):
-    """Group complex values by the relative gap |a-b| < eps*(1+|a|); returns index lists."""
-    values = np.asarray(values)
-    k = len(values)
-    parent = list(range(k))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for a in range(k):
-        for b in range(a + 1, k):
-            if abs(values[a] - values[b]) < eps * (1.0 + abs(values[a])):
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[ra] = rb
-    groups = {}
-    for a in range(k):
-        groups.setdefault(find(a), []).append(a)
-    return sorted(groups.values(), key=lambda g: (values[g[0]].real, values[g[0]].imag))
-
-
-def _matrix_rank(mat, tol: ToleranceConfig) -> int:
-    svals = np.linalg.svd(mat, compute_uv=False)
-    if svals.size == 0 or svals[0] == 0:
-        return 0
-    return int((svals > tol.eps_cluster * svals[0]).sum())
+    return np.einsum("i,ijk->kj", np.asarray(coeffs), rba.lam_float)
 
 
 def central_idempotents(rba: RBA, tol: ToleranceConfig = DEFAULT_TOL):
-    """Central primitive idempotents via Lagrange interpolation.
+    """Central primitive idempotents from the eigenvectors of a central element.
 
-    A seeded random central element whose action on the center has all
-    eigenvalues distinct separates the components; up to 8 reseeds.
+    A seeded random central element z whose action on the center has all
+    eigenvalues distinct separates the components (up to 8 reseeds); each
+    eigenvector of that action is a multiple of one idempotent e, rescaled so
+    that e*e = e (e[0] = m*n_chi/n > 0). L(e) is a projection, so its rank,
+    n_chi^2, is its trace.
     """
     zb = center_basis(rba, tol)
     m = zb.shape[0]
-    r = rba.rank
+    traces = np.einsum("ijj->i", rba.lam_float)
     for attempt in range(8):
         rng = tol.rng(attempt)
         z = rng.uniform(-1.0, 1.0, m) @ zb
         zmat = _left_mult_matrix(rba, z)
         zc, *_ = np.linalg.lstsq(zb.T, zmat @ zb.T, rcond=None)
-        evals = np.linalg.eigvals(zc)
-        if len(_cluster(evals, tol.eps_cluster)) != m:
+        evals, evecs = np.linalg.eig(zc)
+        close = abs(evals[:, None] - evals) < tol.eps_cluster * (1.0 + abs(evals[:, None]))
+        if np.triu(close, 1).any():
             continue
-        unit0 = np.zeros(r, dtype=complex)
-        unit0[0] = 1.0
         out = []
         for a in range(m):
-            v = unit0.copy()
-            for b in range(m):
-                if b != a:
-                    v = (zmat @ v - evals[b] * v) / (evals[a] - evals[b])
+            v = (evecs[:, a] @ zb).astype(complex)
+            v *= v[0] / rba.mul(v, v)[0]
             if abs(v.imag).max() < tol.eps_zero:
                 v = v.real.astype(complex)
-            le = _left_mult_matrix(rba, v)
-            rank = _matrix_rank(le, tol)
+            trace = float((v @ traces).real)
+            if not trace >= 0.5:  # NaN included
+                raise NumericalError(f"idempotent trace {trace:.3g} is not a positive rank")
+            rank = round(trace)
             block = round(rank ** 0.5)
             out.append(
                 CentralIdempotent(
@@ -252,7 +219,7 @@ def character_table(
     if idempotents is None:
         idempotents = central_idempotents(rba, tol)
     r = rba.rank
-    L = regular_rep(rba).astype(complex)
+    L = regular_rep(rba)
     n = dm.n_float
     warnings = []
     chars = []
@@ -392,8 +359,8 @@ def star_rep_extract(
         ry = ghalf @ rmat @ ginvhalf
         restricted = basis.T @ ry @ basis
         mw, mv = np.linalg.eigh((restricted + restricted.T) / 2)
-        clusters = _cluster(mw.astype(complex), tol.eps_cluster)
-        pick = next((g for g in clusters if len(g) == nchi), None)
+        gaps = np.flatnonzero(np.diff(mw) >= tol.eps_cluster * (1.0 + abs(mw[:-1])))
+        pick = next((g for g in np.split(np.arange(len(mw)), gaps + 1) if len(g) == nchi), None)
         if pick is None:
             continue
         emb = basis @ mv[:, pick]

@@ -81,6 +81,15 @@ def test_text_parse_rejects_non_finite(token):
         RBA.from_text(f"rank 1\nstar 0\nlambda 0 0 0 {token}\n")
 
 
+HUGE = "1" + "0" * 400  # 10^400: an exact value no double can hold
+
+
+@pytest.mark.parametrize("token", [HUGE, "-" + HUGE, HUGE + "/3"], ids=["int", "neg", "ratio"])
+def test_text_parse_rejects_out_of_range(token):
+    with pytest.raises(StructuralError, match="line 3: value out of range"):
+        RBA.from_text(f"rank 1\nstar 0\nlambda 0 0 0 {token}\n")
+
+
 def test_text_parse_rejects_duplicate_lambda():
     text = "rank 1\nstar 0\nlambda 0 0 0 1\n# again\nlambda 0 0 0 2\n"
     with pytest.raises(StructuralError, match=r"line 5: duplicate lambda 0 0 0 \(first on line 3\)"):

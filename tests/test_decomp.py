@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rbakit.core import RBA, NumericalError, degree_map
+from rbakit.core import RBA, NumericalError, ToleranceConfig, degree_map
 from rbakit.decomp import (
     center_basis,
     central_idempotents,
@@ -18,7 +18,10 @@ from rbakit.decomp import (
     averaging_matrix,
 )
 
-from conftest import D8_CLASSICAL, RANK7_TABLE, S3_CLASSICAL, TOL, two_dim_s3_star_rep
+from rbakit.indicator import indicator_report
+from rbakit.ingest import from_group
+
+from conftest import D8_CLASSICAL, RANK7_TABLE, S3_CLASSICAL, TOL, c_n_table, two_dim_s3_star_rep
 
 
 def _pipeline(rba):
@@ -126,6 +129,58 @@ def test_idempotent_algebra(s3_rba, d8_rba, rank7_rba):
         unit = np.zeros(rba.rank)
         unit[0] = 1.0
         assert abs(total - unit).max() < 1e-9
+
+
+@pytest.mark.parametrize("n", [5, 12])
+def test_idempotent_algebra_irrational_characters(n):
+    # e_a e_b = delta_ab e_a and sum e_a = b_0, to rounding, where the
+    # characters take irrational values (cyclic groups)
+    rba = from_group(c_n_table(n))
+    coeffs = np.array([e.coeffs for e in central_idempotents(rba, TOL)])
+    prods = np.einsum("ai,bj,ijk->abk", coeffs, coeffs, rba.lam_float)
+    assert abs(prods - np.eye(n)[:, :, None] * coeffs[:, None, :]).max() <= 1e-12
+    assert abs(coeffs.sum(axis=0) - np.eye(n)[0]).max() <= 1e-12
+
+
+def _float_group(table):
+    """Float group algebra of a Cayley table, built without the exact checks."""
+    r = len(table)
+    lam = np.zeros((r, r, r))
+    lam[np.arange(r)[:, None], np.arange(r), table] = 1.0
+    return RBA(lam, np.argmin(table, axis=1))
+
+
+def _dihedral_table(n):
+    """D_n of order 2n; element t*n + k is s^t r^k."""
+    def mul(a, b):
+        (ta, ka), (tb, kb) = divmod(a, n), divmod(b, n)
+        return ((ta + tb) % 2) * n + ((-ka if tb else ka) + kb) % n
+
+    return np.array([[mul(a, b) for b in range(2 * n)] for a in range(2 * n)])
+
+
+FLOAT_LADDER = [("C", n, c_n_table(n)) for n in (12, 16, 24, 32, 48, 64)] + [
+    ("D", n, _dihedral_table(n)) for n in (7, 9, 12, 14, 16, 18, 20, 24, 32)
+]
+LADDER_IDS = [f"{f}{n}" for f, n, _ in FLOAT_LADDER]
+
+
+@pytest.mark.parametrize("family,n,table", FLOAT_LADDER, ids=LADDER_IDS)
+def test_float_group_ladder(family, n, table):
+    # well-conditioned group algebras analyse in float mode for every seed
+    rba = _float_group(table)
+    if family == "C":
+        degrees = [1] * n
+    else:
+        linear = 2 if n % 2 else 4
+        degrees = [1] * linear + [2] * ((2 * n - linear) // 4)
+    for seed in range(5 if len(table) < 64 else 1):
+        tol = ToleranceConfig(rng_seed=seed)
+        dm = degree_map(rba, tol)
+        chars = character_table(rba, dm, tol=tol)
+        assert sorted(chars.degrees()) == degrees
+        assert chars.multiplicities() == chars.degrees()
+        assert indicator_report(chars, rba, dm, tol).consistent
 
 
 # ---------------------------------------------------------------------------

@@ -323,13 +323,15 @@ RBA_COMMANDS = ["analyze", "validate", "quaternion", "check-integrality"]
 
 @pytest.mark.parametrize("command", RBA_COMMANDS)
 def test_cli_rejects_non_finite_tokens(command, tmp_path, capsys):
-    for token in ("nan", "inf", "-inf", "1e999"):
+    cases = [(t, "line 3: non-finite value") for t in ("nan", "inf", "-inf", "1e999")]
+    cases.append(("1" + "0" * 400, "line 3: value out of range"))
+    for token, message in cases:
         bad = tmp_path / "bad.rba"
         bad.write_text(f"rank 1\nstar 0\nlambda 0 0 0 {token}\n")
         assert main([command, str(bad)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "line 3: non-finite value" in captured.err
+        assert message in captured.err
 
 
 @pytest.mark.parametrize("command", RBA_COMMANDS)
