@@ -361,6 +361,14 @@ class ValidationReport:
         return "\n".join(lines)
 
 
+def _div(res, d) -> float:
+    """res / d, or inf where an exact residual's quotient does not fit a double."""
+    try:
+        return res / d
+    except OverflowError:
+        return math.inf
+
+
 def validate(rba: RBA, tol: ToleranceConfig = DEFAULT_TOL) -> ValidationReport:
     """Check every defining axiom, reporting a residual per check.
 
@@ -384,11 +392,11 @@ def validate(rba: RBA, tol: ToleranceConfig = DEFAULT_TOL) -> ValidationReport:
     # b_0 is the two-sided identity
     eye = np.eye(r, dtype=lam.dtype) * d
     res_id = max(abs(lam[0] - eye).max(), abs(lam[:, 0, :] - eye).max())
-    report.checks.append(CheckResult("identity", res_id <= eps_res, res_id / d))
+    report.checks.append(CheckResult("identity", res_id <= eps_res, _div(res_id, d)))
 
     # anti-automorphism: lam[i,j,k] = lam[j*,i*,k*]
     res_star = abs(lam - lam[star][:, star][:, :, star].transpose(1, 0, 2)).max()
-    report.checks.append(CheckResult("anti-automorphism", res_star <= eps_res, res_star / d))
+    report.checks.append(CheckResult("anti-automorphism", res_star <= eps_res, _div(res_star, d)))
 
     # pseudo-inverse condition
     col0 = lam[:, :, 0]
@@ -406,7 +414,7 @@ def validate(rba: RBA, tol: ToleranceConfig = DEFAULT_TOL) -> ValidationReport:
         CheckResult(
             "pseudo-inverse",
             pos_ok and worst_off <= eps_zero and diag_sym <= eps_res,
-            max(worst_off, diag_sym) / d,
+            _div(max(worst_off, diag_sym), d),
             detail,
         )
     )
@@ -424,7 +432,7 @@ def validate(rba: RBA, tol: ToleranceConfig = DEFAULT_TOL) -> ValidationReport:
             worst = np.unravel_index(int(diff.argmax()) + i0 * r**3, (r, r, r, r))
     detail = f"worst quadruple ({','.join(map(str, worst))})" if res_assoc > eps_res else ""
     report.checks.append(
-        CheckResult("associativity", res_assoc <= eps_res, res_assoc / (d * d), detail)
+        CheckResult("associativity", res_assoc <= eps_res, _div(res_assoc, d * d), detail)
     )
     for c in report.checks:
         if not math.isfinite(c.residual):

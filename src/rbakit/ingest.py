@@ -10,7 +10,6 @@ Scheme file: line 1 "points v classes r", then r blocks of v rows of 0/1
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 import numpy as np
 
@@ -40,9 +39,7 @@ def parse_cayley(text: str) -> np.ndarray:
         m = int(lines[0].split()[1])
     except (IndexError, ValueError) as exc:
         raise StructuralError("bad 'order' line") from exc
-    rows = []
-    for line in lines[1:]:
-        rows.append([int(t) for t in line.split()])
+    rows = [[int(t) for t in line.split()] for line in lines[1:]]
     if len(rows) != m or any(len(row) != m for row in rows):
         raise StructuralError(f"expected {m} rows of {m} entries")
     table = np.array(rows, dtype=int)
@@ -60,24 +57,21 @@ def from_group(table) -> RBA:
     m = table.shape[0]
     if table.shape != (m, m):
         raise StructuralError("Cayley table must be square")
-    for i in range(m):
-        if sorted(table[i]) != list(range(m)) or sorted(table[:, i]) != list(range(m)):
-            raise StructuralError(f"not a Latin square: row/column {i}")
-    if not (np.array_equal(table[0], np.arange(m)) and np.array_equal(table[:, 0], np.arange(m))):
+    full = np.arange(m)
+    bad = (np.sort(table, axis=1) != full).any(axis=1)  # rows
+    bad |= (np.sort(table.T, axis=1) != full).any(axis=1)  # columns
+    if bad.any():
+        raise StructuralError(f"not a Latin square: row/column {int(np.argmax(bad))}")
+    if not (np.array_equal(table[0], full) and np.array_equal(table[:, 0], full)):
         raise StructuralError("element 0 is not a two-sided identity")
-    for i, j, k in itertools.product(range(m), repeat=3):
-        if table[table[i, j], k] != table[i, table[j, k]]:
-            raise StructuralError(f"not associative at triple ({i},{j},{k})")
-    inv = np.empty(m, dtype=int)
     for i in range(m):
-        js = np.flatnonzero(table[i] == 0)
-        if len(js) != 1:
-            raise StructuralError(f"element {i} has no unique inverse")
-        inv[i] = js[0]
-    lam = np.full((m, m, m), Fraction(0), dtype=object)
-    for i, j in itertools.product(range(m), repeat=2):
-        lam[i, j, table[i, j]] = Fraction(1)
-    return RBA(lam, inv)
+        bad = table[table[i]] != table[i, table]  # (g_i g_j) g_k vs g_i (g_j g_k), over (j, k)
+        if bad.any():
+            j, k = divmod(int(np.argmax(bad)), m)
+            raise StructuralError(f"not associative at triple ({i},{j},{k})")
+    lam = np.zeros((m, m, m), dtype=np.int64)
+    lam[full[:, None], full, table] = 1
+    return RBA(lam, np.argmax(table == 0, axis=1))
 
 
 def parse_scheme(text: str) -> list:
@@ -89,10 +83,16 @@ def parse_scheme(text: str) -> list:
         v, r = int(fields[1]), int(fields[3])
     except (IndexError, ValueError) as exc:
         raise StructuralError("bad scheme header") from exc
-    rows = [[int(t) for t in line.split()] for line in lines[1:]]
-    if len(rows) != v * r or any(len(row) != v for row in rows):
-        raise StructuralError(f"expected {r} blocks of {v} rows of {v} entries")
-    mats = [np.array(rows[b * v:(b + 1) * v], dtype=int) for b in range(r)]
+    shape = f"expected {r} blocks of {v} rows of {v} entries"
+    body = lines[1:]
+    if len(body) != v * r:
+        raise StructuralError(shape)
+    mats = []
+    for b in range(r):
+        rows = [line.split() for line in body[b * v:(b + 1) * v]]
+        if any(len(row) != v for row in rows):
+            raise StructuralError(shape)
+        mats.append(np.array(rows, dtype=np.int64))  # a bad token raises int()'s ValueError
     return mats
 
 
@@ -101,6 +101,8 @@ def from_scheme(relations) -> RBA:
 
     lam[i,j,k] is the intersection number read off from R_i R_j = sum_k p R_k;
     star is the transpose permutation and the valencies are the degrees.
+    The products R_i R_j run in float32 BLAS and are exact: every entry, and
+    every partial sum of it, is a count of at most v < 2^24 points.
     """
     if isinstance(relations, str):
         relations = parse_scheme(relations)
@@ -124,23 +126,20 @@ def from_scheme(relations) -> RBA:
                 break
         else:
             raise StructuralError(f"transpose of relation {i} is not a relation")
-    lam = np.full((r, r, r), Fraction(0), dtype=object)
+    color = sum(k * m for k, m in enumerate(mats)).ravel()  # the relation of each pair
+    sizes = np.bincount(color, minlength=r)
+    if not sizes.all():
+        raise StructuralError(f"relation {int(np.argmin(sizes))} is empty")
+    first = np.argsort(color, kind="stable")[np.cumsum(sizes) - sizes]  # one pair per relation
+    lam = np.empty((r, r, r), dtype=np.int64)
     for i, j in itertools.product(range(r), repeat=2):
-        prod = mats[i] @ mats[j]
-        recon = np.zeros((v, v), dtype=int)
-        for k in range(r):
-            mask = mats[k].astype(bool)
-            if not mask.any():
-                raise StructuralError(f"relation {k} is empty")
-            vals = prod[mask]
-            if vals.min() != vals.max():
-                raise StructuralError(
-                    f"not a scheme: R_{i} R_{j} is not constant on R_{k}"
-                )
-            lam[i, j, k] = Fraction(int(vals[0]))
-            recon += int(vals[0]) * mats[k]
-        if not np.array_equal(recon, prod):
-            raise StructuralError(f"not a scheme: R_{i} R_{j} leaves the span")
+        prod = (mats[i].astype(np.float32) @ mats[j].astype(np.float32)).ravel()
+        lam[i, j] = const = prod[first]
+        bad = prod != const[color]
+        if bad.any():
+            raise StructuralError(
+                f"not a scheme: R_{i} R_{j} is not constant on R_{int(color[bad].min())}"
+            )
     return RBA(lam, star)
 
 
@@ -152,10 +151,5 @@ def thin_scheme(table) -> list:
     if isinstance(table, str):
         table = parse_cayley(table)
     table = np.asarray(table, dtype=int)
-    m = table.shape[0]
-    mats = []
-    for g in range(m):
-        rel = np.zeros((m, m), dtype=int)
-        rel[np.arange(m), table[np.arange(m), g]] = 1
-        mats.append(rel)
-    return mats
+    eye = np.eye(table.shape[0], dtype=int)
+    return [eye[col] for col in table.T]  # row u of R_g is the unit vector of u g

@@ -185,6 +185,18 @@ def test_validate_non_finite_residual():
         validate(rba, TOL)
 
 
+HUGE = 10**300  # fits a double; products of two such entries do not
+
+
+def test_validate_exact_residual_beyond_double():
+    rba = RBA.from_text(
+        f"rank 2\nstar 0 1\nlambda 0 1 0 {HUGE}\nlambda 1 0 0 {HUGE}\nlambda 1 1 0 1\n"
+    )
+    assert rba.exact
+    with pytest.raises(NumericalError, match=r"associativity residual is not finite \(inf\)"):
+        validate(rba, TOL)
+
+
 def test_tolerance_config_invariants():
     with pytest.raises(StructuralError):
         ToleranceConfig(eps_zero=0.0)

@@ -1,8 +1,13 @@
 """Cayley-table and association-scheme ingestion."""
 
+import itertools
+import random
+import time
+
 import numpy as np
 import pytest
 
+from rbakit.cli import main
 from rbakit.core import StructuralError, degree_map, validate
 from rbakit.ingest import from_group, from_scheme, parse_cayley, parse_scheme, thin_scheme
 
@@ -47,6 +52,13 @@ def test_from_group_d8(d8_rba):
 def test_from_group_rejects_non_latin():
     bad = [[0, 1], [1, 1]]
     with pytest.raises(StructuralError, match="Latin"):
+        from_group(np.array(bad))
+
+
+def test_from_group_names_first_failing_column():
+    # every row is a permutation; column 0 is too, column 1 = (1, 2, 1) is not
+    bad = [[0, 1, 2], [1, 2, 0], [2, 1, 0]]
+    with pytest.raises(StructuralError, match=r"not a Latin square: row/column 1$"):
         from_group(np.array(bad))
 
 
@@ -158,3 +170,80 @@ def test_parse_scheme():
     assert np.array_equal(mats[0], np.eye(2, dtype=int))
     with pytest.raises(StructuralError):
         parse_scheme("points 2 classes 2\n1 0\n0 1\n")  # missing block
+
+
+# ---------------------------------------------------------------------------
+# intersection numbers against a pure-Python oracle
+# ---------------------------------------------------------------------------
+
+def _oracle(color):
+    """p_ij^k = #{z : (x,z) in R_i, (z,y) in R_j}, counted at the first pair
+    (x, y) in R_k, from the relation index of each pair (a list of lists)."""
+    v = len(color)
+    r = 1 + max(map(max, color))
+    p = [[[0] * r for _ in range(r)] for _ in range(r)]
+    for k in range(r):
+        x, y = next((x, y) for x in range(v) for y in range(v) if color[x][y] == k)
+        for z in range(v):
+            p[color[x][z]][color[z][y]][k] += 1
+    return p
+
+
+def _relabelled(color, rng):
+    """The same colouring with its points and non-identity relations renumbered."""
+    v, r = len(color), 1 + max(map(max, color))
+    pts = rng.sample(range(v), v)
+    rel = [0] + rng.sample(range(1, r), r - 1)
+    return [[rel[color[pts[x]][pts[y]]] for y in range(v)] for x in range(v)]
+
+
+def _hamming(d, q):
+    pts = list(itertools.product(range(q), repeat=d))
+    return [[sum(a != b for a, b in zip(x, y)) for y in pts] for x in pts]
+
+
+def _johnson(n, k):
+    pts = [set(c) for c in itertools.combinations(range(n), k)]
+    return [[k - len(a & b) for b in pts] for a in pts]
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: _relabelled(_hamming(3, 3), random.Random(3)), id="H(3,3)-relabelled"),
+    pytest.param(lambda: _johnson(6, 3), id="J(6,3)"),
+    pytest.param(lambda: _hamming(4, 4), id="H(4,4)"),
+])
+def test_from_scheme_matches_oracle(build):
+    start = time.process_time()
+    color = build()
+    arr = np.array(color)
+    rba = from_scheme([(arr == k).astype(int) for k in range(arr.max() + 1)])
+    assert rba.lam.tolist() == _oracle(color)
+    assert list(rba.star) == list(range(rba.rank))  # symmetric schemes
+    assert time.process_time() - start <= 1.0
+
+
+def test_from_scheme_names_first_failing_relation():
+    # C6: R_1 R_1 is 2 on R_0 and 0 on R_1, but 1 or 0 on the non-edges R_2
+    r0 = np.eye(6, dtype=int)
+    r1 = np.zeros((6, 6), dtype=int)
+    for a in range(6):
+        r1[a, (a + 1) % 6] = r1[(a + 1) % 6, a] = 1
+    with pytest.raises(StructuralError, match=r"not a scheme: R_1 R_1 is not constant on R_2$"):
+        from_scheme([r0, r1, 1 - r0 - r1])
+
+
+def test_from_scheme_rejects_empty_relation():
+    r0 = np.eye(2, dtype=int)
+    r1 = 1 - r0
+    empty = np.zeros((2, 2), dtype=int)
+    with pytest.raises(StructuralError, match=r"relation 1 is empty"):
+        from_scheme([r0, empty, r1, empty])
+
+
+def test_cli_from_scheme_bad_token(tmp_path, capsys):
+    path = tmp_path / "bad.scheme"
+    path.write_text("points 2 classes 2\n1 0\n0 1\n0 1\n1 x\n")
+    assert main(["from-scheme", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid literal for int() with base 10: 'x'" in captured.err

@@ -372,3 +372,16 @@ def test_cli_non_finite_residual_exits_2(command, fmt, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error: associativity residual is not finite" in captured.err
+
+
+@pytest.mark.parametrize("fmt", [[], ["--json"]])
+@pytest.mark.parametrize("command", ["validate", "analyze"])
+def test_cli_exact_residual_beyond_double_exits_2(command, fmt, tmp_path, capsys):
+    # every entry fits a double, but the exact associativity residual is ~10^600
+    huge = tmp_path / "huge.rba"
+    big = 10**300
+    huge.write_text(f"rank 2\nstar 0 1\nlambda 0 1 0 {big}\nlambda 1 0 0 {big}\nlambda 1 1 0 1\n")
+    assert main([command, str(huge), *fmt]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: associativity residual is not finite (inf)" in captured.err
