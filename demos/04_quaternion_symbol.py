@@ -1,10 +1,12 @@
 """The quaternion symbol of the degree-2 component, and Hilbert symbols.
 
-For a noncommutative RBA with exactly one nonreal pair, the image of
-d = b_p - b_p* squares to a negative scalar, some *-invariant element
-gives an anticommuting symmetric generator with positive square, and the
-resulting symbol (a, beta) always satisfies beta > 0. Over the rationals,
-splitness is decided place by place with exact Hilbert symbols.
+For a noncommutative RBA with exactly one nonreal pair, d = b_p - b_p*
+lies in the degree-2 component and squares to a negative multiple of its
+identity e. Computed in the algebra, x = m_chi d gives x^2 = a e, some
+*-invariant element z = e b_l gives an anticommuting y = z - x z x / a
+with y^2 = beta e, and the resulting symbol (a, beta) always satisfies
+beta > 0. Over the rationals, splitness is decided place by place with
+exact Hilbert symbols.
 """
 
 from rbakit import hilbert_places, hilbert_symbol, symbol
@@ -13,7 +15,7 @@ from rbakit.fixtures import load_fixture
 for name in ("s3", "d8"):
     rba = load_fixture(name)
     sym = symbol(rba)
-    print(f"{name}: x^2 = {sym.a_exact} I, y^2 = {sym.beta_exact} I  "
+    print(f"{name}: x^2 = {sym.a_exact} e, y^2 = {sym.beta_exact} e  "
           f"(pair {sym.pair}, y from element {sym.y_label})")
     print(f"   local Hilbert symbols: {sym.local_symbols} -> verdict {sym.verdict}")
 

@@ -54,13 +54,10 @@ from .integrality import (
 from .quaternion import (
     Quaternion,
     QuaternionSymbol,
-    dc_change_of_basis,
     hilbert_places,
     hilbert_symbol,
     quaternion_verify,
     symbol,
-    x_generator,
-    y_generator,
 )
 from .report import AnalysisReport, analyze
 
@@ -106,13 +103,10 @@ __all__ = [
     "two_adic_obstruction",
     "Quaternion",
     "QuaternionSymbol",
-    "dc_change_of_basis",
     "hilbert_places",
     "hilbert_symbol",
     "quaternion_verify",
     "symbol",
-    "x_generator",
-    "y_generator",
     "AnalysisReport",
     "analyze",
 ]

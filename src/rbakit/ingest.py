@@ -25,24 +25,35 @@ __all__ = [
 
 
 def _content_lines(text: str):
-    for raw in text.splitlines():
+    """(line number, content) of each line that is not blank or a comment."""
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if line:
-            yield line
+            yield lineno, line
+
+
+def _int64_rows(rows) -> np.ndarray:
+    """int64 array of (line number, tokens) rows. A bad token raises int()'s
+    ValueError; a token beyond int64 is a StructuralError naming its line."""
+    try:
+        return np.array([tokens for _, tokens in rows], dtype=np.int64)
+    except OverflowError:
+        lineno = next(n for n, tokens in rows if any(not -2**63 <= int(t) < 2**63 for t in tokens))
+        raise StructuralError(f"line {lineno}: entry out of range") from None
 
 
 def parse_cayley(text: str) -> np.ndarray:
     lines = list(_content_lines(text))
-    if not lines or not lines[0].startswith("order"):
+    if not lines or not lines[0][1].startswith("order"):
         raise StructuralError("Cayley file must start with an 'order m' line")
     try:
-        m = int(lines[0].split()[1])
+        m = int(lines[0][1].split()[1])
     except (IndexError, ValueError) as exc:
         raise StructuralError("bad 'order' line") from exc
-    rows = [[int(t) for t in line.split()] for line in lines[1:]]
-    if len(rows) != m or any(len(row) != m for row in rows):
+    rows = [(n, line.split()) for n, line in lines[1:]]
+    if len(rows) != m or any(len(tokens) != m for _, tokens in rows):
         raise StructuralError(f"expected {m} rows of {m} entries")
-    table = np.array(rows, dtype=int)
+    table = _int64_rows(rows)
     if table.min() < 0 or table.max() >= m:
         raise StructuralError("table entries out of range")
     return table
@@ -76,9 +87,9 @@ def from_group(table) -> RBA:
 
 def parse_scheme(text: str) -> list:
     lines = list(_content_lines(text))
-    if not lines or not lines[0].startswith("points"):
+    if not lines or not lines[0][1].startswith("points"):
         raise StructuralError("scheme file must start with 'points v classes r'")
-    fields = lines[0].split()
+    fields = lines[0][1].split()
     try:
         v, r = int(fields[1]), int(fields[3])
     except (IndexError, ValueError) as exc:
@@ -89,10 +100,10 @@ def parse_scheme(text: str) -> list:
         raise StructuralError(shape)
     mats = []
     for b in range(r):
-        rows = [line.split() for line in body[b * v:(b + 1) * v]]
-        if any(len(row) != v for row in rows):
+        block = [(n, line.split()) for n, line in body[b * v:(b + 1) * v]]
+        if any(len(tokens) != v for _, tokens in block):
             raise StructuralError(shape)
-        mats.append(np.array(rows, dtype=np.int64))  # a bad token raises int()'s ValueError
+        mats.append(_int64_rows(block))
     return mats
 
 

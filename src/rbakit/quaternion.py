@@ -1,14 +1,17 @@
 """Quaternion symbol of the degree-2 component and exact Hilbert symbols.
 
 For a noncommutative RBA whose basis has exactly one nonreal pair {b_p,
-b_p*}, the degree-2 component is generated as a quaternion algebra by
+b_p*}, every linear character is real, so d = b_p - b_p* lies in the
+degree-2 component A_chi and d^2 = a0 e, with e the identity of A_chi.
+In the algebra itself,
 
-    x = m_chi * X(d),  d = b_p - b_p*        (x^2 = a*I, a = -n*delta_p*m_chi < 0)
-    y = 2 X(d_l) - tr(X(d_l)) * I            (first non-scalar symmetric image)
+    x = m_chi d          (x^2 = a e, a = m_chi^2 a0 = -n delta_p m_chi < 0)
+    y = z - x z x / a    (z = e b_l, the first *-invariant b_l with y != 0)
 
-with x y = -y x and y^2 = beta*I, beta > 0. Over the rationals, (a, beta)
-splits iff every local Hilbert symbol is +1; beta > 0 alone already splits
-the pair over the reals.
+satisfy x y = -y x and y^2 = beta e with beta > 0: the standard quaternion
+basis of A_chi. An exact RBA gives (a, beta) exactly; over the rationals
+(a, beta) splits iff every local Hilbert symbol is +1, and beta > 0 alone
+already splits the pair over the reals.
 
 Also provides plain quaternion arithmetic over any exact or float scalar
 type, used to verify quaternion-valued representations.
@@ -24,23 +27,20 @@ import numpy as np
 
 from .core import (
     DEFAULT_TOL,
-    DegreeMap,
     NumericalError,
     RBA,
     ToleranceConfig,
-    snap_rational,
     degree_map,
+    over_common_denominator,
+    snap_rational,
     to_standard_basis,
 )
-from .decomp import Character, CharacterTable, StarRep, character_table, star_rep_extract
+from .decomp import Character, CharacterTable, character_table
 from .indicator import classify_one_pair, indicator_report
 
 __all__ = [
     "Quaternion",
     "QuaternionSymbol",
-    "dc_change_of_basis",
-    "x_generator",
-    "y_generator",
     "symbol",
     "hilbert_symbol",
     "hilbert_places",
@@ -107,79 +107,6 @@ class Quaternion:
 
 def _as_quat(v) -> Quaternion:
     return v if isinstance(v, Quaternion) else Quaternion(v)
-
-
-# ---------------------------------------------------------------------------
-# generators of the degree-2 component
-# ---------------------------------------------------------------------------
-
-def dc_change_of_basis(rba: RBA) -> tuple:
-    """The unique nonreal pair (p, p*), p < p*, spanning c = b_p + b_p* and d = b_p - b_p*."""
-    pairs = rba.nonreal_pairs()
-    if len(pairs) != 1:
-        raise ValueError(f"{len(pairs)} nonreal pairs (need exactly 1)")
-    return pairs[0]
-
-
-def x_generator(rep: StarRep, rba: RBA, dm: DegreeMap, m_chi: float,
-                tol: ToleranceConfig = DEFAULT_TOL):
-    """x = m_chi X(d) and the scalar a with x^2 = a I (a < 0).
-
-    Also checks the closed forms a = -n delta_p m_chi and
-    m_chi (s_p - t_p)^2 = n delta_p, where X(b_p) = [[r, s], [t, u]].
-    """
-    if rep.dim != 2:
-        raise ValueError(f"x generator needs a degree-2 representation, got dim {rep.dim}")
-    p, ps = dc_change_of_basis(rba)
-    xd = rep.matrices[p] - rep.matrices[ps]
-    if abs(xd + xd.T).max() > tol.eps_residual * max(1.0, abs(xd).max()):
-        raise NumericalError("X(d) is not antisymmetric; *-representation contract violated")
-    m_chi = float(m_chi)
-    x = m_chi * xd
-    xsq = x @ x
-    a = float(xsq[0, 0])
-    if abs(xsq - a * np.eye(2)).max() > tol.eps_residual * max(1.0, abs(xsq).max()):
-        raise NumericalError("x^2 is not scalar; *-representation contract violated")
-    n = dm.n_float
-    delta_p = float(dm.values_float[p])
-    alpha = rep.matrices[p][0, 1] - rep.matrices[p][1, 0]
-    scale = max(1.0, n * delta_p)
-    if abs(m_chi * alpha**2 - n * delta_p) > tol.eps_residual * scale * 10:
-        raise NumericalError(
-            f"m_chi (s_p - t_p)^2 = {m_chi * alpha**2} does not match n delta_p = {n * delta_p}"
-        )
-    if abs(a + n * delta_p * m_chi) > tol.eps_residual * scale * m_chi * 10:
-        raise NumericalError(f"a = {a} does not match -n delta_p m_chi = {-n * delta_p * m_chi}")
-    return x, a
-
-
-def y_generator(rep: StarRep, rba: RBA, tol: ToleranceConfig = DEFAULT_TOL):
-    """First *-invariant combination with a non-scalar symmetric image; returns
-    (y, beta, label) with y = 2 X(d_l) - tr X(d_l) I, y^2 = beta I, beta > 0."""
-    if rep.dim != 2:
-        raise ValueError(f"y generator needs a degree-2 representation, got dim {rep.dim}")
-    p, ps = dc_change_of_basis(rba)
-    candidates = [(str(i), rep.matrices[i]) for i in range(1, rba.rank) if i not in (p, ps)]
-    c_img = rep.matrices[p] + rep.matrices[ps]
-    candidates.append(("c", c_img))
-    scale = max(1.0, abs(rep.matrices).max())
-    for label, img in candidates:
-        if abs(img - img.T).max() > tol.eps_residual * scale:
-            raise NumericalError(f"image of *-invariant element {label} is not symmetric")
-        tr = float(np.trace(img))
-        if abs(img - tr / 2 * np.eye(2)).max() <= tol.eps_residual * scale:
-            continue  # scalar image, no use as a generator
-        y = 2.0 * img - tr * np.eye(2)
-        rl, s = img[0, 0], img[0, 1]
-        u = img[1, 1]
-        beta = float((rl - u) ** 2 + 4.0 * s**2)
-        ysq = y @ y
-        if abs(ysq - beta * np.eye(2)).max() > tol.eps_residual * max(1.0, beta) * 10:
-            raise NumericalError(f"y^2 is not beta I for element {label}")
-        return y, beta, label
-    raise NumericalError(
-        "all symmetric images are scalar: component is not 4-dimensional"
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -313,46 +240,97 @@ class QuaternionSymbol:
 
 
 def symbol(rba: RBA, tol: ToleranceConfig = DEFAULT_TOL, *,
-           dm: DegreeMap = None, chi: Character = None,
-           rep: StarRep = None) -> QuaternionSymbol:
+           chi: Character = None) -> QuaternionSymbol:
     """Assemble the quaternion symbol of the degree-2 component.
 
     A caller that has run the pipeline passes the degree-2 character chi
-    that classify_one_pair returned, with the standard-basis rba and dm it
-    came from. Without chi, this runs the pipeline as analyze does: the
-    basis is standardized first, then the one-nonreal-pair contract is
-    checked, and a rejection raises ValueError.
+    that classify_one_pair returned, with the standard-basis rba it came
+    from. Without chi, this runs the pipeline as analyze does: the basis is
+    standardized first, then the one-nonreal-pair contract is checked, and a
+    rejection raises ValueError.
 
-    beta > 0 already splits the component over the reals; in rational mode
-    the verdict is "split" iff every local Hilbert symbol of the snapped
-    (a, beta) is +1.
+    x, y and e are computed on the structure constants: exactly, on the
+    integer view lam_int, for an exact RBA, and within tol.eps_residual for
+    a float one. e^2 = e, e central, y^2 = beta e and x y = -y x are checked
+    (exactly in exact mode); x^2 = a e holds by construction, and
+    a = -n delta_p m_chi and m_chi against the character's multiplicity
+    are cross-checked. beta > 0 already splits the component over the
+    reals; in rational mode the verdict is "split" iff every local Hilbert
+    symbol of (a, beta) is +1.
     """
-    if dm is None:
-        dm = degree_map(rba, tol)
     if chi is None:
-        rba, dm, _ = to_standard_basis(rba, dm, tol)
+        rba, dm, _ = to_standard_basis(rba, degree_map(rba, tol), tol)
         table = character_table(rba, dm, tol=tol)
         verdict = classify_one_pair(rba, table, indicator_report(table, rba, dm, tol))
         if not verdict.passed:
             raise ValueError(f"one-nonreal-pair pipeline rejected: {verdict.reason}")
         chi = verdict.chi
-    if rep is None:
-        rep = star_rep_extract(rba, dm, chi.idempotent, tol)
-    x, a = x_generator(rep, rba, dm, chi.multiplicity_raw, tol)
-    y, beta, label = y_generator(rep, rba, tol)
-    anti = float(abs(x @ y + y @ x).max())
-    if anti > tol.eps_residual * max(1.0, abs(x).max() * abs(y).max()):
-        raise NumericalError(f"x and y do not anticommute (residual {anti:.3e})")
-    a_exact = snap_rational(a, tol.eps_zero * max(1.0, abs(a)))
-    beta_exact = snap_rational(beta, tol.eps_zero * max(1.0, beta))
+    pairs = rba.nonreal_pairs()
+    if len(pairs) != 1:
+        raise ValueError(f"{len(pairs)} nonreal pairs (need exactly 1)")
+    (p, ps), = pairs
+    r = rba.rank
+    exact = rba.exact
+    if exact:  # elements are Fraction vectors, multiplied on integer numerators
+        den, lam = rba.lam_int
+        split, number, eps = over_common_denominator, Fraction, 0
+    else:
+        den, lam = 1, rba.lam_float
+        split, number, eps = (lambda u: (1, u)), float, tol.eps_residual
+    left = lam.reshape(r, -1)                      # row i: b_i b_j, over (j, k)
+    right = lam.transpose(1, 0, 2).reshape(r, -1)  # row i: b_j b_i, over (j, k)
+
+    def mul(u, v):
+        du, nu = split(u)
+        dv, nv = split(v)
+        return nv @ (nu @ left).reshape(r, r) / number(den * du * dv)
+
+    def check(name, lhs, rhs):
+        res = np.max(np.abs(lhs - rhs))
+        if res and not res <= eps * max(1.0, np.max(np.abs(lhs)), np.max(np.abs(rhs))):  # NaN fails
+            raise NumericalError(f"{name} fails (residual {float(res):.3e})")
+        return float(res)
+
+    eye = np.eye(r, dtype=object if exact else float)
+    d = eye[p] - eye[ps]  # in A_chi: every linear character is real, so vanishes on d
+    d2 = mul(d, d)
+    a0 = mul(d2, d2)[0] / d2[0]
+    e = d2 / a0           # d^2 = a0 e, e the identity of A_chi
+    check("e^2 = e", mul(e, e), e)
+    ne = split(e)[1]
+    check("e central", ne @ left, ne @ right)
+    diag = (rba.lam if exact else lam)[np.arange(r), rba.star, 0]  # degrees: standard basis
+    n = diag.sum()
+    m_chi = n * e[0] / 2
+    if abs(float(m_chi) - chi.multiplicity_raw) > tol.eps_residual * max(1.0, float(m_chi)):
+        raise NumericalError(
+            f"m_chi = {float(m_chi)} does not match the multiplicity {chi.multiplicity_raw}"
+        )
+    x = m_chi * d
+    a = m_chi * m_chi * a0  # x^2 = a e
+    check("a = -n delta_p m_chi", a, -n * diag[p] * m_chi)
+    candidates = [(str(i), eye[i]) for i in range(1, r) if i not in (p, ps)]
+    candidates.append(("c", eye[p] + eye[ps]))
+    for label, b in candidates:
+        z = mul(e, b)
+        y = z - mul(mul(x, z), x) / a  # z minus its conjugate by x: anticommutes with x
+        if np.max(np.abs(y)) > eps * max(1.0, np.max(np.abs(z))):
+            break
+    else:
+        raise NumericalError("every candidate commutes with x: component is not 4-dimensional")
+    y2 = mul(y, y)
+    beta = y2[0] / e[0]
+    check("y^2 = beta e", y2, beta * e)
+    anti = check("x y = -y x", mul(x, y), -mul(y, x))
     sym = QuaternionSymbol(
-        a=a, beta=beta, a_exact=a_exact, beta_exact=beta_exact,
-        pair=dc_change_of_basis(rba), y_label=label,
-        anticommute_residual=anti,
+        a=float(a), beta=float(beta),
+        a_exact=snap_rational(a, tol.eps_zero * max(1.0, abs(a))),
+        beta_exact=snap_rational(beta, tol.eps_zero * max(1.0, abs(beta))),
+        pair=(p, ps), y_label=label, anticommute_residual=anti,
     )
-    if rba.exact and a_exact is not None and beta_exact is not None:
+    if exact:
         sym.field_mode = "rational"
-        sym.local_symbols = hilbert_places(a_exact, beta_exact)
+        sym.local_symbols = hilbert_places(a, beta)
         sym.verdict = "split" if all(v == 1 for v in sym.local_symbols.values()) else "division"
     else:
         sym.field_mode = "real-numeric"

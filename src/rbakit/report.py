@@ -304,7 +304,7 @@ def analyze(source, tol: ToleranceConfig = DEFAULT_TOL, force_float: bool = Fals
 
     if one_pair.passed:
         try:
-            sym = symbol(rba, tol, dm=dm, chi=one_pair.chi)
+            sym = symbol(rba, tol, chi=one_pair.chi)
             data["quaternion"] = {
                 "status": "computed",
                 "a": encode_value(sym.a_exact if sym.a_exact is not None else sym.a),

@@ -1,6 +1,7 @@
 """Shared fixtures and independent oracles for the test suite."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -64,6 +65,65 @@ def rescale(rba, scale):
     for i, j, k in itertools.product(range(r), repeat=3):
         lam[i, j, k] = rba.lam[i, j, k] * scale[i] * scale[j] / scale[k]
     return RBA(lam, rba.star)
+
+
+def rank5_split_rba(seed):
+    """Exact rank-5 RBA Q + M_2(Q) with one nonreal pair, split by construction.
+
+    An element is (alpha, X), X a 2x2 Fraction matrix. The involution is
+    X* = S^-1 X^T S with S = diag(1, s), and the trace is
+    tau = m1 alpha + m2 tr X. The basis 1, P, P*, b_3, b_4 is orthogonal for
+    <u, v> = tau(u v*), so lam[i, j, k] = <b_i b_j, b_k> / <b_k, b_k>.
+    P = h + k with h self-adjoint, k skew, tau(h) = 0 and <h, h> = <k, k>,
+    so tau(P) = tau(P P) = 0; the choice of s makes the last condition
+    rational. b_3, b_4 are self-adjoint, from Gram-Schmidt, each rescaled
+    to a small positive rational degree.
+    """
+    rng = random.Random(seed)
+
+    def frac(lo, hi, den):
+        return Fraction(rng.randint(lo, hi), rng.randint(1, den))
+
+    m1, m2, alpha, u = frac(1, 4, 3), frac(1, 4, 3), frac(1, 3, 2), rng.randint(1, 3)
+    a = d = -m1 * alpha / m2 / 2
+    while a == d:  # h = (alpha, a I) would leave every real b_3, b_4 of degree 0
+        a = frac(-3, 3, 2)
+        d = -m1 * alpha / m2 - a
+    s = 2 * m2 * u * u / (m1 * alpha**2 + m2 * (a * a + d * d))
+
+    def mul(x, y):
+        (p, xm), (q, ym) = x, y
+        return p * q, [[sum(xm[i][t] * ym[t][j] for t in range(2)) for j in range(2)]
+                       for i in range(2)]
+
+    def comb(*terms):  # sum of c * x over (c, x)
+        return (sum(c * x[0] for c, x in terms),
+                [[sum(c * x[1][i][j] for c, x in terms) for j in range(2)] for i in range(2)])
+
+    def star(x):
+        p, m = x
+        return p, [[m[0][0], m[1][0] * s], [m[0][1] / s, m[1][1]]]
+
+    def inner(x, y):
+        p, m = mul(x, star(y))
+        return m1 * p + m2 * (m[0][0] + m[1][1])
+
+    zero = Fraction(0)
+    one = (Fraction(1), [[Fraction(1), zero], [zero, Fraction(1)]])
+    h = (alpha, [[a, zero], [zero, d]])
+    k = (zero, [[zero, Fraction(u)], [-u / s, zero]])
+    real = []
+    while len(real) < 2:
+        y = frac(-3, 3, 1)
+        v = (frac(-3, 3, 1), [[frac(-3, 3, 1), s * y], [y, frac(-3, 3, 1)]])
+        v = comb((1, v), *[(-inner(v, w) / inner(w, w), w) for w in [one, h] + real])
+        real = real + [v] if v[0] else []  # a zero degree draws both again
+    basis = [one, comb((1, h), (1, k)), comb((1, h), (-1, k))]
+    basis += [comb((frac(1, 3, 2) / v[0], v)) for v in real]
+    norms = [inner(b, b) for b in basis]
+    lam = np.array([[[inner(mul(bi, bj), bk) / nk for bk, nk in zip(basis, norms)]
+                     for bj in basis] for bi in basis], dtype=object)
+    return RBA(lam, [0, 2, 1, 3, 4])
 
 
 # classical character tables, frozen from the representation theory of the

@@ -21,7 +21,7 @@ from rbakit.decomp import (
 from rbakit.indicator import classify_one_pair, indicator_report
 from rbakit.ingest import from_group, from_scheme, thin_scheme
 from rbakit.integrality import integral_check, row_sum_relation_holds
-from rbakit.quaternion import hilbert_places, hilbert_symbol, symbol, x_generator, y_generator
+from rbakit.quaternion import hilbert_places, hilbert_symbol, symbol
 
 from conftest import (
     RANK7_TABLE,
@@ -97,22 +97,18 @@ def test_criterion_2_main_theorem(fixture, xd_square, a_expected, request, capsy
         rep = star_rep_extract(rba, dm, chi.idempotent, TOL)
         p, ps = rba.nonreal_pairs()[0]
         xd = rep.matrices[p] - rep.matrices[ps]
-        x, a = x_generator(rep, rba, dm, chi.multiplicity_raw, TOL)
-        y, beta, _ = y_generator(rep, rba, TOL)
-        sym = symbol(rba, TOL, dm=dm, chi=chi, rep=rep)
+        sym = symbol(rba, TOL, chi=chi)
         elapsed = time.perf_counter() - t0
-        n = dm.n_float
-        delta_p = dm.values_float[p]
-        m_chi = chi.multiplicity_raw
+        closed_form = -dm.n * dm.values[p] * chi.multiplicity
         checks = [
             (
                 f"X(d)^2 = {xd_square} I",
                 abs(xd @ xd - xd_square * np.eye(2)).max() < 1e-8,
             ),
-            ("x^2 = a I with a = -n delta_p m_chi",
-             abs(a - (-n * delta_p * m_chi)) < 1e-8 and abs(a - a_expected) < 1e-8),
-            ("beta > 0", beta > 0),
-            ("anticommutation residual < 1e-8", abs(x @ y + y @ x).max() < 1e-8),
+            ("x^2 = a e with a = -n delta_p m_chi",
+             sym.a_exact == closed_form == a_expected),
+            ("beta > 0", sym.beta_exact > 0),
+            ("x y = -y x exactly", sym.anticommute_residual == 0.0),
             ("Q-split verdict (all Hilbert symbols +1)",
              sym.verdict == "split" and all(v == 1 for v in sym.local_symbols.values())),
             ("runtime < 1 s", elapsed < 1.0),

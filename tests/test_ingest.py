@@ -247,3 +247,16 @@ def test_cli_from_scheme_bad_token(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "invalid literal for int() with base 10: 'x'" in captured.err
+
+
+@pytest.mark.parametrize("command,text,lineno", [
+    ("from-group", "order 2\n0 1\n1 99999999999999999999\n", 3),
+    ("from-scheme", "points 2 classes 2\n1 0\n0 1\n# R_1\n0 1\n-99999999999999999999 0\n", 6),
+], ids=["from-group", "from-scheme"])
+def test_cli_token_beyond_int64_names_its_line(command, text, lineno, tmp_path, capsys):
+    path = tmp_path / "big.txt"
+    path.write_text(text)
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: line {lineno}: entry out of range\n"

@@ -1,4 +1,4 @@
-"""Quaternion arithmetic, symbol generators, Hilbert symbols."""
+"""Quaternion arithmetic, the symbol's generators, Hilbert symbols."""
 
 import json
 from fractions import Fraction
@@ -7,22 +7,19 @@ import numpy as np
 import pytest
 
 from rbakit.cli import main
-from rbakit.core import degree_map
+from rbakit.core import RBA, degree_map
 from rbakit.decomp import central_idempotents, character_table, star_rep_extract
 from rbakit.quaternion import (
     Quaternion,
-    dc_change_of_basis,
     hilbert_places,
     hilbert_symbol,
     quaternion_verify,
     symbol,
-    x_generator,
-    y_generator,
 )
 from rbakit.integrality import RANK7_IMAGES
 from rbakit.report import analyze
 
-from conftest import TOL, padic_norm_oracle, rescale
+from conftest import TOL, padic_norm_oracle, rank5_split_rba, rescale
 
 
 def _deg2_rep(rba):
@@ -95,39 +92,40 @@ def test_rank7_image_char_polys():
 # ---------------------------------------------------------------------------
 
 def test_dc_change_of_basis(s3_rba, d8_rba, rank7_rba):
-    assert dc_change_of_basis(s3_rba) == (1, 2)
-    assert dc_change_of_basis(d8_rba) == (1, 3)
+    # d = b_p - b_p* and c = b_p + b_p* come from the one nonreal pair
+    assert symbol(s3_rba, TOL).pair == (1, 2)
+    assert symbol(d8_rba, TOL).pair == (1, 3)
     with pytest.raises(ValueError, match="3 nonreal pairs"):
-        dc_change_of_basis(rank7_rba)
+        symbol(rank7_rba, TOL)
 
 
 def test_x_generator_s3(s3_rba):
     dm, table, chi, rep = _deg2_rep(s3_rba)
     xd = rep.matrices[1] - rep.matrices[2]
     assert abs(xd @ xd + 3.0 * np.eye(2)).max() < 1e-8  # X(d)^2 = -3 I
-    x, a = x_generator(rep, s3_rba, dm, chi.multiplicity_raw, TOL)
-    assert abs(a - (-12.0)) < 1e-8  # a = -n delta_p m_chi = -6*1*2
+    # x = m_chi d in the algebra: x^2 = a e with a = -n delta_p m_chi = -6*1*2
+    assert symbol(s3_rba, TOL).a_exact == -dm.n * dm.values[1] * chi.multiplicity == -12
 
 
 def test_x_generator_d8(d8_rba):
     dm, table, chi, rep = _deg2_rep(d8_rba)
     xd = rep.matrices[1] - rep.matrices[3]
     assert abs(xd @ xd + 4.0 * np.eye(2)).max() < 1e-8  # X(d)^2 = -4 I
-    x, a = x_generator(rep, d8_rba, dm, chi.multiplicity_raw, TOL)
-    assert abs(a - (-16.0)) < 1e-8
+    assert symbol(d8_rba, TOL).a_exact == -dm.n * dm.values[1] * chi.multiplicity == -16
 
 
 def test_y_generator(s3_rba, d8_rba):
-    for rba in (s3_rba, d8_rba):
-        dm, table, chi, rep = _deg2_rep(rba)
-        x, a = x_generator(rep, rba, dm, chi.multiplicity_raw, TOL)
-        y, beta, label = y_generator(rep, rba, TOL)
-        assert beta > 0
-        assert abs(beta - 4.0) < 1e-8  # reflections have eigenvalues +-1
-        assert abs(np.trace(y)) < 1e-9         # traceless by construction
-        assert abs(y - y.T).max() < 1e-9       # symmetric
-        assert abs(x @ y + y @ x).max() < 1e-8  # anticommutation
-        assert abs(y @ y - beta * np.eye(2)).max() < 1e-8
+    # y = z - x z x / a from the first real z = e b_l that x does not commute with
+    for rba, label in ((s3_rba, "3"), (d8_rba, "4")):
+        sym = symbol(rba, TOL)
+        assert sym.beta_exact == 4  # reflections have eigenvalues +-1
+        assert sym.y_label == label
+        assert sym.anticommute_residual == 0.0  # x y = -y x, checked exactly
+        # the float route computes the same generators within eps_residual
+        sym = symbol(RBA(rba.lam_float, rba.star), TOL)
+        assert abs(sym.beta - 4.0) < 1e-8 and abs(sym.a - sym.a_exact) < 1e-8
+        assert sym.y_label == label and sym.anticommute_residual < 1e-8
+        assert (sym.field_mode, sym.verdict) == ("real-numeric", "real-split-only")
 
 
 def test_traceless_symmetric_anticommutes_antisymmetric():
@@ -186,6 +184,22 @@ def test_symbol_standardizes_the_basis_first(fixture, a_expected, request, tmp_p
 def test_symbol_rejects_rank7(rank7_rba):
     with pytest.raises(ValueError, match="nonreal pairs"):
         symbol(rank7_rba, TOL)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_rank5_one_pair_algebra_is_split(seed, tmp_path, capsys):
+    # the main theorem on rational Q + M_2(Q) with one nonreal pair: the
+    # degree-2 component is split over Q, decided exactly
+    rba = rank5_split_rba(seed)
+    q = analyze(rba, TOL).data["quaternion"]
+    assert (q["field_mode"], q["verdict"]) == ("rational", "split")
+    assert q["anticommute_residual"] == 0.0
+    path = tmp_path / "rank5.rba"
+    path.write_text(rba.to_text())
+    assert main(["quaternion", str(path), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["field_mode"], payload["verdict"]) == ("rational", "split")
+    assert (payload["a"], payload["beta"]) == (q["a"], q["beta"])
 
 
 # ---------------------------------------------------------------------------
