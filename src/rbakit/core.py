@@ -2,17 +2,19 @@
 
 An RBA is held as a dense structure-constant tensor lam[i, j, k] (the
 coefficient of b_k in b_i*b_j), a basis involution ``star`` acting on
-indices, and a mode flag: exact (every entry a Fraction) or float. An exact
-RBA also has an integer view lam = N / D (``lam_int``): the axiom checks, the
-degree-map homomorphism test and the integrality test run one array code, on
-(D, N) with zero tolerances or on (1, lam_float) with the float tolerances.
-Eigen-computations always run in doubles; exact mode only changes how
-identities are checked and how derived values are snapped back.
+indices, and a mode flag. An exact RBA is stored as its integer view
+lam = N / D (``lam_int``), a float one as ``lam_float``; every RBA also
+keeps ``lam_float``. The axiom checks, the degree-map homomorphism test,
+standardization and the integrality test run on (D, N) with zero
+tolerances, or on (1, lam_float) with the float tolerances. Fractions are
+built per entry only for the text form, the ``lam`` accessor and reported
+offenders. Eigen-computations always run in doubles; exact mode only
+changes how identities are checked and how derived values are snapped back.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -119,12 +121,15 @@ def snap_value(x, eps: float):
 def over_common_denominator(fractions):
     """(D, N): the lcm D of the denominators, and the Python ints N = D * fractions."""
     d = math.lcm(*(f.denominator for f in fractions))
-    return d, np.array([f.numerator * (d // f.denominator) for f in fractions], dtype=object)
+    return d, np.array([int(f.numerator) * (d // f.denominator) for f in fractions], dtype=object)
 
 
-def as_float_array(values) -> np.ndarray:
-    """Coerce a (possibly Fraction-valued) array to a new float64 array."""
-    return np.array(values, dtype=float)
+def _div(x, d) -> float:
+    """x / d, or +-inf where an exact quotient does not fit a double."""
+    try:
+        return x / d
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
 
 
 def _parse_scalar(token: str, lineno: int):
@@ -150,13 +155,6 @@ def _parse_scalar(token: str, lineno: int):
     return value
 
 
-def format_scalar(v) -> str:
-    """Canonical text form: exact rationals as p/q or integer, floats via repr."""
-    if isinstance(v, Fraction):
-        return str(v)
-    return repr(float(v))
-
-
 # ---------------------------------------------------------------------------
 # the RBA object
 # ---------------------------------------------------------------------------
@@ -168,62 +166,66 @@ class RBA:
     ----------
     lam : (r, r, r) array-like
         lam[i, j, k] is the coefficient of b_k in the product b_i b_j.
-        If every entry is a Fraction (or int) the RBA is exact; any float
-        entry puts the whole RBA in float mode.
+        An integer array, or one whose every entry is a Fraction or an int,
+        gives an exact RBA; anything else puts the RBA in float mode.
     star : length-r iterable of ints
         The involution on basis indices, star[i] = i*.
     labels : optional list of basis-element names.
+
+    An exact RBA stores lam = N / D in lowest terms as ``lam_int = (D, N)``, N int64
+    when r * max(D, max|N|)^2 < 2^62 (no sum of r products overflows), else Python
+    ints. Every RBA stores the float64 ``lam_float``; float mode has lam_int None.
     """
 
     def __init__(self, lam, star, labels=None):
-        lam = np.asarray(lam, dtype=object)
-        if lam.ndim != 3 or len(set(lam.shape)) != 1:
-            raise StructuralError(f"lambda tensor must be r x r x r, got shape {lam.shape}")
-        r = lam.shape[0]
+        lam = np.asarray(lam)
+        if lam.dtype.kind in "biu":
+            self._store(1, lam, star, labels)
+        elif lam.dtype == object and all(isinstance(v, (Fraction, int, np.integer)) for v in lam.flat):
+            d, n = over_common_denominator(lam.ravel())
+            self._store(d, n.reshape(lam.shape), star, labels)
+        else:
+            self._store(None, np.array(lam, dtype=float), star, labels)
+
+    @classmethod
+    def _from_numerators(cls, d, n, star, labels=None) -> "RBA":
+        """The RBA lam = n / d, n an integer array; d None: the float RBA lam = n."""
+        return cls.__new__(cls)._store(d, n, star, labels)
+
+    def _store(self, d, n, star, labels) -> "RBA":
+        if n.ndim != 3 or len(set(n.shape)) != 1:
+            raise StructuralError(f"lambda tensor must be r x r x r, got shape {n.shape}")
+        r = n.shape[0]
         star = np.asarray(star, dtype=int)
         if star.shape != (r,) or sorted(star.tolist()) != list(range(r)):
             raise StructuralError("star must be a permutation of 0..r-1")
-        self.exact = all(isinstance(v, (Fraction, int, np.integer)) for v in lam.flat)
-        if self.exact:
-            self.lam = np.array([Fraction(v) for v in lam.flat], dtype=object).reshape(lam.shape)
-        else:
-            self.lam = as_float_array(lam)
-        self.rank = r
-        self.star = star
-        self.labels = list(labels) if labels is not None else None
-        self._lam_float = None
-        self._lam_int = None
+        self.rank, self.star, self.labels = r, star, list(labels) if labels is not None else None
+        self.exact, self.lam_int, self.lam_float = d is not None, None, n
+        if self.exact:  # the one place where n / d is put in lowest terms
+            g = math.gcd(d, int(np.gcd.reduce(n, axis=None))) if d > 1 else 1
+            d, n = d // g, n // g
+            big = max(d, int(n.max(initial=0)), -int(n.min(initial=0)))
+            n = n.astype(np.int64 if r * big * big < 2**62 else object, copy=False)
+            self.lam_int = (d, n)
+            quotient = np.frompyfunc(_div, 2, 1) if n.dtype == object else np.true_divide
+            self.lam_float = np.asarray(quotient(n, d), dtype=float)
+        return self
 
-    @property
-    def lam_float(self) -> np.ndarray:
-        """float64 view of the tensor (cached)."""
-        if self._lam_float is None:
-            self._lam_float = as_float_array(self.lam)
-        return self._lam_float
-
-    @property
-    def lam_int(self):
-        """(D, N) with lam = N / D exactly, for an exact RBA (cached). N is int64
-        when r * max(D, max|N|)^2 < 2^62, so no sum of r products (nor the
-        difference of two) overflows; otherwise it holds Python ints."""
-        if self._lam_int is None:
-            d, n = over_common_denominator(self.lam.ravel())
-            n = n.reshape(self.lam.shape)
-            big = max(d, int(abs(n).max()))
-            self._lam_int = (d, n.astype(np.int64) if self.rank * big * big < 2**62 else n)
-        return self._lam_int
+    @functools.cached_property
+    def lam(self) -> np.ndarray:
+        """The tensor: Fractions for an exact RBA (built on first use), else lam_float."""
+        if not self.exact:
+            return self.lam_float
+        return np.frompyfunc(Fraction, 2, 1)(self.lam_int[1].astype(object), self.lam_int[0])
 
     # -- basis structure ----------------------------------------------------
-
-    def real_indices(self):
-        return [i for i in range(self.rank) if self.star[i] == i]
 
     def nonreal_pairs(self):
         """Unordered {i, i*} pairs with i < i*, one tuple per pair."""
         return [(i, int(self.star[i])) for i in range(self.rank) if i < self.star[i]]
 
     def star_fixed_count(self) -> int:
-        return len(self.real_indices())
+        return int((self.star == np.arange(self.rank)).sum())
 
     # -- algebra operations on coefficient vectors --------------------------
 
@@ -241,13 +243,12 @@ class RBA:
     # -- text format ---------------------------------------------------------
 
     def to_text(self) -> str:
-        """Canonical line-oriented text form (rank/star/lambda lines)."""
+        """Canonical text form: rank and star lines, then one lambda line per
+        nonzero entry, exact values as p/q or integer, floats via repr."""
         lines = [f"rank {self.rank}", "star " + " ".join(str(int(s)) for s in self.star)]
-        for i, j, k in itertools.product(range(self.rank), repeat=3):
-            v = self.lam[i, j, k]
-            if v == 0:
-                continue
-            lines.append(f"lambda {i} {j} {k} {format_scalar(v)}")
+        d, n = self.lam_int if self.exact else (None, self.lam_float)
+        for (i, j, k), v in zip(np.argwhere(n).tolist(), n[n != 0].tolist()):
+            lines.append(f"lambda {i} {j} {k} {Fraction(v, d) if self.exact else repr(v)}")
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -281,12 +282,18 @@ class RBA:
             raise StructuralError("missing or invalid 'rank' line")
         if star is None or len(star) != rank:
             raise StructuralError("missing or wrong-length 'star' line")
-        lam = np.zeros((rank, rank, rank), dtype=object)  # the RBA picks the mode
-        for (i, j, k), (_, v) in entries.items():
+        for i, j, k in entries:
             if not (0 <= i < rank and 0 <= j < rank and 0 <= k < rank):
                 raise StructuralError(f"lambda index ({i},{j},{k}) out of range for rank {rank}")
-            lam[i, j, k] = v
-        return cls(lam, star)
+        values = [v for _, v in entries.values()]
+        if all(isinstance(v, Fraction) for v in values):
+            d, values = over_common_denominator(values)
+            dtype = object if any(abs(v) >= 2**63 for v in values) else np.int64
+        else:  # one decimal entry puts the whole RBA in float mode
+            d, dtype = None, float
+        lam = np.zeros((rank, rank, rank), dtype=dtype)
+        lam[tuple(np.array(list(entries), dtype=np.intp).reshape(-1, 3).T)] = values
+        return cls._from_numerators(d, lam, star)
 
     @classmethod
     def from_file(cls, path) -> "RBA":
@@ -315,7 +322,7 @@ class DegreeMap:
 
     @property
     def values_float(self) -> np.ndarray:
-        return as_float_array(self.values)
+        return np.array(self.values, dtype=float)
 
     @property
     def n_float(self) -> float:
@@ -359,14 +366,6 @@ class ValidationReport:
             extra = f"  {c.detail}" if c.detail else ""
             lines.append(f"[{status}] {c.name}: residual {c.residual:.3e}{extra}")
         return "\n".join(lines)
-
-
-def _div(res, d) -> float:
-    """res / d, or inf where an exact residual's quotient does not fit a double."""
-    try:
-        return res / d
-    except OverflowError:
-        return math.inf
 
 
 def validate(rba: RBA, tol: ToleranceConfig = DEFAULT_TOL) -> ValidationReport:
@@ -503,18 +502,26 @@ def degree_map(rba: RBA, tol: ToleranceConfig = DEFAULT_TOL) -> DegreeMap:
 def standardize(rba: RBA, dm: DegreeMap) -> RBA:
     """Rescale the basis so the b_0-coefficient of b_i b_i* equals the degree of b_i.
 
-    b_i' = t_i b_i with t_i = delta_i / lam[i,i*,0]; idempotent.
+    b_i' = t_i b_i with t_i = delta_i / lam[i,i*,0]; idempotent. With exact
+    degrees an exact RBA is rescaled on its numerators: for t = U / E and
+    M = lcm(U), lam' = N' / D' with N' = N U_i U_j (M / U_k) and D' = D E M.
     """
     r = rba.rank
     star = rba.star
     exact = rba.exact and dm.exact
-    lam = rba.lam if exact else rba.lam_float
+    d, lam = rba.lam_int if exact else (1, rba.lam_float)
     diag = lam[np.arange(r), star, 0]
     if diag.min() <= 0:
         raise AxiomError("lam[i,i*,0] must be positive (pseudo-inverse violation)")
-    t = (dm.values if exact else dm.values_float) / diag
-    lam = lam * t[:, None, None] * t[None, :, None] / t[None, None, :]
-    return RBA(lam, star, rba.labels)
+    if not exact:
+        t = dm.values_float / diag
+        return RBA(lam * t[:, None, None] * t[None, :, None] / t[None, None, :], star, rba.labels)
+    e, u = over_common_denominator([v * d / x for v, x in zip(dm.values, diag.tolist())])
+    m = math.lcm(*u)
+    wide = lam.dtype == object or int(abs(lam).max()) * max(u) ** 2 * m >= 2**63
+    u = u.astype(object if wide else np.int64)
+    lam = lam.astype(u.dtype, copy=False) * u[:, None, None] * u[None, :, None] * (m // u)
+    return RBA._from_numerators(d * e * m, lam, star, rba.labels)
 
 
 def to_standard_basis(rba: RBA, dm: DegreeMap, tol: ToleranceConfig = DEFAULT_TOL):

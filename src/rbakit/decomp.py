@@ -23,7 +23,6 @@ from .core import (
     NumericalError,
     RBA,
     ToleranceConfig,
-    as_float_array,
     gram_matrix,
     snap_value,
 )
@@ -381,7 +380,7 @@ def star_rep_extract(
 
 def averaging_matrix(dm: DegreeMap, phi) -> np.ndarray:
     """The positive definite average sum_i Phi(b_i)^T Phi(b_i) / delta_i."""
-    phi = as_float_array(phi)
+    phi = np.array(phi, dtype=float)
     weights = 1.0 / dm.values_float
     return np.einsum("i,iba,ibc->ac", weights, phi, phi)
 
@@ -398,7 +397,7 @@ def symmetrize(
     (ii) take its symmetric square root B, (iii) conjugate: X = B Phi B^{-1}.
     Then A Phi(b_j) = Phi(b_{j*})^T A forces X(b_{i*}) = X(b_i)^T.
     """
-    phi = as_float_array(phi)
+    phi = np.array(phi, dtype=float)
     r = rba.rank
     if phi.shape[0] != r or phi.ndim != 3 or phi.shape[1] != phi.shape[2]:
         raise ValueError(f"expected (r, d, d) images, got {phi.shape}")

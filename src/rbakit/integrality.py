@@ -140,12 +140,10 @@ def integral_check(rba: RBA, eps: float = 1e-9) -> IntegralityResult:
     Exact mode tests denominators; float mode tests distance to the nearest
     integer against eps.
     """
-    if rba.exact:
-        d, n = rba.lam_int
-        bad = n % d != 0
-    else:
-        bad = abs(rba.lam_float - np.round(rba.lam_float)) > eps
-    offenders = [(int(i), int(j), int(k), rba.lam[i, j, k]) for i, j, k in np.argwhere(bad)[:32]]
+    d, n = rba.lam_int if rba.exact else (None, rba.lam_float)
+    bad = n % d != 0 if d else abs(n - np.round(n)) > eps
+    offenders = [(int(i), int(j), int(k), Fraction(int(n[i, j, k]), d) if d else n[i, j, k])
+                 for i, j, k in np.argwhere(bad)[:32]]
     return IntegralityResult(integral=not offenders, offenders=offenders)
 
 

@@ -299,8 +299,8 @@ def symbol(rba: RBA, tol: ToleranceConfig = DEFAULT_TOL, *,
     check("e^2 = e", mul(e, e), e)
     ne = split(e)[1]
     check("e central", ne @ left, ne @ right)
-    diag = (rba.lam if exact else lam)[np.arange(r), rba.star, 0]  # degrees: standard basis
-    n = diag.sum()
+    delta = lam[np.arange(r), rba.star, 0].astype(object if exact else float) / number(den)
+    n = delta.sum()
     m_chi = n * e[0] / 2
     if abs(float(m_chi) - chi.multiplicity_raw) > tol.eps_residual * max(1.0, float(m_chi)):
         raise NumericalError(
@@ -308,7 +308,7 @@ def symbol(rba: RBA, tol: ToleranceConfig = DEFAULT_TOL, *,
         )
     x = m_chi * d
     a = m_chi * m_chi * a0  # x^2 = a e
-    check("a = -n delta_p m_chi", a, -n * diag[p] * m_chi)
+    check("a = -n delta_p m_chi", a, -n * delta[p] * m_chi)
     candidates = [(str(i), eye[i]) for i in range(1, r) if i not in (p, ps)]
     candidates.append(("c", eye[p] + eye[ps]))
     for label, b in candidates:
@@ -368,25 +368,24 @@ def quaternion_verify(rba: RBA, images, table: CharacterTable = None,
     images = [_as_quat(q) for q in images]
     if len(images) != r:
         raise ValueError(f"need {r} images, got {len(images)}")
-    exact = rba.exact and all(
-        all(isinstance(c, (Fraction, int)) for c in q.coords()) for q in images
-    )
+    exact = rba.exact and all(isinstance(c, (Fraction, int)) for q in images for c in q.coords())
 
     def close(u, v):
         if exact:
             return u == v
         return abs(float(u) - float(v)) <= tol.eps_residual * 100
 
+    den, lam = rba.lam_int if exact else (1, rba.lam_float)
+    lam = lam.tolist()  # exact mode compares D b_i b_j with sum_k N[i,j,k] b_k
     hom_failures = []
     for i in range(r):
         for j in range(r):
             got = images[i] * images[j]
             want = Quaternion(0)
             for k in range(r):
-                lam = rba.lam[i, j, k]
-                if lam:
-                    want = want + Quaternion(lam) * images[k]
-            if not all(close(g, w) for g, w in zip(got.coords(), want.coords())):
+                if lam[i][j][k]:
+                    want = want + Quaternion(lam[i][j][k]) * images[k]
+            if not all(close(g * den, w) for g, w in zip(got.coords(), want.coords())):
                 hom_failures.append((i, j))
     star_failures = [
         i for i in range(r)

@@ -28,7 +28,7 @@ from .core import (
     to_standard_basis,
     validate,
 )
-from .decomp import character_table, regular_rep, rep_residual
+from .decomp import character_table
 from .indicator import classify_one_pair, indicator_report, rank7_trichotomy
 from .integrality import integral_check, two_adic_obstruction
 from .quaternion import symbol
@@ -270,10 +270,6 @@ def analyze(source, tol: ToleranceConfig = DEFAULT_TOL, force_float: bool = Fals
     rba, dm, was_standard = to_standard_basis(rba, dm, tol)
     data["rba"]["standard_basis"] = was_standard
 
-    residuals = {
-        "validation": data["validation"]["max_residual"],
-        "regular_rep": rep_residual(rba, regular_rep(rba)),
-    }
     gram_matrix(rba, dm)  # raises if the trace form degenerates
 
     table = character_table(rba, dm, tol=tol)
@@ -355,7 +351,7 @@ def analyze(source, tol: ToleranceConfig = DEFAULT_TOL, force_float: bool = Fals
         }
         verdicts.append(not two.obstructed or not integ.integral)
 
-    data["residuals"] = residuals
+    data["residuals"] = {"validation": data["validation"]["max_residual"]}
     data["overall_pass"] = all(verdicts)
     return AnalysisReport(data)
 

@@ -1,5 +1,8 @@
 """Axioms, degree map, standardization, Gram matrix, text format."""
 
+import itertools
+import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -18,8 +21,9 @@ from rbakit.core import (
     to_standard_basis,
     validate,
 )
+from rbakit.ingest import from_group
 
-from conftest import TOL, rescale
+from conftest import TOL, rank5_split_rba, rescale
 
 
 # ---------------------------------------------------------------------------
@@ -42,12 +46,42 @@ def test_mode_detection(s3_rba):
 
 
 def test_text_round_trip(s3_rba, rank7_rba):
-    for rba in (s3_rba, rank7_rba):
+    wide = rescale(s3_rba, [Fraction(1)] + [Fraction(3**10)] * 5)  # Python-int numerators
+    floaty = RBA(rescale(s3_rba, [1, Fraction(1, 3), Fraction(1, 3), 1, 1, 1]).lam_float,
+                 s3_rba.star)
+    assert wide.lam_int[1].dtype == object and not floaty.exact
+    for rba in (s3_rba, rank7_rba, wide, floaty):
         text = rba.to_text()
         back = RBA.from_text(text)
         assert back.exact == rba.exact
         assert np.array_equal(back.star, rba.star)
         assert np.array_equal(back.lam, rba.lam)
+        assert back.to_text() == text
+    assert "lambda 1 2 0 3486784401\n" in wide.to_text()  # 3^20
+    assert "lambda 1 1 2 0.3333333333333333\n" in floaty.to_text()
+
+
+def s5_table():
+    perms = list(itertools.permutations(range(5)))
+    idx = {p: i for i, p in enumerate(perms)}
+    return np.array([[idx[tuple(p[q[x]] for x in range(5))] for q in perms] for p in perms])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: RBA.from_text("rank 150\nstar " + " ".join(map(str, range(150))) + "\n"),
+        lambda: from_group(s5_table()),
+    ],
+    ids=["from_text-rank150", "from_group-S5"],
+)
+def test_integer_construction_is_bounded(build):
+    # an integer tensor is stored as (1, int64 N) with no per-entry Python work
+    start = time.process_time()
+    rba = build()
+    assert time.process_time() - start < 2.0
+    d, n = rba.lam_int
+    assert rba.exact and d == 1 and n.dtype == np.int64
 
 
 def test_text_parsing_modes():
@@ -263,17 +297,37 @@ def test_standardize_round_trip(s3_rba):
     assert np.array_equal(restored.lam, s3_rba.lam)
 
 
+def _standardized(rba, dm):
+    """lam[i,j,k] t_i t_j / t_k with t_i = delta_i / lam[i,i*,0], in Fractions."""
+    lam = rba.lam
+    t = [dm.values[i] / lam[i, rba.star[i], 0] for i in range(rba.rank)]
+    out = np.empty(lam.shape, dtype=object)
+    for i, j, k in itertools.product(range(rba.rank), repeat=3):
+        out[i, j, k] = lam[i, j, k] * t[i] * t[j] / t[k]
+    return out
+
+
 def test_standardize_idempotent(s3_rba):
-    scale = [Fraction(1), Fraction(5, 2), Fraction(5, 2), Fraction(2), Fraction(1), Fraction(1)]
-    rescaled = rescale(s3_rba, scale)
-    dm = degree_map(rescaled, TOL)
-    std = standardize(rescaled, dm)
-    dm2 = degree_map(std, TOL)
-    std2 = standardize(std, dm2)
-    assert np.array_equal(std.lam, std2.lam)
-    # the standard-basis property: lam[i,i*,0] equals the degree of the new basis
-    for i in range(6):
-        assert std.lam[i, std.star[i], 0] == dm2.values[i]
+    # exact mode rescales the integer numerators; each result must match the
+    # Fraction formula, hold D = lcm of its denominators, and be a fixed point
+    one = Fraction(1)
+    cases = [
+        rescale(s3_rba, [one, Fraction(5, 2), Fraction(5, 2), Fraction(2), one, one]),
+        rescale(s3_rba, [one, Fraction(2, 3), Fraction(2, 3), Fraction(5, 7), one, one]),
+        rescale(s3_rba, [one] + [Fraction(3**10)] * 5),  # N past int64
+    ] + [rank5_split_rba(seed) for seed in range(4)]
+    for rba in cases:
+        dm = degree_map(rba, TOL)
+        assert dm.exact
+        std = standardize(rba, dm)
+        assert std.exact and np.array_equal(std.lam, _standardized(rba, dm))
+        assert std.lam_int[0] == math.lcm(*(v.denominator for v in std.lam.flat))
+        dm2 = degree_map(std, TOL)
+        std2 = standardize(std, dm2)
+        assert np.array_equal(std.lam, std2.lam)
+        # the standard-basis property: lam[i,i*,0] equals the degree of the new basis
+        for i in range(rba.rank):
+            assert std.lam[i, std.star[i], 0] == dm2.values[i]
 
 
 def test_to_standard_basis(s3_rba):
