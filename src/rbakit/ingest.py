@@ -32,9 +32,18 @@ def _content_lines(text: str):
             yield lineno, line
 
 
-def _int64_rows(rows) -> np.ndarray:
-    """int64 array of (line number, tokens) rows. A bad token raises int()'s
-    ValueError; a token beyond int64 is a StructuralError naming its line."""
+def _int64_rows(rows, m: int, shape: str) -> np.ndarray:
+    """m x m int64 array of (line number, content) rows, else StructuralError(shape).
+    A bad token raises int()'s ValueError; a token beyond int64 is a StructuralError
+    naming its line. Single digits one space apart are read from their bytes."""
+    if len(rows) == m and all(len(line) == 2 * m - 1 for _, line in rows):
+        chars = np.frombuffer(" ".join(line for _, line in rows).encode(), dtype=np.uint8)
+        digits = chars[::2] - np.uint8(ord("0"))  # a non-digit wraps past 9
+        if len(chars) == 2 * m * m - 1 and (chars[1::2] == ord(" ")).all() and (digits < 10).all():
+            return digits.astype(np.int64).reshape(m, m)
+    rows = [(n, line.split()) for n, line in rows]
+    if len(rows) != m or any(len(tokens) != m for _, tokens in rows):
+        raise StructuralError(shape)
     try:
         return np.array([tokens for _, tokens in rows], dtype=np.int64)
     except OverflowError:
@@ -50,10 +59,7 @@ def parse_cayley(text: str) -> np.ndarray:
         m = int(lines[0][1].split()[1])
     except (IndexError, ValueError) as exc:
         raise StructuralError("bad 'order' line") from exc
-    rows = [(n, line.split()) for n, line in lines[1:]]
-    if len(rows) != m or any(len(tokens) != m for _, tokens in rows):
-        raise StructuralError(f"expected {m} rows of {m} entries")
-    table = _int64_rows(rows)
+    table = _int64_rows(lines[1:], m, f"expected {m} rows of {m} entries")
     if table.min() < 0 or table.max() >= m:
         raise StructuralError("table entries out of range")
     return table
@@ -98,13 +104,7 @@ def parse_scheme(text: str) -> list:
     body = lines[1:]
     if len(body) != v * r:
         raise StructuralError(shape)
-    mats = []
-    for b in range(r):
-        block = [(n, line.split()) for n, line in body[b * v:(b + 1) * v]]
-        if any(len(tokens) != v for _, tokens in block):
-            raise StructuralError(shape)
-        mats.append(_int64_rows(block))
-    return mats
+    return [_int64_rows(body[b * v:(b + 1) * v], v, shape) for b in range(r)]
 
 
 def from_scheme(relations) -> RBA:
@@ -113,7 +113,8 @@ def from_scheme(relations) -> RBA:
     lam[i,j,k] is the intersection number read off from R_i R_j = sum_k p R_k;
     star is the transpose permutation and the valencies are the degrees.
     The products R_i R_j run in float32 BLAS and are exact: every entry, and
-    every partial sum of it, is a count of at most v < 2^24 points.
+    every partial sum of it, is a count of at most v < 2^24 points. Products
+    with R_0 = I are not formed, and R_j* R_i* = (R_i R_j)^T is not formed again.
     """
     if isinstance(relations, str):
         relations = parse_scheme(relations)
@@ -123,34 +124,33 @@ def from_scheme(relations) -> RBA:
         raise StructuralError("no relation matrices")
     v = mats[0].shape[0]
     for m in mats:
-        if m.shape != (v, v) or not np.isin(m, (0, 1)).all():
+        if m.shape != (v, v) or not ((m == 0) | (m == 1)).all():
             raise StructuralError("relations must be square 0/1 matrices of equal size")
     if not np.array_equal(mats[0], np.eye(v, dtype=int)):
         raise StructuralError("R_0 must be the identity relation")
     if not np.array_equal(sum(mats), np.ones((v, v), dtype=int)):
         raise StructuralError("relations must partition the point pairs (sum to all-ones)")
-    star = np.full(r, -1, dtype=int)
-    for i in range(r):
-        for j in range(r):
-            if np.array_equal(mats[i].T, mats[j]):
-                star[i] = j
-                break
-        else:
-            raise StructuralError(f"transpose of relation {i} is not a relation")
+    star = [next((j for j in range(r) if np.array_equal(m.T, mats[j])), -1) for m in mats]
+    if -1 in star:
+        raise StructuralError(f"transpose of relation {star.index(-1)} is not a relation")
     color = sum(k * m for k, m in enumerate(mats)).ravel()  # the relation of each pair
     sizes = np.bincount(color, minlength=r)
     if not sizes.all():
         raise StructuralError(f"relation {int(np.argmin(sizes))} is empty")
-    first = np.argsort(color, kind="stable")[np.cumsum(sizes) - sizes]  # one pair per relation
-    lam = np.empty((r, r, r), dtype=np.int64)
-    for i, j in itertools.product(range(r), repeat=2):
-        prod = (mats[i].astype(np.float32) @ mats[j].astype(np.float32)).ravel()
+    first = np.argmax(color == np.arange(r)[:, None], axis=1)  # one pair per relation
+    lam = np.zeros((r, r, r), dtype=np.int64)
+    lam[0, np.arange(r), np.arange(r)] = lam[np.arange(r), 0, np.arange(r)] = 1  # R_0 = I
+    floats = [m.astype(np.float32) for m in mats]
+    for i, j in itertools.product(range(1, r), repeat=2):
+        if (star[j], star[i]) < (i, j):  # lam[j*,i*,k*] = lam[i,j,k], checked already
+            lam[i, j] = lam[star[j], star[i]][star]
+            continue
+        prod = (floats[i] @ floats[j]).ravel()
         lam[i, j] = const = prod[first]
         bad = prod != const[color]
         if bad.any():
-            raise StructuralError(
-                f"not a scheme: R_{i} R_{j} is not constant on R_{int(color[bad].min())}"
-            )
+            raise StructuralError(f"not a scheme: R_{i} R_{j} is not constant on "
+                                  f"R_{int(color[bad].min())}")
     return RBA(lam, star)
 
 

@@ -172,6 +172,21 @@ def test_parse_scheme():
         parse_scheme("points 2 classes 2\n1 0\n0 1\n")  # missing block
 
 
+def test_parse_rows_of_digits_match_tokens():
+    # single digits one space apart are read from their bytes; any other
+    # spacing or token is split into tokens, with the same result
+    r1 = "0 1 1\n1 0 1\n1 1 0\n"
+    mats = parse_scheme("points 3 classes 2\n1 0 0\n0 1 0\n0 0 1\n" + r1)
+    spaced = parse_scheme("points 3 classes 2\n1\t0 0\n0  1 0\n00 0 01\n" + r1)
+    assert all(np.array_equal(a, b) and a.dtype == b.dtype == np.int64 for a, b in zip(mats, spaced))
+    assert np.array_equal(parse_cayley("order 3\n0 1 2\n1 2 0\n2 0 1\n"),
+                          parse_cayley("order 3\n0 1 2\n1 2 0\n2 00 1\n"))
+    with pytest.raises(StructuralError, match="expected 2 blocks of 3 rows of 3 entries"):
+        parse_scheme("points 3 classes 2\n1 0 0\n10  0\n0 0 1\n" + r1)  # 5 characters, 2 tokens
+    with pytest.raises(ValueError, match="'-'"):
+        parse_cayley("order 2\n0 1\n1 -\n")
+
+
 # ---------------------------------------------------------------------------
 # intersection numbers against a pure-Python oracle
 # ---------------------------------------------------------------------------
