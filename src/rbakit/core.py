@@ -6,10 +6,12 @@ indices, and a mode flag. An exact RBA is stored as its integer view
 lam = N / D (``lam_int``), a float one as ``lam_float``; every RBA also
 keeps ``lam_float``. The axiom checks, the degree-map homomorphism test,
 standardization and the integrality test run on (D, N) with zero
-tolerances, or on (1, lam_float) with the float tolerances. Fractions are
-built per entry only for the text form, the ``lam`` accessor and reported
-offenders. Eigen-computations always run in doubles; exact mode only
-changes how identities are checked and how derived values are snapped back.
+tolerances, or on (1, lam_float) with the float tolerances; associativity,
+the one r^5 check, is float64 BLAS wherever that is exact (integer entries,
+r * max|N|^2 < 2^52) and einsum elsewhere. Fractions are built per entry
+only for the text form, the ``lam`` accessor and reported offenders.
+Eigen-computations always run in doubles; exact mode only changes how
+identities are checked and how derived values are snapped back.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ __all__ = [
 ]
 
 SNAP_MAX_DENOMINATOR = 10**6
-ASSOC_BLOCK = 2**20  # entries per block of the associativity check: memory r^3, not r^4
+ASSOC_BLOCK = 2**16  # entries per block of the associativity check: memory r^3, not r^4
 
 
 class RBAError(Exception):
@@ -376,7 +378,8 @@ def validate(rba: RBA, tol: ToleranceConfig = DEFAULT_TOL) -> ValidationReport:
     (tol.eps_zero for is-zero decisions). Every axiom is homogeneous in lam
     except the identity, whose 1 becomes D; residuals are divided by D (D^2
     for associativity), so they keep the units of lam. A residual that is
-    not finite raises NumericalError naming its check.
+    not finite raises NumericalError naming its check. Associativity, the one
+    r^5 check, is not run (and fails) when the identity check fails.
     """
     r = rba.rank
     star = rba.star
@@ -418,25 +421,54 @@ def validate(rba: RBA, tol: ToleranceConfig = DEFAULT_TOL) -> ValidationReport:
         )
     )
 
-    # associativity: sum_m lam[i,j,m] lam[m,k,l] = sum_m lam[j,k,m] lam[i,m,l],
-    # over blocks of i so that memory stays at ASSOC_BLOCK entries, not r^4
-    step = max(1, ASSOC_BLOCK // r**3)
-    res_assoc, worst = 0, None
-    for i0 in range(0, r, step):
-        block = lam[i0:i0 + step]
-        diff = abs(np.einsum("ijm,mkl->ijkl", block, lam) - np.einsum("jkm,iml->ijkl", lam, block))
-        res = diff.max()
-        if res > res_assoc or res != res:  # a NaN is kept, never passed over
-            res_assoc = res
-            worst = np.unravel_index(int(diff.argmax()) + i0 * r**3, (r, r, r, r))
-    detail = f"worst quadruple ({','.join(map(str, worst))})" if res_assoc > eps_res else ""
-    report.checks.append(
-        CheckResult("associativity", res_assoc <= eps_res, _div(res_assoc, d * d), detail)
-    )
+    # associativity, the one r^5 check: not run on a tensor whose b_0 is not an identity
+    if not report["identity"].passed:
+        report.checks.append(
+            CheckResult("associativity", False, 0.0, "not run: identity check failed")
+        )
+    else:
+        report.checks.append(_associativity(lam, d, eps_res))
     for c in report.checks:
         if not math.isfinite(c.residual):
             raise NumericalError(f"{c.name} residual is not finite ({c.residual})")
     return report
+
+
+def _associativity(lam, d, eps_res) -> CheckResult:
+    """sum_m lam[i,j,m] lam[m,k,l] = sum_m lam[j,k,m] lam[i,m,l] on lam = N / D
+    (D = 1 for a float tensor), over blocks of i so that memory stays at
+    ASSOC_BLOCK entries (one i when r^3 is larger), not r^4.
+
+    When every entry is an integer and r * max|lam|^2 < 2^52, both sides are
+    integers below 2^52 in magnitude, so float64 gemm computes them and their
+    difference exactly, in whatever order BLAS sums: the residual and the
+    worst quadruple are those of exact arithmetic. Any other tensor
+    (Python-int N, larger entries, decimals, NaN) runs in einsum, in the
+    arithmetic of lam's own dtype.
+    """
+    r = lam.shape[0]
+    top = float(abs(lam).max()) if lam.dtype != object else math.inf
+    gemm = r * top * top < 2**52 and (lam.dtype.kind == "i" or bool((lam == np.trunc(lam)).all()))
+    terms = lam.astype(float, copy=False) if gemm else lam
+    step = max(1, ASSOC_BLOCK // r**3)
+    res_assoc, worst = 0, None
+    for i0 in range(0, r, step):
+        block = terms[i0:i0 + step]
+        if gemm:
+            b = block.shape[0]
+            left = block.reshape(b * r, r) @ terms.reshape(r, r * r)
+            right = terms.reshape(r * r, r) @ block.transpose(1, 0, 2).reshape(r, b * r)
+            diff = abs(left.reshape(b, r, r, r) - right.reshape(r, r, b, r).transpose(2, 0, 1, 3))
+        else:
+            diff = abs(np.einsum("ijm,mkl->ijkl", block, lam) - np.einsum("jkm,iml->ijkl", lam, block))
+        res = diff.max()
+        if res > res_assoc or res != res:  # a NaN is kept, never passed over
+            res_assoc = res
+            worst = np.unravel_index(int(diff.argmax()) + i0 * r**3, (r, r, r, r))
+    if gemm:  # _div then rounds N / D^2 as it does einsum's int64 residual
+        res_assoc = lam.dtype.type(res_assoc)
+    detail = f"worst quadruple ({','.join(map(str, worst))})" if res_assoc > eps_res else ""
+    return CheckResult("associativity", res_assoc <= eps_res, _div(res_assoc, d * d), detail)
 
 
 # ---------------------------------------------------------------------------
@@ -527,11 +559,13 @@ def standardize(rba: RBA, dm: DegreeMap) -> RBA:
 def to_standard_basis(rba: RBA, dm: DegreeMap, tol: ToleranceConfig = DEFAULT_TOL):
     """(rba', dm', was_standard): the RBA in the standard basis and its degree map.
 
-    An input within tol.eps_residual of its rescaling counts as already
-    standard and comes back unchanged, with the dm it came with.
+    An input within tol.eps_residual of its rescaling, relative to its largest
+    entry when that is above 1, counts as already standard and comes back
+    unchanged, with the dm it came with.
     """
     standard = standardize(rba, dm)
-    if float(abs(standard.lam_float - rba.lam_float).max()) <= tol.eps_residual:
+    scale = max(1.0, float(abs(rba.lam_float).max()))
+    if float(abs(standard.lam_float - rba.lam_float).max()) <= tol.eps_residual * scale:
         return rba, dm, True
     return standard, degree_map(standard, tol), False
 

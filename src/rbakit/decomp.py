@@ -114,6 +114,7 @@ def central_idempotents(rba: RBA, tol: ToleranceConfig = DEFAULT_TOL):
     zb = center_basis(rba, tol)
     m = zb.shape[0]
     traces = np.einsum("ijj->i", rba.lam_float)
+    unit = rba.lam_float[:, :, 0]  # (v v)[0] = v unit v: the b_0 coefficient alone
     for attempt in range(8):
         rng = tol.rng(attempt)
         z = rng.uniform(-1.0, 1.0, m) @ zb
@@ -126,7 +127,7 @@ def central_idempotents(rba: RBA, tol: ToleranceConfig = DEFAULT_TOL):
         out = []
         for a in range(m):
             v = (evecs[:, a] @ zb).astype(complex)
-            v *= v[0] / rba.mul(v, v)[0]
+            v *= v[0] / np.einsum("i,j,ij->", v, v, unit)
             if abs(v.imag).max() < tol.eps_zero:
                 v = v.real.astype(complex)
             trace = float((v @ traces).real)

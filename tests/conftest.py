@@ -67,6 +67,15 @@ def rescale(rba, scale):
     return RBA(lam, rba.star)
 
 
+def overflow_rba_text(h) -> str:
+    """Rank 3 with b_0 an identity: b_1 b_1 = h b_2, b_2 b_2 = h b_1 and
+    b_1 b_2 = b_2 b_1 = h b_0. Associativity sets h^2 against h (and h^2
+    against h^2), so for h = 1e308 or 10^300 its residual does not fit a double."""
+    entries = [(0, 0, 0, 1), (0, 1, 1, 1), (0, 2, 2, 1), (1, 0, 1, 1), (2, 0, 2, 1),
+               (1, 1, 2, h), (2, 2, 1, h), (1, 2, 0, h), (2, 1, 0, h)]
+    return "rank 3\nstar 0 1 2\n" + "".join(f"lambda {i} {j} {k} {v}\n" for i, j, k, v in entries)
+
+
 def rank5_split_rba(seed):
     """Exact rank-5 RBA Q + M_2(Q) with one nonreal pair, split by construction.
 

@@ -8,9 +8,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from rbakit import core
 from rbakit.core import (
     RBA,
     AxiomError,
+    DegreeMap,
     NumericalError,
     StructuralError,
     ToleranceConfig,
@@ -21,9 +23,10 @@ from rbakit.core import (
     to_standard_basis,
     validate,
 )
-from rbakit.ingest import from_group
+from rbakit.fixtures import load_fixture
+from rbakit.ingest import from_group, from_scheme
 
-from conftest import TOL, rank5_split_rba, rescale
+from conftest import TOL, overflow_rba_text, rank5_split_rba, rescale, s3_table, s4_table
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +217,8 @@ def test_validate_python_int_fallback(s3_rba):
 
 
 def test_validate_non_finite_residual():
-    rba = RBA(np.full((1, 1, 1), 1e308), [0])   # lam^2 overflows: inf - inf
+    rba = RBA.from_text(overflow_rba_text("1e308"))   # products overflow: inf - inf
+    assert not rba.exact
     with pytest.raises(NumericalError, match="associativity residual is not finite"):
         validate(rba, TOL)
 
@@ -223,11 +227,94 @@ HUGE = 10**300  # fits a double; products of two such entries do not
 
 
 def test_validate_exact_residual_beyond_double():
-    rba = RBA.from_text(
-        f"rank 2\nstar 0 1\nlambda 0 1 0 {HUGE}\nlambda 1 0 0 {HUGE}\nlambda 1 1 0 1\n"
-    )
+    rba = RBA.from_text(overflow_rba_text(HUGE))
     assert rba.exact
     with pytest.raises(NumericalError, match=r"associativity residual is not finite \(inf\)"):
+        validate(rba, TOL)
+
+
+@pytest.mark.parametrize("text", [
+    "rank 1\nstar 0\nlambda 0 0 0 1e308\n",      # lam^2 would overflow: inf - inf
+    f"rank 2\nstar 0 1\nlambda 0 1 0 {HUGE}\nlambda 1 0 0 {HUGE}\nlambda 1 1 0 1\n",
+])
+def test_validate_skips_associativity_without_identity(text):
+    # b_0 is not an identity: the r^5 check is reported as not run, whatever
+    # it would have given
+    rep = validate(RBA.from_text(text), TOL)
+    assert not rep["identity"].passed
+    assoc = rep["associativity"]
+    assert (assoc.passed, assoc.residual, assoc.detail) == (
+        False, 0.0, "not run: identity check failed")
+
+
+def _assoc_reference(rba):
+    """(residual, detail) of associativity from one einsum over the whole
+    tensor (D, N) or (1, lam_float), in the arithmetic of its own dtype."""
+    d, lam = rba.lam_int if rba.exact else (1, rba.lam_float)
+    diff = abs(np.einsum("ijm,mkl->ijkl", lam, lam) - np.einsum("jkm,iml->ijkl", lam, lam))
+    worst = np.unravel_index(int(np.argmax(diff)), diff.shape)
+    res = diff[worst]
+    if res != res:
+        return math.nan, ""
+    detail = f"worst quadruple ({','.join(map(str, worst))})"
+    if rba.exact:
+        return float(Fraction(int(res), d * d)), detail if res else ""
+    return float(res), detail if res > TOL.eps_residual else ""
+
+
+def _perturbed(rba, entry, delta):
+    lam = rba.lam.copy()
+    lam[entry] += delta
+    return RBA(lam, rba.star)
+
+
+def _assoc_cases():
+    """Exact and float tensors on both sides of the bound r max|N|^2 < 2^52 under
+    which float64 gemm is exact, with and without a perturbed entry."""
+    one = Fraction(1)
+    s3, s4 = from_group(s3_table()), from_group(s4_table())
+    h33 = np.array([[sum(a != b for a, b in zip(x, y)) for y in itertools.product(range(3), repeat=3)]
+                    for x in itertools.product(range(3), repeat=3)])
+    scheme = from_scheme([(h33 == k).astype(int) for k in range(4)])
+    rank7 = load_fixture("rank7_h")
+    # the pair scaled by t puts t^2 at lam[1,2,0]: 6 t^4 just past 2^52, and just below
+    t = math.isqrt(math.isqrt(2**52 // 6))
+    while 6 * t**4 < 2**52:
+        t += 1
+    # dense signed entries with b_0 an identity: float64 products lose bits here
+    star, bound = np.arange(6), math.isqrt(2**61 // 6)
+    dense = np.random.default_rng(5).integers(-bound, bound, (6, 6, 6), endpoint=True)
+    dense[0], dense[:, 0] = np.eye(6, dtype=np.int64), np.eye(6, dtype=np.int64)
+    cases = {
+        "S4": s4,
+        "S4 perturbed at i = 21": _perturbed(s4, (21, 5, 7), 1),
+        "H(3,3)": scheme,
+        "H(3,3) perturbed": _perturbed(scheme, (2, 2, 1), 1),
+        "S3 rescaled, D > 1": rescale(s3, [one, Fraction(2, 3), Fraction(2, 3), Fraction(5, 7), one, one]),
+        "S3 rescaled by 3^10 (Python ints)": _perturbed(rescale(s3, [one] + [Fraction(3**10)] * 5), (1, 1, 2), 1),
+        "S3 6 t^4 past 2^52": _perturbed(rescale(s3, [one, t, t, one, one, one]), (1, 1, 2), 1),
+        "S3 6 t^4 below 2^52": _perturbed(rescale(s3, [one, t - 1, t - 1, one, one, one]), (1, 1, 2), 1),
+        "random int64, r max|N|^2 near 2^61": RBA(dense, star),
+        "rank5 exact, int64 past 2^52": rank5_split_rba(1),
+        "rank7_h (decimals)": rank7,
+        "rank7_h perturbed": _perturbed(rank7, (3, 4, 0), 1e-6),
+    }
+    floats = {f"{name}, float": RBA(rba.lam_float, rba.star) for name, rba in cases.items() if rba.exact}
+    return [pytest.param(rba, id=name) for name, rba in {**cases, **floats}.items()]
+
+
+@pytest.mark.parametrize("block", [1, core.ASSOC_BLOCK])   # one i per block, and the default
+@pytest.mark.parametrize("rba", _assoc_cases())
+def test_validate_associativity_matches_einsum_reference(rba, block, monkeypatch):
+    monkeypatch.setattr(core, "ASSOC_BLOCK", block)
+    assoc = validate(rba, TOL)["associativity"]
+    assert (assoc.residual, assoc.detail) == _assoc_reference(rba)
+
+
+def test_validate_associativity_nan_matches_einsum_reference():
+    rba = RBA.from_text(overflow_rba_text("1e308"))
+    assert math.isnan(_assoc_reference(rba)[0])
+    with pytest.raises(NumericalError, match=r"associativity residual is not finite \(nan\)"):
         validate(rba, TOL)
 
 
@@ -339,6 +426,19 @@ def test_to_standard_basis(s3_rba):
     assert not was_standard
     assert np.array_equal(std.lam, s3_rba.lam)
     assert list(dm2.values) == list(dm.values)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, float])
+def test_to_standard_basis_tolerance_is_relative(dtype):
+    # K_201 as a rank-2 scheme: lam[1,1,0] = 200, already standard. A float
+    # degree map off by 1e-10 relative moves the rescaled entries by ~4e-8,
+    # which is noise at this scale, not a change of basis.
+    lam = np.zeros((2, 2, 2), dtype=dtype)
+    lam[0, 0, 0] = lam[0, 1, 1] = lam[1, 0, 1] = 1
+    lam[1, 1] = [200, 199]
+    rba = RBA(lam, [0, 1])
+    dm = DegreeMap(np.array([1.0, 200 * (1 + 1e-10)]), exact=False)
+    assert to_standard_basis(rba, dm, TOL) == (rba, dm, True)
 
 
 def test_standardize_rejects_bad_diagonal(s3_rba):

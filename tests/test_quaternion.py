@@ -1,6 +1,7 @@
 """Quaternion arithmetic, the symbol's generators, Hilbert symbols."""
 
 import json
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -253,6 +254,26 @@ def test_hilbert_product_formula_seeded():
         for v in places.values():
             prod *= v
         assert prod == 1
+
+
+def test_hilbert_places_large_primes():
+    # (10^11 + 3)(10^11 + 19): trial division would take ~10^5.5 steps per
+    # prime test and 5 * 10^10 to factor
+    start = time.process_time()
+    places = hilbert_places(-1, 10000000002200000000057)
+    assert places == {2: 1, 100000000003: -1, 100000000019: -1, "inf": 1}
+    assert time.process_time() - start < 5.0
+
+
+def test_symbol_off_standard_by_1e_10(s3_rba):
+    # the pair scaled by 1 + 10^-10 stays within eps_residual of standard, so
+    # the symbol's a has a 61-digit numerator with the factor 2723957777^2
+    s = 1 + Fraction(1, 10**10)
+    start = time.process_time()
+    quaternion = analyze(rescale(s3_rba, [1, s, s, 1, 1, 1]), TOL).data["quaternion"]
+    assert (quaternion["verdict"], quaternion["field_mode"]) == ("split", "rational")
+    assert quaternion["local_symbols"]["2723957777"] == 1
+    assert time.process_time() - start < 5.0
 
 
 def test_hilbert_agrees_with_norm_equation_oracle():

@@ -1,6 +1,7 @@
 """AnalysisReport serialization and the command-line interface."""
 
 import json
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,7 @@ from rbakit.cli import main
 from rbakit.fixtures import fixture_text, load_fixture
 from rbakit.report import AnalysisReport, analyze, decode_value, encode_value
 
-from conftest import TOL, c_n_table, s4_table
+from conftest import TOL, c_n_table, overflow_rba_text, s4_table
 
 
 @pytest.fixture(scope="module")
@@ -345,11 +346,13 @@ def test_cli_rejects_duplicate_lambda(command, tmp_path, capsys):
 
 
 def test_cli_json_output_is_strict(tmp_path, capsys):
-    # 1e308 is finite, but the associativity residual of this rank-1 tensor is
+    # 1e308 is finite, but the associativity residual of this rank-3 tensor is
     # inf - inf: --json must fail (exit 2) rather than print bare NaN
     overflow = tmp_path / "overflow.rba"
-    overflow.write_text("rank 1\nstar 0\nlambda 0 0 0 1e308\n")
-    inputs = [_write_s3(tmp_path), str(overflow)]
+    overflow.write_text(overflow_rba_text("1e308"))
+    rank1 = tmp_path / "rank1.rba"   # not an identity: associativity is not run
+    rank1.write_text("rank 1\nstar 0\nlambda 0 0 0 1e308\n")
+    inputs = [_write_s3(tmp_path), str(overflow), str(rank1)]
     runs = [[command, path, "--json"] for command in RBA_COMMANDS for path in inputs]
     runs += [["hilbert", "-1", "-1", "--json"], ["hilbert", "2", "3", "--json"]]
     for argv in runs:
@@ -362,12 +365,23 @@ def test_cli_json_output_is_strict(tmp_path, capsys):
             assert code == 2, argv
 
 
+def test_cli_validate_without_identity_is_bounded(tmp_path, capsys):
+    # an empty rank-150 file: b_0 is not an identity, so the r^5 check is not run
+    empty = tmp_path / "empty.rba"
+    empty.write_text("rank 150\nstar " + " ".join(map(str, range(150))) + "\n")
+    start = time.process_time()
+    assert main(["validate", str(empty)]) == 1
+    assert time.process_time() - start < 1.0
+    assert "[FAIL] associativity: residual 0.000e+00  not run: identity check failed" in (
+        capsys.readouterr().out)
+
+
 @pytest.mark.parametrize("fmt", [[], ["--json"]])
 @pytest.mark.parametrize("command", ["validate", "analyze"])
 def test_cli_non_finite_residual_exits_2(command, fmt, tmp_path, capsys):
     # text and --json agree: the NaN residual is an error, not a report
     overflow = tmp_path / "overflow.rba"
-    overflow.write_text("rank 1\nstar 0\nlambda 0 0 0 1e308\n")
+    overflow.write_text(overflow_rba_text("1e308"))
     assert main([command, str(overflow), *fmt]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -379,8 +393,7 @@ def test_cli_non_finite_residual_exits_2(command, fmt, tmp_path, capsys):
 def test_cli_exact_residual_beyond_double_exits_2(command, fmt, tmp_path, capsys):
     # every entry fits a double, but the exact associativity residual is ~10^600
     huge = tmp_path / "huge.rba"
-    big = 10**300
-    huge.write_text(f"rank 2\nstar 0 1\nlambda 0 1 0 {big}\nlambda 1 0 0 {big}\nlambda 1 1 0 1\n")
+    huge.write_text(overflow_rba_text(10**300))
     assert main([command, str(huge), *fmt]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
