@@ -44,9 +44,8 @@ print("traces match the character row:",
       np.allclose(rep.traces(), chi.values_raw.real))
 
 # characteristic polynomials snap to rationals (rational field of definition)
-poly = charpoly_check(rep, s3)
-print("\nchar poly of X(r):", [str(c) for c in poly.entries[1].coeffs_exact],
-      "(t^2 + t + 1)")
+polys = charpoly_check(rep)
+print("\nchar poly of X(r):", [str(c) for c in polys[1]], "(t^2 + t + 1)")
 
 # symmetrization: conjugate a *-rep away and recover *-compatibility
 rng = np.random.default_rng(1)

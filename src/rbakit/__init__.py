@@ -40,7 +40,6 @@ from .decomp import (
 from .indicator import (
     IndicatorReport,
     classify_one_pair,
-    fs_indicator,
     indicator_report,
     rank7_trichotomy,
 )
@@ -89,7 +88,6 @@ __all__ = [
     "symmetrize",
     "IndicatorReport",
     "classify_one_pair",
-    "fs_indicator",
     "indicator_report",
     "rank7_trichotomy",
     "from_group",

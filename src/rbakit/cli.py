@@ -15,7 +15,14 @@ from .core import DEFAULT_TOL, RBA, RBAError, StructuralError, ToleranceConfig, 
 from .fixtures import fixture_text
 from .ingest import from_group, from_scheme, parse_cayley, parse_scheme
 from .quaternion import hilbert_places, symbol
-from .report import analyze, canonical_json, validation_section, write_atomic
+from .report import (
+    analyze,
+    canonical_json,
+    integrality_section,
+    symbol_section,
+    validation_section,
+    write_atomic,
+)
 from .integrality import integral_check
 from . import __version__
 
@@ -106,16 +113,7 @@ def _cmd_quaternion(args) -> int:
     tol = _tolerances(args)
     rba = _load_rba(args.path, args)
     sym = symbol(rba, tol)
-    payload = {
-        "a": sym.a_exact if sym.a_exact is not None else sym.a,
-        "beta": sym.beta_exact if sym.beta_exact is not None else sym.beta,
-        "field_mode": sym.field_mode,
-        "local_symbols": sym.local_symbols,
-        "verdict": sym.verdict,
-        "pair": list(sym.pair),
-        "y_label": sym.y_label,
-        "anticommute_residual": sym.anticommute_residual,
-    }
+    payload = {**symbol_section(sym), "y_label": sym.y_label}
     if args.json:
         _emit(args, canonical_json(payload))
     else:
@@ -158,13 +156,7 @@ def _cmd_check_integrality(args) -> int:
     tol = _tolerances(args)
     rba = _load_rba(args.path, args)
     result = integral_check(rba, tol.eps_zero)
-    payload = {
-        "integral": result.integral,
-        "offenders": [
-            {"i": i, "j": j, "k": k, "value": v} for i, j, k, v in result.offenders[:8]
-        ],
-        "offender_count": len(result.offenders),
-    }
+    payload = integrality_section(result)
     two = None
     if rba.rank == 7 and rba.star_fixed_count() == 1:
         # the only inputs that analyze gives a 2-adic section

@@ -6,6 +6,11 @@ table with multiplicities by two independent routes, extraction of an
 irreducible real *-representation, and symmetrization of an arbitrary real
 representation into a *-representation.
 
+Character values need no representation matrices. With the trace vector
+t_k = tr L(b_k) and P[i, j] = sum_k lam[i,j,k] t_k = tr L(b_i b_j), the
+character of the central idempotent e of degree n_chi is
+chi(b_i) = tr L(b_i e) / n_chi = (P e)_i / n_chi: one r x r matrix per table.
+
 All eigenwork is done in doubles; derived values are snapped back to small
 rationals where they fit.
 """
@@ -41,13 +46,18 @@ __all__ = [
     "symmetrize",
     "averaging_matrix",
     "charpoly_check",
-    "CharpolyReport",
 ]
 
 
 def regular_rep(rba: RBA) -> np.ndarray:
     """Left regular matrices L_i with (L_i)[k, j] = lam[i, j, k], shape (r, r, r)."""
     return np.ascontiguousarray(rba.lam_float.transpose(0, 2, 1))
+
+
+def _trace_products(rba: RBA) -> np.ndarray:
+    """P[i, j] = tr L(b_i b_j) = sum_k lam[i,j,k] tr L(b_k), shape (r, r)."""
+    lam = rba.lam_float
+    return lam @ np.einsum("ijj->i", lam)
 
 
 def rep_residual(rba: RBA, mats) -> float:
@@ -64,12 +74,18 @@ def center_basis(rba: RBA, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal coefficient vectors spanning the center, shape (m, r).
 
     Null space of the commutation system sum_i z_i (lam[i,j,k] - lam[j,i,k]) = 0.
+    Singular values are cut at eps_cluster relative to the largest, but never
+    below the noise that validate accepts in the tensor (eps_residual relative
+    to max(1, max|lam|)): on a commutative algebra every singular value is noise.
     """
     r = rba.rank
     lam = rba.lam_float
     comm = (lam - lam.transpose(1, 0, 2)).transpose(1, 2, 0).reshape(r * r, r)
     _, svals, vt = np.linalg.svd(comm, full_matrices=False)
-    thr = tol.eps_cluster * max(float(svals[0]) if len(svals) else 0.0, tol.eps_zero)
+    thr = max(
+        tol.eps_cluster * svals.max(initial=0.0),
+        tol.eps_residual * max(1.0, float(abs(lam).max())),
+    )
     null_mask = svals <= thr
     kept = svals[~null_mask]
     dropped = svals[null_mask & (svals > 0)]
@@ -97,11 +113,6 @@ class CentralIdempotent:
         return bool(abs(self.coeffs.imag).max() < 1e-7)
 
 
-def _left_mult_matrix(rba: RBA, coeffs) -> np.ndarray:
-    """Matrix of left multiplication by the element with the given coefficients."""
-    return np.einsum("i,ijk->kj", np.asarray(coeffs), rba.lam_float)
-
-
 def central_idempotents(rba: RBA, tol: ToleranceConfig = DEFAULT_TOL):
     """Central primitive idempotents from the eigenvectors of a central element.
 
@@ -113,13 +124,14 @@ def central_idempotents(rba: RBA, tol: ToleranceConfig = DEFAULT_TOL):
     """
     zb = center_basis(rba, tol)
     m = zb.shape[0]
-    traces = np.einsum("ijj->i", rba.lam_float)
-    unit = rba.lam_float[:, :, 0]  # (v v)[0] = v unit v: the b_0 coefficient alone
+    lam = rba.lam_float
+    traces = np.einsum("ijj->i", lam)
+    unit = lam[:, :, 0]  # (v v)[0] = v unit v: the b_0 coefficient alone
     for attempt in range(8):
         rng = tol.rng(attempt)
         z = rng.uniform(-1.0, 1.0, m) @ zb
-        zmat = _left_mult_matrix(rba, z)
-        zc, *_ = np.linalg.lstsq(zb.T, zmat @ zb.T, rcond=None)
+        # z acts on the center as zb L(z) zb^T: the rows of zb are orthonormal
+        zc = zb @ np.einsum("i,ijk->kj", z, lam) @ zb.T
         evals, evecs = np.linalg.eig(zc)
         close = abs(evals[:, None] - evals) < tol.eps_cluster * (1.0 + abs(evals[:, None]))
         if np.triu(close, 1).any():
@@ -212,14 +224,16 @@ def character_table(
 ) -> CharacterTable:
     """Character values, degrees and multiplicities of every irreducible character.
 
-    Multiplicities come from two independent routes that must agree:
+    Values are chi(b_i) = (P e)_i / n_chi with P = _trace_products(rba), one
+    matrix for the whole table (see the module docstring). Multiplicities come
+    from two independent routes that must agree:
     (a) m = n * e[0] / n_chi from the idempotent expansion, and
     (b) the linear solve sum_psi m_psi psi(b_i) = n * [i = 0].
     """
     if idempotents is None:
         idempotents = central_idempotents(rba, tol)
     r = rba.rank
-    L = regular_rep(rba)
+    trace_products = _trace_products(rba)
     n = dm.n_float
     warnings = []
     chars = []
@@ -228,9 +242,8 @@ def character_table(
             warnings.append(
                 f"non-split component detected (rank L(e) = {idem.block_dim}^2 fails)"
             )
-        le = _left_mult_matrix(rba, idem.coeffs)
         deg = idem.block_dim
-        vals = np.einsum("iab,ba->i", L, le) / deg
+        vals = trace_products @ idem.coeffs / deg
         mult_a = n * idem.coeffs[0] / deg
         chars.append(
             Character(
@@ -273,8 +286,8 @@ def character_table(
     delta_char = chars.pop(delta_idx)
     delta_char.multiplicity = Fraction(1)
 
-    def sort_key(c: Character):
-        return (c.degree, [(round(v.real, 6), round(v.imag, 6)) for v in c.values_raw])
+    def sort_key(c: Character):  # rounded (re, im) of each value, in order
+        return (c.degree, np.round(c.values_raw, 6).view(np.float64).tolist())
 
     chars.sort(key=sort_key)
     table = CharacterTable([delta_char] + chars, order=snap_value(n, tol.eps_zero))
@@ -301,26 +314,16 @@ class StarRep:
         return np.einsum("iaa->i", self.matrices)
 
 
-def _orthonormalized_regular(rba: RBA, dm: DegreeMap, tol: ToleranceConfig):
-    """Regular matrices conjugated by the Gram square root, plus the conjugators.
+def _orthonormalized_regular(rba: RBA, dm: DegreeMap):
+    """Regular matrices conjugated by the Gram square root, and its diagonal d.
 
     In these coordinates left multiplication by b_{i*} is the transpose of
-    left multiplication by b_i. Standard bases have a diagonal Gram matrix,
-    so the conjugation is a diagonal scaling there.
+    left multiplication by b_i. The pseudo-inverse axiom (lam[i, j*, 0] != 0
+    only for j = i) makes the Gram matrix diagonal in any basis, so its
+    square root is the diagonal scaling d = sqrt(diag G).
     """
-    L = regular_rep(rba)
-    g = gram_matrix(rba, dm)
-    off = abs(g - np.diag(np.diag(g))).max()
-    if off <= tol.eps_residual * max(1.0, abs(g).max()):
-        d = np.sqrt(np.diag(g))
-        ghalf = np.diag(d)
-        ginvhalf = np.diag(1.0 / d)
-        y = d[None, :, None] * L * (1.0 / d)[None, None, :]
-        return y, ghalf, ginvhalf
-    w, v = np.linalg.eigh((g + g.T) / 2)
-    ghalf = v @ np.diag(np.sqrt(w)) @ v.T
-    ginvhalf = v @ np.diag(1.0 / np.sqrt(w)) @ v.T
-    return np.einsum("ab,ibc,cd->iad", ghalf, L, ginvhalf), ghalf, ginvhalf
+    d = np.sqrt(np.diag(gram_matrix(rba, dm)))
+    return d[None, :, None] * regular_rep(rba) / d[None, None, :], d
 
 
 def star_rep_extract(
@@ -345,18 +348,18 @@ def star_rep_extract(
     r = rba.rank
     nchi = idem.block_dim
     lam = rba.lam_float
-    y, ghalf, ginvhalf = _orthonormalized_regular(rba, dm, tol)
+    y, d = _orthonormalized_regular(rba, dm)
     proj = np.einsum("i,iab->ab", idem.coeffs.real, y)
     pw, pv = np.linalg.eigh((proj + proj.T) / 2)
     basis = pv[:, pw > 0.5]
-    chi_vals = np.einsum("iab,ba->i", y, proj) / nchi
+    chi_vals = _trace_products(rba) @ idem.coeffs.real / nchi
 
     for attempt in range(8):
         rng = tol.rng(1000 + attempt)
         c = rng.uniform(-1.0, 1.0, r)
         c = (c + c[rba.star]) / 2.0
         rmat = np.einsum("i,jik->kj", c, lam)
-        ry = ghalf @ rmat @ ginvhalf
+        ry = d[:, None] * rmat / d[None, :]
         restricted = basis.T @ ry @ basis
         mw, mv = np.linalg.eigh((restricted + restricted.T) / 2)
         gaps = np.flatnonzero(np.diff(mw) >= tol.eps_cluster * (1.0 + abs(mw[:-1])))
@@ -370,7 +373,7 @@ def star_rep_extract(
         if (
             rep_residual(rba, mats) < tol.eps_residual * scale
             and rep.star_residual(rba) < tol.eps_residual * scale
-            and abs(rep.traces() - chi_vals.real).max() < tol.eps_residual * scale
+            and abs(rep.traces() - chi_vals).max() < tol.eps_residual * scale
         ):
             return rep
     raise NumericalError(
@@ -428,56 +431,15 @@ def symmetrize(
 # characteristic polynomials
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CharpolyEntry:
-    index: int
-    coeffs: np.ndarray            # float64, leading coefficient 1
-    coeffs_exact: list = None     # Fractions when every coefficient snapped
-    snapped: bool = False
+def charpoly_check(rep: StarRep, tol: ToleranceConfig = DEFAULT_TOL) -> list:
+    """Characteristic-polynomial coefficients of every image, snapped to rationals.
 
-
-@dataclass
-class CharpolyReport:
-    entries: list
-    expect_rational: bool
-
-    @property
-    def all_rational(self) -> bool:
-        return all(e.snapped for e in self.entries)
-
-    @property
-    def violations(self):
-        if not self.expect_rational:
-            return []
-        return [e.index for e in self.entries if not e.snapped]
-
-
-def charpoly_check(
-    rep: StarRep,
-    rba: RBA,
-    tol: ToleranceConfig = DEFAULT_TOL,
-    expect_rational=None,
-) -> CharpolyReport:
-    """Snap the characteristic-polynomial coefficients of every image to rationals.
-
-    With a rational field of definition and rational character values the
-    coefficients must land in the rationals; a snap failure there is a
-    violation (surfaced via .violations), otherwise it just means the field
-    of the character is bigger than the rationals (or noise).
+    Entry i lists the Fraction coefficients of X(b_i), leading 1 first, or is
+    None when one of them fails to snap: the field of the character is then
+    bigger than the rationals (or the image carries noise).
     """
-    if expect_rational is None:
-        expect_rational = rba.exact
-    entries = []
-    for i in range(rba.rank):
-        coeffs = np.poly(rep.matrices[i])
-        snapped = [snap_value(c, tol.eps_zero) for c in coeffs]
-        ok = all(isinstance(s, Fraction) for s in snapped)
-        entries.append(
-            CharpolyEntry(
-                index=i,
-                coeffs=coeffs,
-                coeffs_exact=snapped if ok else None,
-                snapped=ok,
-            )
-        )
-    return CharpolyReport(entries=entries, expect_rational=expect_rational)
+    out = []
+    for mat in rep.matrices:
+        snapped = [snap_value(c, tol.eps_zero) for c in np.poly(mat)]
+        out.append(snapped if all(isinstance(c, Fraction) for c in snapped) else None)
+    return out

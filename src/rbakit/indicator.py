@@ -9,6 +9,9 @@ representation matrices, so the indicator cross-checks the decomposition).
 nu lands in {-1, 0, +1}: 0 for non-real-valued characters, +1 when the
 character is realizable over the reals, -1 for quaternionic type. The
 *-fixed basis count satisfies s = sum_psi nu(psi) psi(b_0).
+
+The sum is linear in the character row: sum_i psi(b_i^2) / delta(b_i) =
+w . psi with w_k = sum_i lam[i,i,k] / delta(b_i), one vector per table.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ __all__ = [
     "IndicatorReport",
     "OnePairVerdict",
     "TrichotomyResult",
-    "fs_indicator",
     "indicator_report",
     "classify_one_pair",
     "rank7_trichotomy",
@@ -44,29 +46,6 @@ class IndicatorReport:
         return self.s_predicted == self.s_actual
 
 
-def _square_values(rba: RBA, char: Character) -> np.ndarray:
-    """psi(b_i^2) = sum_k lam[i,i,k] psi(b_k) from the tensor and the character row."""
-    squares = np.einsum("iik->ik", rba.lam_float)
-    return squares @ char.values_raw
-
-
-def _raw_indicator(rba: RBA, dm: DegreeMap, char: Character) -> complex:
-    sq = _square_values(rba, char)
-    return complex(
-        char.multiplicity_raw / (dm.n_float * char.degree) * np.sum(sq / dm.values_float)
-    )
-
-
-def fs_indicator(
-    table: CharacterTable,
-    rba: RBA,
-    dm: DegreeMap,
-    tol: ToleranceConfig = DEFAULT_TOL,
-):
-    """Snapped indicator per character, in table order."""
-    return indicator_report(table, rba, dm, tol).nu
-
-
 def indicator_report(
     table: CharacterTable,
     rba: RBA,
@@ -78,7 +57,9 @@ def indicator_report(
     Raw values farther than tol.eps_residual from every element of
     {-1, 0, 1} abort instead of rounding silently.
     """
-    raws = [_raw_indicator(rba, dm, c) for c in table]
+    n = dm.n_float
+    w = (1.0 / dm.values_float) @ np.einsum("iik->ik", rba.lam_float)
+    raws = [complex(c.multiplicity_raw / (n * c.degree) * (w @ c.values_raw)) for c in table]
     bound = tol.eps_residual * max(1.0, abs(rba.lam_float).max())
     nus = []
     for raw in raws:

@@ -38,6 +38,8 @@ __all__ = [
     "analyze",
     "canonical_json",
     "validation_section",
+    "symbol_section",
+    "integrality_section",
     "encode_value",
     "decode_value",
     "write_atomic",
@@ -72,8 +74,10 @@ def encode_value(v):
 
 
 def canonical_json(obj) -> str:
-    """Sorted, indented JSON of encode_value(obj); nan and inf raise ValueError."""
-    return json.dumps(encode_value(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """Sorted, indented JSON, with encode_value for every leaf json cannot encode;
+    nan and inf raise ValueError. Dicts with non-string keys must be passed
+    through encode_value first."""
+    return json.dumps(obj, default=encode_value, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def decode_value(v):
@@ -190,6 +194,31 @@ def validation_section(val) -> dict:
     }
 
 
+def symbol_section(sym) -> dict:
+    """(a, beta), exact where they snapped, and the verdicts of a QuaternionSymbol."""
+    return {
+        "a": encode_value(sym.a_exact if sym.a_exact is not None else sym.a),
+        "beta": encode_value(sym.beta_exact if sym.beta_exact is not None else sym.beta),
+        "field_mode": sym.field_mode,
+        "verdict": sym.verdict,
+        "local_symbols": encode_value(sym.local_symbols) if sym.local_symbols else None,
+        "pair": list(sym.pair),
+        "anticommute_residual": sym.anticommute_residual,
+    }
+
+
+def integrality_section(integ) -> dict:
+    """The verdict, offender count and first 8 offenders of an integral_check."""
+    return {
+        "integral": integ.integral,
+        "offender_count": len(integ.offenders),
+        "offenders": [
+            {"i": i, "j": j, "k": k, "value": encode_value(v)}
+            for i, j, k, v in integ.offenders[:8]
+        ],
+    }
+
+
 def _table_section(table, nus):
     rows = []
     for c, nu in zip(table, nus):
@@ -301,16 +330,7 @@ def analyze(source, tol: ToleranceConfig = DEFAULT_TOL, force_float: bool = Fals
     if one_pair.passed:
         try:
             sym = symbol(rba, tol, chi=one_pair.chi)
-            data["quaternion"] = {
-                "status": "computed",
-                "a": encode_value(sym.a_exact if sym.a_exact is not None else sym.a),
-                "beta": encode_value(sym.beta_exact if sym.beta_exact is not None else sym.beta),
-                "field_mode": sym.field_mode,
-                "verdict": sym.verdict,
-                "local_symbols": encode_value(sym.local_symbols) if sym.local_symbols else None,
-                "pair": list(sym.pair),
-                "anticommute_residual": sym.anticommute_residual,
-            }
+            data["quaternion"] = {"status": "computed", **symbol_section(sym)}
             verdicts.append(sym.verdict != "division")
         except NumericalError as exc:
             data["quaternion"] = {"status": f"failed: {exc}"}
@@ -322,14 +342,7 @@ def analyze(source, tol: ToleranceConfig = DEFAULT_TOL, force_float: bool = Fals
         data["quaternion"] = {"status": status}
 
     integ = integral_check(rba, tol.eps_zero)
-    data["integrality"] = {
-        "integral": integ.integral,
-        "offender_count": len(integ.offenders),
-        "offenders": [
-            {"i": i, "j": j, "k": k, "value": encode_value(v)}
-            for i, j, k, v in integ.offenders[:8]
-        ],
-    }
+    data["integrality"] = integrality_section(integ)
     verdicts.append(integ.integral)
     if (
         classification.get("rank7_class") == 1

@@ -6,7 +6,6 @@ from rbakit.core import degree_map
 from rbakit.decomp import central_idempotents, character_table
 from rbakit.indicator import (
     classify_one_pair,
-    fs_indicator,
     indicator_report,
     rank7_trichotomy,
 )
@@ -87,13 +86,6 @@ def test_raw_values_close_to_snapped(s3_rba, d8_rba, rank7_rba):
         _, table, report = _report(rba)
         for raw, nu in zip(report.raw, report.nu):
             assert abs(raw - nu) < 1e-8
-
-
-def test_fs_indicator_matches_report(s3_rba):
-    dm = degree_map(s3_rba, TOL)
-    table = character_table(s3_rba, dm, central_idempotents(s3_rba, TOL), TOL)
-    assert fs_indicator(table, s3_rba, dm, TOL) == [1, 1, 1]
-    assert indicator_report(table, s3_rba, dm, TOL).nu == [1, 1, 1]
 
 
 # ---------------------------------------------------------------------------
