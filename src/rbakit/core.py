@@ -6,10 +6,12 @@ indices, and a mode flag. An exact RBA is stored as its integer view
 lam = N / D (``lam_int``), a float one as ``lam_float``; every RBA also
 keeps ``lam_float``. The axiom checks, the degree-map homomorphism test,
 standardization and the integrality test run on (D, N) with zero
-tolerances, or on (1, lam_float) with the float tolerances; associativity,
-the one r^5 check, is float64 BLAS wherever that is exact (integer entries,
-r * max|N|^2 < 2^52) and einsum elsewhere. Fractions are built per entry
-only for the text form, the ``lam`` accessor and reported offenders.
+tolerances, or on (1, lam_float) with the float tolerances. Associativity,
+the one r^5 check, runs in float64 wherever that is exact (integer entries,
+r * max|N|^2 < 2^52): as a sort-join over the nonzeros when their count
+makes it cheaper, else as BLAS gemm; einsum runs elsewhere. The text form
+is parsed into integer pairs; Fractions are built per entry only for the
+text output, the ``lam`` accessor and reported offenders.
 Eigen-computations always run in doubles; exact mode only changes how
 identities are checked and how derived values are snapped back.
 """
@@ -44,6 +46,7 @@ __all__ = [
 
 SNAP_MAX_DENOMINATOR = 10**6
 ASSOC_BLOCK = 2**16  # entries per block of the associativity check: memory r^3, not r^4
+JOIN_FACTOR = 300     # measured gemm/join crossover of 2 r^5 / T in associativity (_join_kernel)
 
 
 class RBAError(Exception):
@@ -92,22 +95,38 @@ DEFAULT_TOL = ToleranceConfig()
 def snap_rational(x: float, eps: float, max_denominator: int = SNAP_MAX_DENOMINATOR):
     """Nearest small-denominator rational within eps of x, else None.
 
-    Continued-fraction snap via Fraction.limit_denominator, with a margin
-    guard: the error must also be well below the 1/q^2 scale at which the
-    convergents of irrationals live, otherwise sqrt(2) and friends would
-    snap onto their own convergents.
+    The candidate is Fraction(x).limit_denominator(max_denominator), found by
+    the same continued-fraction walk on the integers of x.as_integer_ratio()
+    and built as one Fraction. A margin guard follows: the error must also be
+    well below the 1/q^2 scale at which the convergents of irrationals live,
+    otherwise sqrt(2) and friends would snap onto their own convergents.
     """
     if isinstance(x, Fraction):
         return x
     if not math.isfinite(x):
         return None
-    cand = Fraction(x).limit_denominator(max_denominator)
-    err = abs(float(cand) - x)
-    if err > eps:
+    p, q = float(x).as_integer_ratio()
+    if q > max_denominator:
+        p0, q0, p1, q1 = 0, 1, 1, 0
+        n, d = p, q
+        while True:
+            a = n // d
+            q2 = q0 + a * q1
+            if q2 > max_denominator:
+                break
+            p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+            n, d = d, n - a * d
+        k = (max_denominator - q0) // q1
+        # the semiconvergent (p0 + k p1) / (q0 + k q1) sits 1 / (q1 (q0 + k q1))
+        # from p1 / q1, which sits d / (q1 q) from x: keep p1 / q1 on a tie
+        if 2 * d * (q0 + k * q1) <= q:
+            p, q = p1, q1
+        else:
+            p, q = p0 + k * p1, q0 + k * q1
+    err = abs(p / q - x)
+    if err > eps or err > 1e-6 / q**2:
         return None
-    if err > 1e-6 / cand.denominator**2:
-        return None
-    return cand
+    return Fraction(p, q)
 
 
 def snap_value(x, eps: float):
@@ -135,19 +154,19 @@ def _div(x, d) -> float:
 
 
 def _parse_scalar(token: str, lineno: int):
-    """Parse an .rba numeric token: 'p/q' and integer stay exact, decimals are
-    floats. nan and inf (spelled out, or reached by overflow) are refused, and
-    so is an exact value beyond the range of a double."""
+    """Parse an .rba numeric token: 'p/q' and integer give the pair (p, q), a
+    decimal gives a float. nan and inf (spelled out, or reached by overflow)
+    are refused, and so is an exact value beyond the range of a double."""
     token = token.strip()
     try:
         if "/" in token:
             num, den = token.split("/")
-            value = Fraction(int(num), int(den))
+            value = int(num), int(den)
         elif token.lstrip("+-").isdigit():
-            value = Fraction(int(token))
+            value = int(token), 1
         else:
             value = float(token)
-        finite = math.isfinite(value)
+        finite = math.isfinite(value[0] / value[1] if isinstance(value, tuple) else value)
     except (ValueError, ZeroDivisionError) as exc:
         raise StructuralError(f"line {lineno}: bad numeric token {token!r}") from exc
     except OverflowError:
@@ -288,12 +307,18 @@ class RBA:
             if not (0 <= i < rank and 0 <= j < rank and 0 <= k < rank):
                 raise StructuralError(f"lambda index ({i},{j},{k}) out of range for rank {rank}")
         values = [v for _, v in entries.values()]
-        if all(isinstance(v, Fraction) for v in values):
-            d, values = over_common_denominator(values)
+        if all(isinstance(v, tuple) for v in values):  # lam = N / D over one D
+            d = math.lcm(*(q for _, q in values))
+            values = [p * (d // q) for p, q in values]
             dtype = object if any(abs(v) >= 2**63 for v in values) else np.int64
         else:  # one decimal entry puts the whole RBA in float mode
             d, dtype = None, float
-        lam = np.zeros((rank, rank, rank), dtype=dtype)
+            values = [v[0] / v[1] if isinstance(v, tuple) else v for v in values]
+        try:
+            lam = np.zeros((rank, rank, rank), dtype=dtype)
+        except MemoryError:
+            raise StructuralError(
+                f"rank {rank}: the r^3 = {rank**3} entry tensor cannot be allocated") from None
         lam[tuple(np.array(list(entries), dtype=np.intp).reshape(-1, 3).T)] = values
         return cls._from_numerators(d, lam, star)
 
@@ -440,21 +465,25 @@ def _associativity(lam, d, eps_res) -> CheckResult:
     ASSOC_BLOCK entries (one i when r^3 is larger), not r^4.
 
     When every entry is an integer and r * max|lam|^2 < 2^52, both sides are
-    integers below 2^52 in magnitude, so float64 gemm computes them and their
-    difference exactly, in whatever order BLAS sums: the residual and the
-    worst quadruple are those of exact arithmetic. Any other tensor
-    (Python-int N, larger entries, decimals, NaN) runs in einsum, in the
-    arithmetic of lam's own dtype.
+    integers below 2^52 in magnitude, so float64 computes them and their
+    difference exactly, in any summation order: the residual and the worst
+    quadruple are those of exact arithmetic. Such a tensor runs in the
+    sort-join over its nonzeros (_join_kernel) when its work count says the
+    join is cheaper, else in gemm. Any other tensor (Python-int N, larger
+    entries, decimals, NaN) runs in einsum, in the arithmetic of lam's dtype.
     """
     r = lam.shape[0]
     top = float(abs(lam).max()) if lam.dtype != object else math.inf
-    gemm = r * top * top < 2**52 and (lam.dtype.kind == "i" or bool((lam == np.trunc(lam)).all()))
-    terms = lam.astype(float, copy=False) if gemm else lam
+    exact = r * top * top < 2**52 and (lam.dtype.kind == "i" or bool((lam == np.trunc(lam)).all()))
+    terms = lam.astype(float, copy=False) if exact else lam
+    join = _join_kernel(terms) if exact else None
     step = max(1, ASSOC_BLOCK // r**3)
     res_assoc, worst = 0, None
     for i0 in range(0, r, step):
         block = terms[i0:i0 + step]
-        if gemm:
+        if join is not None:
+            diff = abs(join(i0, i0 + block.shape[0]))
+        elif exact:
             b = block.shape[0]
             left = block.reshape(b * r, r) @ terms.reshape(r, r * r)
             right = terms.reshape(r * r, r) @ block.transpose(1, 0, 2).reshape(r, b * r)
@@ -465,10 +494,58 @@ def _associativity(lam, d, eps_res) -> CheckResult:
         if res > res_assoc or res != res:  # a NaN is kept, never passed over
             res_assoc = res
             worst = np.unravel_index(int(diff.argmax()) + i0 * r**3, (r, r, r, r))
-    if gemm:  # _div then rounds N / D^2 as it does einsum's int64 residual
+    if exact:  # _div then rounds N / D^2 as it does einsum's int64 residual
         res_assoc = lam.dtype.type(res_assoc)
     detail = f"worst quadruple ({','.join(map(str, worst))})" if res_assoc > eps_res else ""
     return CheckResult("associativity", res_assoc <= eps_res, _div(res_assoc, d * d), detail)
+
+
+def _expand(starts, counts):
+    """(owner, index) of every member of the runs starts[t] + range(counts[t]),
+    runs concatenated in the order of t."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    return owner, np.arange(len(owner)) + np.repeat(starts - np.cumsum(counts) + counts, counts)
+
+
+def _join_kernel(terms):
+    """The sort-join for associativity on the nonzeros of an integer-valued
+    float64 tensor, or None when gemm does less work.
+
+    Left (i,j,k,l) pairs each nonzero (i,j,m) with the nonzeros (m,k,l) of
+    first index m, right pairs each (i,m,l) with the nonzeros (j,k,m) of last
+    index m. With c1, c2, c3 the counts of nonzeros by first, middle and last
+    index, that is T = c3 . (c1 + c2) products against gemm's 2 r^5
+    multiply-adds; the join runs when JOIN_FACTOR * T < 2 r^5. The returned
+    function maps a block [i0, i1) of i to the flat left - right of that
+    block, summed by np.bincount: the array gemm gives, as exactly.
+    """
+    r = terms.shape[0]
+    first, mid, last = np.nonzero(terms)  # ordered by first index
+    c1, c2, c3 = (np.bincount(x, minlength=r) for x in (first, mid, last))
+    if JOIN_FACTOR * int(c3 @ (c1 + c2)) >= 2 * r**5:
+        return None
+    value = terms[first, mid, last]
+    start1 = np.concatenate([[0], np.cumsum(c1)])  # nonzeros of first index m: start1[m] + range(c1[m])
+    by_last = np.argsort(last, kind="stable")
+    start3 = np.cumsum(c3) - c3                     # of last index m: by_last[start3[m] + range(c3[m])]
+    ij, ml = first * r + mid, mid * r + last
+
+    def block(i0, i1):
+        lo, hi = start1[i0], start1[i1]  # the nonzeros with first index in [i0, i1)
+        m = last[lo:hi]  # left: (i,j,m) (m,k,l) at ((i r + j) r + k) r + l
+        a, b = _expand(start1[m], c1[m])
+        a += lo
+        key_left, w_left = ij[a] * r**2 + ml[b], value[a] * value[b]
+        m = mid[lo:hi]   # right: (j,k,m) (i,m,l) at ((i r + j) r + k) r + l
+        b, a = _expand(start3[m], c3[m])
+        a, b = by_last[a], b + lo
+        key_right, w_right = first[b] * r**3 + ij[a] * r + last[b], value[a] * value[b]
+        keys = np.concatenate([key_left, key_right]) - i0 * r**3
+        # each key sums at most r products per side, each below 2^52 / r in
+        # magnitude: every partial sum, in any order, is an integer below 2^53
+        return np.bincount(keys, np.concatenate([w_left, -w_right]), minlength=(i1 - i0) * r**3)
+
+    return block
 
 
 # ---------------------------------------------------------------------------

@@ -47,11 +47,15 @@ def d8_table():
     return np.array([[idx[mul(elems[i], elems[j])] for j in range(8)] for i in range(8)])
 
 
-def s4_table():
-    """S4 as permutations of {0,1,2,3} in lexicographic order (identity first)."""
-    perms = list(itertools.permutations(range(4)))
+def s_n_table(n):
+    """S_n as permutations of {0,...,n-1} in lexicographic order (identity first)."""
+    perms = list(itertools.permutations(range(n)))
     idx = {p: i for i, p in enumerate(perms)}
-    return np.array([[idx[tuple(p[q[x]] for x in range(4))] for q in perms] for p in perms])
+    return np.array([[idx[tuple(p[q[x]] for x in range(n))] for q in perms] for p in perms])
+
+
+def s4_table():
+    return s_n_table(4)
 
 
 def c_n_table(n):

@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rbakit import core
 from rbakit.core import (
@@ -26,7 +28,16 @@ from rbakit.core import (
 from rbakit.fixtures import load_fixture
 from rbakit.ingest import from_group, from_scheme
 
-from conftest import TOL, overflow_rba_text, rank5_split_rba, rescale, s3_table, s4_table
+from conftest import (
+    TOL,
+    c_n_table,
+    overflow_rba_text,
+    rank5_split_rba,
+    rescale,
+    s3_table,
+    s4_table,
+    s_n_table,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -131,6 +142,19 @@ def test_text_parse_rejects_duplicate_lambda():
     text = "rank 1\nstar 0\nlambda 0 0 0 1\n# again\nlambda 0 0 0 2\n"
     with pytest.raises(StructuralError, match=r"line 5: duplicate lambda 0 0 0 \(first on line 3\)"):
         RBA.from_text(text)
+
+
+def test_text_parse_exact_tokens():
+    # p/q tokens need not be in lowest terms, nor have a positive denominator
+    text = "rank 2\nstar 0 1\nlambda 0 0 0 1\nlambda 0 1 1 2/2\nlambda 1 0 1 {}\nlambda 1 1 0 {}\n"
+    rba = RBA.from_text(text.format("-3/-3", "6/-4"))
+    assert rba.exact and rba.lam_int[0] == 2
+    assert rba.lam[1, 1, 0] == Fraction(-3, 2) and rba.lam[1, 0, 1] == 1
+    # in a float RBA an exact token is p / q, rounded once
+    rba_f = RBA.from_text(text.format("1/3", "0.25"))
+    assert not rba_f.exact and rba_f.lam[1, 0, 1] == 1 / 3
+    with pytest.raises(StructuralError, match="line 6: bad numeric token '1/0'"):
+        RBA.from_text(text.format("1", "1/0"))
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +333,78 @@ def test_validate_associativity_matches_einsum_reference(rba, block, monkeypatch
     monkeypatch.setattr(core, "ASSOC_BLOCK", block)
     assoc = validate(rba, TOL)["associativity"]
     assert (assoc.residual, assoc.detail) == _assoc_reference(rba)
+
+
+def _exact_assoc_reference(rba):
+    """(residual, detail) of associativity on the integers N of an exact RBA,
+    by int64 einsum four i at a time: exact, since r max|N|^2 < 2^63. (An
+    object-dtype einsum is as exact but takes ~30 s at r = 48.)"""
+    d, n = rba.lam_int
+    assert n.dtype == np.int64 and rba.rank * int(abs(n).max()) ** 2 < 2**63
+    res, worst = 0, None
+    for i0 in range(0, rba.rank, 4):
+        block = n[i0:i0 + 4]
+        diff = abs(np.einsum("ijm,mkl->ijkl", block, n) - np.einsum("jkm,iml->ijkl", n, block))
+        at = np.unravel_index(int(np.argmax(diff)), diff.shape)
+        if diff[at] > res:
+            res, worst = diff[at], (at[0] + i0, *at[1:])
+    if not res:
+        return 0.0, ""
+    return float(Fraction(int(res), d * d)), f"worst quadruple ({','.join(map(str, worst))})"
+
+
+def _join_work(lam):
+    """T = c3 . (c1 + c2): the products of the sort-join, c1, c2, c3 the counts
+    of nonzeros by first, middle and last index."""
+    nz = np.asarray(lam) != 0
+    c1, c2, c3 = nz.sum(axis=(1, 2)), nz.sum(axis=(0, 2)), nz.sum(axis=(0, 1))
+    return int(c3 @ (c1 + c2))
+
+
+def _dense_scheme():
+    """The adjacency algebra of H(3,3) x H(3,2), rank 16, as an integer tensor."""
+    def scheme(d, q):
+        pts = list(itertools.product(range(q), repeat=d))
+        dist = np.array([[sum(a != b for a, b in zip(x, y)) for y in pts] for x in pts])
+        return from_scheme([(dist == k).astype(int) for k in range(d + 1)]).lam_int[1]
+    a, b = scheme(3, 3), scheme(3, 2)
+    lam = np.einsum("ace,bdf->abcdef", a, b).reshape(16, 16, 16)
+    return RBA(lam, np.arange(16))
+
+
+@pytest.mark.parametrize("build, kernel", [
+    (lambda: from_group(c_n_table(24)), "join"),
+    (lambda: from_group(c_n_table(48)), "join"),
+    (_dense_scheme, "gemm"),
+], ids=["C24", "C48", "H(3,3)xH(3,2)"])
+def test_associativity_kernel_matches_exact_reference(build, kernel):
+    rba = build()
+    r = rba.rank
+    # the work count picks the kernel: the join for the sparse group tensors
+    # (2 r^5 / T = r^2), gemm for the dense scheme tensor
+    assert ("join" if core.JOIN_FACTOR * _join_work(rba.lam_float) < 2 * r**5 else "gemm") == kernel
+    assert ("join" if core._join_kernel(rba.lam_float) is not None else "gemm") == kernel
+    # two entries off the identity row and column, one of them a new nonzero
+    lam = rba.lam_int[1].copy()
+    lam[5, 7, 3] += 2
+    lam[r - 1, 2, r - 2] -= 1
+    perturbed = RBA(lam, rba.star)
+    reference = _exact_assoc_reference(perturbed)
+    assert reference[0] > 0
+    for valid, broken in ((rba, perturbed), (RBA(rba.lam_float, rba.star), RBA(perturbed.lam_float, rba.star))):
+        assert validate(valid, TOL)["associativity"].passed
+        assoc = validate(broken, TOL)["associativity"]
+        assert (assoc.residual, assoc.detail) == reference
+
+
+def test_validate_exact_s5_is_bounded():
+    # the rank-120 group tensor has 120^2 nonzeros: the sort-join does ~2 r^3
+    # products where gemm does 2 r^5 multiply-adds
+    rba = from_group(s_n_table(5))
+    start = time.process_time()
+    rep = validate(rba, TOL)
+    assert time.process_time() - start <= 3.0
+    assert rba.exact and rep.passed
 
 
 def test_validate_associativity_nan_matches_einsum_reference():
@@ -493,8 +589,41 @@ def test_feasible_trace(s3_rba):
 # snapping
 # ---------------------------------------------------------------------------
 
+def _snap_reference(x, eps):
+    """snap_rational as Fraction.limit_denominator and the two guards."""
+    if not math.isfinite(x):
+        return None
+    cand = Fraction(x).limit_denominator(10**6)
+    err = abs(float(cand) - x)
+    return None if err > eps or err > 1e-6 / cand.denominator**2 else cand
+
+
+EPS = st.sampled_from([1e-12, 1e-9, 1e-6, 1e-3, 10.0])
+
+
+@settings(max_examples=500, deadline=None, database=None, derandomize=True)
+@given(st.floats(allow_nan=False, allow_infinity=False), EPS)
+def test_snap_rational_matches_limit_denominator(x, eps):
+    assert snap_rational(x, eps) == _snap_reference(x, eps)
+
+
+@settings(max_examples=500, deadline=None, database=None, derandomize=True)
+@given(st.integers(-10**8, 10**8), st.integers(1, 10**6),
+       st.sampled_from([0.0, 1e-15, -1e-12, 1e-9, 3e-7, 1e-4]), EPS)
+def test_snap_rational_matches_limit_denominator_near_fractions(p, q, noise, eps):
+    x = p / q + noise
+    assert snap_rational(x, eps) == _snap_reference(x, eps)
+
+
 def test_snap_rational():
+    # a denominator already <= 10^6 is its own candidate
     assert snap_rational(0.5, 1e-9) == Fraction(1, 2)
+    assert snap_rational(-0.0, 1e-9) == 0
+    for x in (math.nan, math.inf, -math.inf):
+        assert snap_rational(x, 1e-9) is None
+    # the semiconvergent -29000001/10^6 beats the convergent -29, then fails the margin
+    assert Fraction(-29.00000089134119).limit_denominator(10**6) == Fraction(-29000001, 10**6)
+    assert snap_rational(-29.00000089134119, 1e-6) is None
     assert snap_rational(1.1555555555555554, 1e-9) == Fraction(52, 45)
     assert snap_rational(float(np.pi), 1e-12) is None
     # within 2e-9 of 1/3 but outside the 1e-9 window, and the next convergent

@@ -319,6 +319,17 @@ def test_cli_structural_error(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "missing.rba")]) == 2
 
 
+def test_cli_unallocatable_rank_exits_2(tmp_path, capsys):
+    # the r^3 tensor of rank 10^5 (8 PB) is refused at allocation, before any
+    # memory is touched. A rank that does allocate still costs r^3.
+    big = tmp_path / "big.rba"
+    big.write_text("rank 100000\nstar " + " ".join(map(str, range(100000))) + "\n")
+    assert main(["validate", str(big)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "rank 100000: the r^3 = 1000000000000000 entry tensor cannot be allocated" in captured.err
+
+
 RBA_COMMANDS = ["analyze", "validate", "quaternion", "check-integrality"]
 
 
