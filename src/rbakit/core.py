@@ -8,12 +8,14 @@ keeps ``lam_float``. The axiom checks, the degree-map homomorphism test,
 standardization and the integrality test run on (D, N) with zero
 tolerances, or on (1, lam_float) with the float tolerances. Associativity,
 the one r^5 check, runs in float64 wherever that is exact (integer entries,
-r * max|N|^2 < 2^52): as a sort-join over the nonzeros when their count
-makes it cheaper, else as BLAS gemm; einsum runs elsewhere. The text form
-is parsed into integer pairs; Fractions are built per entry only for the
-text output, the ``lam`` accessor and reported offenders.
-Eigen-computations always run in doubles; exact mode only changes how
-identities are checked and how derived values are snapped back.
+r * max|N|^2 < 2^52): as a sort-join over the nonzeros, read at the keys
+its products touch, when their count makes it cheaper, else as BLAS gemm;
+einsum runs elsewhere. The degree map is sought among the real all-positive
+eigenvectors of one random element, tested by one product with the tensor.
+Text is parsed into integer pairs; Fractions are built only for the text
+output, the ``lam`` accessor and reported offenders. Eigen-computations run
+in doubles; exact mode changes how identities are checked and how derived
+values are snapped back.
 """
 
 from __future__ import annotations
@@ -478,11 +480,11 @@ def _associativity(lam, d, eps_res) -> CheckResult:
     terms = lam.astype(float, copy=False) if exact else lam
     join = _join_kernel(terms) if exact else None
     step = max(1, ASSOC_BLOCK // r**3)
-    res_assoc, worst = 0, None
+    res_assoc, worst, keys = 0, None, None  # keys: the flat indices diff holds, if not all
     for i0 in range(0, r, step):
         block = terms[i0:i0 + step]
         if join is not None:
-            diff = abs(join(i0, i0 + block.shape[0]))
+            keys, diff = join(i0, i0 + block.shape[0])
         elif exact:
             b = block.shape[0]
             left = block.reshape(b * r, r) @ terms.reshape(r, r * r)
@@ -490,10 +492,11 @@ def _associativity(lam, d, eps_res) -> CheckResult:
             diff = abs(left.reshape(b, r, r, r) - right.reshape(r, r, b, r).transpose(2, 0, 1, 3))
         else:
             diff = abs(np.einsum("ijm,mkl->ijkl", block, lam) - np.einsum("jkm,iml->ijkl", lam, block))
-        res = diff.max()
+        res = diff.max(initial=0)
         if res > res_assoc or res != res:  # a NaN is kept, never passed over
-            res_assoc = res
-            worst = np.unravel_index(int(diff.argmax()) + i0 * r**3, (r, r, r, r))
+            res_assoc = res  # the first worst quadruple: the smallest key at the maximum
+            at = int(diff.argmax()) if keys is None else int(keys[diff == res].min())
+            worst = np.unravel_index(at + i0 * r**3, (r, r, r, r))
     if exact:  # _div then rounds N / D^2 as it does einsum's int64 residual
         res_assoc = lam.dtype.type(res_assoc)
     detail = f"worst quadruple ({','.join(map(str, worst))})" if res_assoc > eps_res else ""
@@ -516,8 +519,9 @@ def _join_kernel(terms):
     index m. With c1, c2, c3 the counts of nonzeros by first, middle and last
     index, that is T = c3 . (c1 + c2) products against gemm's 2 r^5
     multiply-adds; the join runs when JOIN_FACTOR * T < 2 r^5. The returned
-    function maps a block [i0, i1) of i to the flat left - right of that
-    block, summed by np.bincount: the array gemm gives, as exactly.
+    function maps a block [i0, i1) of i to the flat keys its products touch
+    and |left - right| at those keys, summed by np.bincount as exactly as gemm
+    sums them; every other entry of the block is 0.
     """
     r = terms.shape[0]
     first, mid, last = np.nonzero(terms)  # ordered by first index
@@ -543,7 +547,8 @@ def _join_kernel(terms):
         keys = np.concatenate([key_left, key_right]) - i0 * r**3
         # each key sums at most r products per side, each below 2^52 / r in
         # magnitude: every partial sum, in any order, is an integer below 2^53
-        return np.bincount(keys, np.concatenate([w_left, -w_right]), minlength=(i1 - i0) * r**3)
+        full = np.bincount(keys, np.concatenate([w_left, -w_right]), minlength=(i1 - i0) * r**3)
+        return keys, abs(full[keys])
 
     return block
 
@@ -552,39 +557,31 @@ def _join_kernel(terms):
 # degree map computation
 # ---------------------------------------------------------------------------
 
-def _one_dim_reps(rba: RBA, tol: ToleranceConfig):
-    """All one-dimensional representations, found as common eigenvectors of the
-    transposed left regular matrices and filtered by the homomorphism property."""
+def degree_map(rba: RBA, tol: ToleranceConfig = DEFAULT_TOL) -> DegreeMap:
+    """The unique all-positive one-dimensional representation, plus the order n.
+
+    A one-dimensional representation (v_0 = 1) is a common eigenvector of the
+    transposed left regular matrices: a column of the eigenvectors of a seeded
+    random combination of them. The real all-positive columns are tested
+    together by one matrix product; the search reseeds until one passes.
+    """
     r = rba.rank
     lam = rba.lam_float
-    found = []
+    scale = max(1.0, abs(lam).max())
     for attempt in range(8):
-        rng = tol.rng(attempt)
-        c = rng.uniform(-1.0, 1.0, r)
-        m = np.einsum("i,ijk->jk", c, lam)  # acts on value vectors: (Mw)_j = sum_k c.lam[.,j,k] w_k
-        _, vecs = np.linalg.eig(m)
-        scale = max(1.0, abs(lam).max())
-        for t in range(r):
-            v = vecs[:, t]
-            if abs(v[0]) < tol.eps_zero:
-                continue
-            v = v / v[0]
-            if abs(v.imag).max() < tol.eps_zero:
-                v = v.real
-            res = abs(np.einsum("ijk,k->ij", lam, v) - np.outer(v, v)).max()
-            if res > tol.eps_residual * scale * r:
-                continue
-            if not any(abs(v - u).max() < tol.eps_cluster * scale for u in found):
-                found.append(v)
-        if found:
+        c = tol.rng(attempt).uniform(-1.0, 1.0, r)
+        _, vecs = np.linalg.eig(np.einsum("i,ijk->jk", c, lam))  # (Mw)_j = sum_k c.lam[.,j,k] w_k
+        vecs = vecs[:, abs(vecs[0]) >= tol.eps_zero]
+        vecs = vecs / vecs[0]
+        vecs = vecs[:, abs(vecs.imag).max(axis=0) < tol.eps_zero].real
+        vecs = vecs[:, vecs.min(axis=0) > tol.eps_zero]
+        res = abs(lam.reshape(r * r, r) @ vecs - (vecs[:, None] * vecs[None]).reshape(r * r, -1))
+        positive = []
+        for v in vecs[:, res.max(axis=0) <= tol.eps_residual * scale * r].T:
+            if not any(abs(v - u).max() < tol.eps_cluster * scale for u in positive):
+                positive.append(v)
+        if positive:
             break
-    return found
-
-
-def degree_map(rba: RBA, tol: ToleranceConfig = DEFAULT_TOL) -> DegreeMap:
-    """The unique all-positive one-dimensional representation, plus the order n."""
-    reps = _one_dim_reps(rba, tol)
-    positive = [v for v in reps if np.isrealobj(v) and v.min() > tol.eps_zero]
     if not positive:
         raise NumericalError("no positive degree map")
     if len(positive) > 1:
@@ -596,9 +593,12 @@ def degree_map(rba: RBA, tol: ToleranceConfig = DEFAULT_TOL) -> DegreeMap:
     if rba.exact:
         snapped = [snap_rational(x, tol.eps_zero) for x in vals]
         if all(s is not None for s in snapped):
-            # sum_k lam[i,j,k] v_k = v_i v_j, times D E^2, with v = V / E
+            # sum_k lam[i,j,k] v_k = v_i v_j, times D E^2, with v = V / E: int64 when it fits
             d, lam = rba.lam_int
             e, v = over_common_denominator(snapped)
+            top = max(abs(v))
+            if lam.dtype != object and max(r * int(abs(lam).max()) * e, d * top) * top < 2**63:
+                v = v.astype(np.int64)
             if np.array_equal(e * np.einsum("ijk,k->ij", lam, v), d * np.outer(v, v)):
                 return DegreeMap(np.array(snapped, dtype=object), exact=True)
     return DegreeMap(vals, exact=False)

@@ -457,6 +457,46 @@ def test_degree_map_missing():
         degree_map(RBA(lam, [0, 1]), TOL)
 
 
+def test_degree_map_two_positive_reps():
+    # b_1^2 = -2 b_0 + 3 b_1: x^2 = 3x - 2 has the two positive roots 1 and 2
+    lam = np.zeros((2, 2, 2))
+    lam[0, 0, 0] = lam[0, 1, 1] = lam[1, 0, 1] = 1.0
+    lam[1, 1, 0], lam[1, 1, 1] = -2.0, 3.0
+    with pytest.raises(NumericalError, match="2 all-positive"):
+        degree_map(RBA(lam, [0, 1]), TOL)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(st.data())
+def test_degree_map_relabelled_and_rescaled(data):
+    # b'_a = t_a b_{p[a]} with p[0] = 0 and t_a = t_{a*} has degrees t_a delta_{p[a]}
+    rba = load_fixture(data.draw(st.sampled_from(["s3", "d8", "rank7_h"])))
+    r = rba.rank
+    p = np.array([0] + data.draw(st.permutations(range(1, r))))
+    inv = np.argsort(p)
+    star = inv[rba.star[p]]
+    draws = data.draw(st.lists(st.floats(0.5, 2.0), min_size=r, max_size=r))
+    t = np.array([1.0] + [draws[min(a, star[a])] for a in range(1, r)])
+    lam = rba.lam_float[np.ix_(p, p, p)] * t[:, None, None] * t[None, :, None] / t[None, None, :]
+    expected = t * degree_map(rba, TOL).values_float[p]
+    got = degree_map(RBA(lam, star), TOL)
+    assert not got.exact
+    assert abs(got.values / expected - 1).max() <= 1e-10
+
+
+def test_degree_map_exact_s5_is_bounded():
+    # the positive candidates of one eig are tested by one product with the
+    # r^3 tensor, not one r^3 einsum per eigenvector
+    rba = from_group(s_n_table(5))
+    seconds = []
+    for _ in range(3):  # the best of three: waking idle BLAS threads can cost ~1 s once
+        start = time.process_time()
+        dm = degree_map(rba, TOL)
+        seconds.append(time.process_time() - start)
+    assert min(seconds) <= 0.25
+    assert dm.exact and dm.n == 120 and set(dm.values) == {1}
+
+
 # ---------------------------------------------------------------------------
 # standardization
 # ---------------------------------------------------------------------------
