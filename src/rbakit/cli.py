@@ -1,8 +1,12 @@
 """Command-line interface.
 
 Subcommands: analyze, validate, quaternion, hilbert, check-integrality,
-example, from-group, from-scheme. Exit codes: 0 all checks pass, 1 a
-mathematical verdict is negative, 2 input or contract error.
+example, from-group, from-scheme. Each takes only the flags it reads: the
+commands on an .rba file take --json, --tol, --seed (not validate, which
+draws no random number), --exact, --float and --out; hilbert takes --json
+and --out; example, from-group and from-scheme take --out. Exit codes: 0
+all checks pass, 1 a mathematical verdict is negative, 2 input or contract
+error (a malformed flag, or a --tol that is not finite and positive).
 """
 
 from __future__ import annotations
@@ -30,17 +34,10 @@ INPUT_ERRORS = (RBAError, ValueError, FileNotFoundError, IsADirectoryError)  # e
 
 
 def _tolerances(args) -> ToleranceConfig:
-    eps = args.tol
-    seed = args.seed
-    if seed is None:
-        seed = int(os.environ.get("RBA_SEED", "0"))
-    if eps is None:
-        return ToleranceConfig(rng_seed=seed)
+    seed = getattr(args, "seed", None)  # validate has no --seed
     return ToleranceConfig(
-        eps_zero=min(DEFAULT_TOL.eps_zero, eps),
-        eps_cluster=max(DEFAULT_TOL.eps_cluster, eps),
-        eps_residual=eps,
-        rng_seed=seed,
+        DEFAULT_TOL.eps_residual if args.tol is None else args.tol,
+        int(os.environ.get("RBA_SEED", "0")) if seed is None else seed,
     )
 
 
@@ -203,55 +200,39 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"rbakit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, path=True):
-        if path:
-            p.add_argument("path", help=".rba file, '-' for stdin")
-        p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--tol", type=float, default=None, metavar="EPS",
-                       help="residual tolerance (default 1e-8)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="RNG seed (default: $RBA_SEED or 0)")
-        p.add_argument("--exact", action="store_true",
-                       help="require exact rational mode")
-        p.add_argument("--float", action="store_true",
-                       help="force float mode")
-        p.add_argument("--out", default=None, metavar="PATH",
-                       help="write output to PATH (atomic)")
-
-    p = sub.add_parser("analyze", help="full pipeline report (file, '-' or directory)")
-    common(p)
-    p.set_defaults(func=_cmd_analyze)
-
-    p = sub.add_parser("validate", help="check the defining axioms")
-    common(p)
-    p.set_defaults(func=_cmd_validate)
-
-    p = sub.add_parser("quaternion", help="quaternion symbol of the degree-2 component")
-    common(p)
-    p.set_defaults(func=_cmd_quaternion)
-
-    p = sub.add_parser("hilbert", help="local Hilbert symbols of a rational pair")
-    p.add_argument("a", help="nonzero rational, e.g. -1 or 3/4")
-    p.add_argument("b", help="nonzero rational")
-    common(p, path=False)
-    p.set_defaults(func=_cmd_hilbert)
-
-    p = sub.add_parser("check-integrality", help="integrality of the structure constants")
-    common(p)
-    p.set_defaults(func=_cmd_check_integrality)
-
-    p = sub.add_parser("example", help="emit a bundled example as .rba text")
-    p.add_argument("name", help="example name (rank7)")
-    common(p, path=False)
-    p.set_defaults(func=_cmd_example)
-
-    p = sub.add_parser("from-group", help="RBA of a group Cayley table")
-    common(p)
-    p.set_defaults(func=_cmd_from_group)
-
-    p = sub.add_parser("from-scheme", help="RBA of an association scheme")
-    common(p)
-    p.set_defaults(func=_cmd_from_scheme)
+    flags = {
+        "--json": dict(action="store_true", help="machine-readable output"),
+        "--tol": dict(type=float, default=None, metavar="EPS",
+                      help="residual tolerance (default 1e-8); also sets the zero cut "
+                           "min(1e-9, EPS) and the cluster gap max(1e-6, EPS)"),
+        "--seed": dict(type=int, default=None, help="RNG seed (default: $RBA_SEED or 0)"),
+        "--exact": dict(action="store_true", help="require exact rational mode"),
+        "--float": dict(action="store_true", help="force float mode"),
+        "--out": dict(default=None, metavar="PATH", help="write output to PATH (atomic)"),
+    }
+    every = list(flags)
+    path = {"path": ".rba file, '-' for stdin"}
+    # each subcommand takes only the flags it reads
+    for name, func, summary, positional, names in [
+        ("analyze", _cmd_analyze, "full pipeline report (file, '-' or directory)", path, every),
+        ("validate", _cmd_validate, "check the defining axioms", path,
+         [f for f in every if f != "--seed"]),  # nothing in validate draws a random number
+        ("quaternion", _cmd_quaternion, "quaternion symbol of the degree-2 component", path, every),
+        ("hilbert", _cmd_hilbert, "local Hilbert symbols of a rational pair",
+         {"a": "nonzero rational, e.g. -1 or 3/4", "b": "nonzero rational"}, ["--json", "--out"]),
+        ("check-integrality", _cmd_check_integrality, "integrality of the structure constants",
+         path, every),
+        ("example", _cmd_example, "emit a bundled example as .rba text",
+         {"name": "example name (rank7)"}, ["--out"]),
+        ("from-group", _cmd_from_group, "RBA of a group Cayley table", path, ["--out"]),
+        ("from-scheme", _cmd_from_scheme, "RBA of an association scheme", path, ["--out"]),
+    ]:
+        p = sub.add_parser(name, help=summary)
+        for arg, arg_help in positional.items():
+            p.add_argument(arg, help=arg_help)
+        for flag in names:
+            p.add_argument(flag, **flags[flag])
+        p.set_defaults(func=func)
     return parser
 
 

@@ -15,7 +15,9 @@ eigenvectors of one random element, tested by one product with the tensor.
 Text is parsed into integer pairs; Fractions are built only for the text
 output, the ``lam`` accessor and reported offenders. Eigen-computations run
 in doubles; exact mode changes how identities are checked and how derived
-values are snapped back.
+values are snapped back. One tolerance, ToleranceConfig.eps_residual, sets
+the residual bound, the is-zero cut and the cluster gap; bounds on the
+tensor are relative to ``RBA.scale`` = max(1, max|lam|).
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ __all__ = [
 SNAP_MAX_DENOMINATOR = 10**6
 ASSOC_BLOCK = 2**16  # entries per block of the associativity check: memory r^3, not r^4
 JOIN_FACTOR = 300     # measured gemm/join crossover of 2 r^5 / T in associativity (_join_kernel)
+_FIELDS = {"rank": 2, "lambda": 5}  # fields on a line of these .rba directives
 
 
 class RBAError(Exception):
@@ -69,18 +72,28 @@ class NumericalError(RBAError):
 
 @dataclass(frozen=True)
 class ToleranceConfig:
-    """Numerical thresholds and the seed used by randomized procedures."""
+    """One tolerance and the seed used by randomized procedures.
 
-    eps_zero: float = 1e-9
-    eps_cluster: float = 1e-6
+    eps_residual bounds residuals; the is-zero cut eps_zero = min(1e-9, eps)
+    and the cluster gap eps_cluster = max(1e-6, eps) follow from it.
+    """
+
     eps_residual: float = 1e-8
     rng_seed: int = 0
 
     def __post_init__(self):
-        if min(self.eps_zero, self.eps_cluster, self.eps_residual) <= 0:
-            raise StructuralError("tolerances must be strictly positive")
-        if self.eps_zero > self.eps_cluster:
-            raise StructuralError("eps_zero must not exceed eps_cluster")
+        if not 0 < self.eps_residual < math.inf:  # NaN fails too
+            raise StructuralError(
+                f"tolerance eps_residual must be finite and positive, got {self.eps_residual}")
+
+    # cached: hot loops read them once per value, a plain attribute after the first
+    @functools.cached_property
+    def eps_zero(self) -> float:
+        return min(1e-9, self.eps_residual)
+
+    @functools.cached_property
+    def eps_cluster(self) -> float:
+        return max(1e-6, self.eps_residual)
 
     def rng(self, attempt: int = 0) -> np.random.Generator:
         """Deterministic generator for a given retry attempt."""
@@ -241,6 +254,11 @@ class RBA:
             return self.lam_float
         return np.frompyfunc(Fraction, 2, 1)(self.lam_int[1].astype(object), self.lam_int[0])
 
+    @functools.cached_property
+    def scale(self) -> float:
+        """max(1, max|lam|): the size that tolerances on the tensor are relative to."""
+        return max(1.0, float(abs(self.lam_float).max()))
+
     # -- basis structure ----------------------------------------------------
 
     def nonreal_pairs(self):
@@ -284,6 +302,9 @@ class RBA:
             if not line:
                 continue
             fields = line.split()
+            if len(fields) != _FIELDS.get(fields[0], len(fields)):
+                raise StructuralError(f"line {lineno}: a '{fields[0]}' line has "
+                                      f"{_FIELDS[fields[0]]} fields, not {len(fields)}")
             try:
                 if fields[0] == "rank":
                     rank = int(fields[1])
@@ -299,7 +320,7 @@ class RBA:
                     entries[key] = (lineno, _parse_scalar(fields[4], lineno))
                 else:
                     raise StructuralError(f"line {lineno}: unknown directive {fields[0]!r}")
-            except (IndexError, ValueError) as exc:
+            except ValueError as exc:
                 raise StructuralError(f"line {lineno}: {raw!r}") from exc
         if rank is None or rank < 1:
             raise StructuralError("missing or invalid 'rank' line")
@@ -567,7 +588,7 @@ def degree_map(rba: RBA, tol: ToleranceConfig = DEFAULT_TOL) -> DegreeMap:
     """
     r = rba.rank
     lam = rba.lam_float
-    scale = max(1.0, abs(lam).max())
+    scale = rba.scale
     for attempt in range(8):
         c = tol.rng(attempt).uniform(-1.0, 1.0, r)
         _, vecs = np.linalg.eig(np.einsum("i,ijk->jk", c, lam))  # (Mw)_j = sum_k c.lam[.,j,k] w_k
@@ -641,8 +662,7 @@ def to_standard_basis(rba: RBA, dm: DegreeMap, tol: ToleranceConfig = DEFAULT_TO
     unchanged, with the dm it came with.
     """
     standard = standardize(rba, dm)
-    scale = max(1.0, float(abs(rba.lam_float).max()))
-    if float(abs(standard.lam_float - rba.lam_float).max()) <= tol.eps_residual * scale:
+    if float(abs(standard.lam_float - rba.lam_float).max()) <= tol.eps_residual * rba.scale:
         return rba, dm, True
     return standard, degree_map(standard, tol), False
 

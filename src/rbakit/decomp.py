@@ -84,7 +84,7 @@ def center_basis(rba: RBA, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     _, svals, vt = np.linalg.svd(comm, full_matrices=False)
     thr = max(
         tol.eps_cluster * svals.max(initial=0.0),
-        tol.eps_residual * max(1.0, float(abs(lam).max())),
+        tol.eps_residual * rba.scale,
     )
     null_mask = svals <= thr
     kept = svals[~null_mask]
@@ -353,6 +353,7 @@ def star_rep_extract(
     pw, pv = np.linalg.eigh((proj + proj.T) / 2)
     basis = pv[:, pw > 0.5]
     chi_vals = _trace_products(rba) @ idem.coeffs.real / nchi
+    bound = tol.eps_residual * rba.scale
 
     for attempt in range(8):
         rng = tol.rng(1000 + attempt)
@@ -369,11 +370,10 @@ def star_rep_extract(
         emb = basis @ mv[:, pick]
         mats = np.einsum("pa,ipq,qb->iab", emb, y, emb)
         rep = StarRep(dim=nchi, matrices=mats)
-        scale = max(1.0, abs(lam).max())
         if (
-            rep_residual(rba, mats) < tol.eps_residual * scale
-            and rep.star_residual(rba) < tol.eps_residual * scale
-            and abs(rep.traces() - chi_vals).max() < tol.eps_residual * scale
+            rep_residual(rba, mats) < bound
+            and rep.star_residual(rba) < bound
+            and abs(rep.traces() - chi_vals).max() < bound
         ):
             return rep
     raise NumericalError(
@@ -405,7 +405,7 @@ def symmetrize(
     r = rba.rank
     if phi.shape[0] != r or phi.ndim != 3 or phi.shape[1] != phi.shape[2]:
         raise ValueError(f"expected (r, d, d) images, got {phi.shape}")
-    scale = max(1.0, abs(rba.lam_float).max(), float(abs(phi).max()) ** 2)
+    scale = max(rba.scale, float(abs(phi).max()) ** 2)
     prod_res = rep_residual(rba, phi)
     if prod_res > tol.eps_residual * scale:
         raise ValueError(f"Phi is not a representation (product residual {prod_res:.3e})")

@@ -60,7 +60,7 @@ def indicator_report(
     n = dm.n_float
     w = (1.0 / dm.values_float) @ np.einsum("iik->ik", rba.lam_float)
     raws = [complex(c.multiplicity_raw / (n * c.degree) * (w @ c.values_raw)) for c in table]
-    bound = tol.eps_residual * max(1.0, abs(rba.lam_float).max())
+    bound = tol.eps_residual * rba.scale
     nus = []
     for raw in raws:
         best = min((-1, 0, 1), key=lambda t: abs(raw - t))

@@ -240,23 +240,14 @@ def _table_section(table, nus):
     }
 
 
-def analyze(source, tol: ToleranceConfig = DEFAULT_TOL, force_float: bool = False) -> AnalysisReport:
-    """Run the whole pipeline on an RBA (or a path / .rba text) and report.
+def analyze(rba: RBA, tol: ToleranceConfig = DEFAULT_TOL, force_float: bool = False) -> AnalysisReport:
+    """Run the whole pipeline on an RBA and report.
 
     The report records every verdict; overall_pass requires the axioms,
     all consistency cross-checks, and integrality (when the tensor is
     integral nothing is flagged; a non-integral tensor is a negative
     mathematical verdict, mirroring the 2-adic theorem's subject).
     """
-    if isinstance(source, RBA):
-        rba = source
-        origin = "<object>"
-    elif isinstance(source, str) and "\n" in source:
-        rba = RBA.from_text(source)
-        origin = "<text>"
-    else:
-        rba = RBA.from_file(source)
-        origin = str(source)
     if force_float and rba.exact:
         rba = RBA(rba.lam_float, rba.star, rba.labels)
 
@@ -269,7 +260,7 @@ def analyze(source, tol: ToleranceConfig = DEFAULT_TOL, force_float: bool = Fals
             "eps_cluster": tol.eps_cluster,
             "eps_residual": tol.eps_residual,
             "seed": tol.rng_seed,
-            "source": os.path.basename(origin) if origin not in ("<object>", "<text>") else origin,
+            "source": "<object>",
         },
         "rba": {
             "rank": rba.rank,

@@ -415,10 +415,15 @@ def test_validate_associativity_nan_matches_einsum_reference():
 
 
 def test_tolerance_config_invariants():
-    with pytest.raises(StructuralError):
-        ToleranceConfig(eps_zero=0.0)
-    with pytest.raises(StructuralError):
-        ToleranceConfig(eps_zero=1e-3, eps_cluster=1e-6)
+    for eps in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(StructuralError, match="tolerance eps_residual must be finite"):
+            ToleranceConfig(eps_residual=eps)
+
+
+@pytest.mark.parametrize("eps", [1e-12, 1e-9, 1e-8, 1e-6, 1e-3])
+def test_tolerance_config_derives_zero_and_cluster_cuts(eps):
+    tol = ToleranceConfig(eps)
+    assert (tol.eps_zero, tol.eps_cluster) == (min(1e-9, eps), max(1e-6, eps))
 
 
 # ---------------------------------------------------------------------------

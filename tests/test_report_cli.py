@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from rbakit.cli import main
+from rbakit.core import RBA
 from rbakit.fixtures import fixture_text, load_fixture
 from rbakit.report import AnalysisReport, analyze, decode_value, encode_value
 
@@ -71,7 +72,7 @@ def test_analyze_exact_s4():
 
 def test_analyze_invalid_rba():
     text = "rank 2\nstar 0 1\nlambda 0 0 0 1\nlambda 0 1 1 1\nlambda 1 0 1 1\nlambda 1 1 0 -1\n"
-    rep = analyze(text, TOL)
+    rep = analyze(RBA.from_text(text), TOL)
     assert not rep.data["validation"]["passed"]
     assert rep.exit_code == 1
 
@@ -228,7 +229,6 @@ def test_cli_from_group_and_scheme(tmp_path, capsys):
     cayley.write_text(fixture_text("s3"))
     assert main(["from-group", str(cayley)]) == 0
     rba_text = capsys.readouterr().out
-    from rbakit.core import RBA
     assert RBA.from_text(rba_text).rank == 6
 
     # export the regular scheme of the same group and re-ingest
@@ -280,6 +280,28 @@ def test_cli_tol_flag(tmp_path, capsys):
     assert main(["analyze", path, "--json", "--tol", "1e-6"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["meta"]["eps_residual"] == 1e-6
+
+
+@pytest.mark.parametrize("eps", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize("command", ["validate", "analyze"])
+def test_cli_rejects_bad_tolerance(command, eps, tmp_path, capsys):
+    assert main([command, _write_s3(tmp_path), "--tol", eps]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: tolerance eps_residual must be finite and positive" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["hilbert", "-1", "-1", "--float"],
+    ["example", "rank7", "--json"],
+    ["from-group", "s3.cayley", "--tol", "1e-6"],
+    ["validate", "s3.rba", "--seed", "3"],
+])
+def test_cli_rejects_flags_the_command_does_not_read(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_cli_seed_and_env(tmp_path, capsys, monkeypatch):
@@ -340,6 +362,22 @@ def test_cli_rejects_non_finite_tokens(command, tmp_path, capsys):
     for token, message in cases:
         bad = tmp_path / "bad.rba"
         bad.write_text(f"rank 1\nstar 0\nlambda 0 0 0 {token}\n")
+        assert main([command, str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+
+@pytest.mark.parametrize("command", RBA_COMMANDS)
+def test_cli_rejects_wrong_field_count(command, tmp_path, capsys):
+    cases = [
+        ("rank 1 7\nstar 0\nlambda 0 0 0 1\n", "line 1: a 'rank' line has 2 fields, not 3"),
+        ("rank 1\nstar 0\nlambda 0 0 0 1 9/2\n", "line 3: a 'lambda' line has 5 fields, not 6"),
+        ("rank 1\nstar 0\nlambda 0 0 0\n", "line 3: a 'lambda' line has 5 fields, not 4"),
+    ]
+    for text, message in cases:
+        bad = tmp_path / "bad.rba"
+        bad.write_text(text)
         assert main([command, str(bad)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
