@@ -6,7 +6,8 @@ commands on an .rba file take --json, --tol, --seed (not validate, which
 draws no random number), --exact, --float and --out; hilbert takes --json
 and --out; example, from-group and from-scheme take --out. Exit codes: 0
 all checks pass, 1 a mathematical verdict is negative, 2 input or contract
-error (a malformed flag, or a --tol that is not finite and positive).
+error (a malformed flag, a --tol that is not finite and positive, or an
+RBA_SEED that is not an integer where --seed would read it).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import sys
 
 from .core import DEFAULT_TOL, RBA, RBAError, StructuralError, ToleranceConfig, validate
 from .fixtures import fixture_text
-from .ingest import from_group, from_scheme, parse_cayley, parse_scheme
+from .ingest import from_group, from_scheme, parse_cayley
 from .quaternion import hilbert_places, symbol
 from .report import (
     analyze,
@@ -34,11 +35,14 @@ INPUT_ERRORS = (RBAError, ValueError, FileNotFoundError, IsADirectoryError)  # e
 
 
 def _tolerances(args) -> ToleranceConfig:
-    seed = getattr(args, "seed", None)  # validate has no --seed
-    return ToleranceConfig(
-        DEFAULT_TOL.eps_residual if args.tol is None else args.tol,
-        int(os.environ.get("RBA_SEED", "0")) if seed is None else seed,
-    )
+    seed = getattr(args, "seed", 0)  # validate has no --seed and reads no RBA_SEED
+    if seed is None:
+        env = os.environ.get("RBA_SEED", "0")
+        try:
+            seed = int(env)
+        except ValueError:
+            raise StructuralError(f"RBA_SEED must be an integer, got {env!r}") from None
+    return ToleranceConfig(DEFAULT_TOL.eps_residual if args.tol is None else args.tol, seed)
 
 
 def _read_source(path: str) -> str:
@@ -187,7 +191,7 @@ def _cmd_from_group(args) -> int:
 
 
 def _cmd_from_scheme(args) -> int:
-    rba = from_scheme(parse_scheme(_read_source(args.path)))
+    rba = from_scheme(_read_source(args.path))
     _emit(args, rba.to_text())
     return 0
 

@@ -9,8 +9,6 @@ Scheme file: line 1 "points v classes r", then r blocks of v rows of 0/1
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from .core import RBA, StructuralError
@@ -32,15 +30,36 @@ def _content_lines(text: str):
             yield lineno, line
 
 
+def _digit_rows(data: bytes, start: int, blocks: int, m: int):
+    """(blocks, m, m) uint8 array of the ASCII in data from `start` when it is
+    `blocks` blocks of m lines of m single digits one space apart, every line
+    ending in a newline, with blank lines only before, between and after the
+    blocks; None for anything else. Each block is read from its bytes at once."""
+    if blocks <= 0 or m <= 0 or len(data) - start < blocks * 2 * m * m:
+        return None
+    pairs = np.full(m, ord("0") + 256 * ord(" "), dtype=np.uint16)  # a digit and its separator
+    pairs[-1] = ord("0") + 256 * ord("\n")
+    digits = np.empty((blocks, m, m), dtype=np.uint16)
+    for b in range(blocks):
+        while start < len(data) and data[start] == ord("\n"):
+            start += 1
+        if len(data) - start < 2 * m * m:
+            return None
+        block = np.frombuffer(data, dtype="<u2", count=m * m, offset=start).reshape(m, m)
+        np.subtract(block, pairs, out=digits[b])  # a non-digit or a wrong separator wraps past 9
+        start += 2 * m * m
+    if data.count(b"\n", start) != len(data) - start or (digits > 9).any():
+        return None
+    return digits.astype(np.uint8)
+
+
 def _int64_rows(rows, m: int, shape: str) -> np.ndarray:
     """m x m int64 array of (line number, content) rows, else StructuralError(shape).
     A bad token raises int()'s ValueError; a token beyond int64 is a StructuralError
     naming its line. Single digits one space apart are read from their bytes."""
-    if len(rows) == m and all(len(line) == 2 * m - 1 for _, line in rows):
-        chars = np.frombuffer(" ".join(line for _, line in rows).encode(), dtype=np.uint8)
-        digits = chars[::2] - np.uint8(ord("0"))  # a non-digit wraps past 9
-        if len(chars) == 2 * m * m - 1 and (chars[1::2] == ord(" ")).all() and (digits < 10).all():
-            return digits.astype(np.int64).reshape(m, m)
+    digits = _digit_rows(("\n".join(line for _, line in rows) + "\n").encode(), 0, 1, m)
+    if digits is not None:
+        return digits[0].astype(np.int64)
     rows = [(n, line.split()) for n, line in rows]
     if len(rows) != m or any(len(tokens) != m for _, tokens in rows):
         raise StructuralError(shape)
@@ -91,8 +110,18 @@ def from_group(table) -> RBA:
     return RBA(lam, np.argmax(table == 0, axis=1))
 
 
-def parse_scheme(text: str) -> list:
-    lines = list(_content_lines(text))
+def parse_scheme(text: str) -> np.ndarray:
+    """(r, v, v) int64 stack of the relation matrices of scheme text."""
+    return _scheme_stack(text).astype(np.int64, copy=False)
+
+
+def _scheme_stack(text: str) -> np.ndarray:
+    """parse_scheme's stack; uint8 when the blocks under a header on line 1 are
+    single digits one space apart, read from their bytes. Other text goes line by
+    line, to the same values or the same error."""
+    end = text.find("\n")
+    fast = end > 0 and text.startswith("points") and len(text[:end].splitlines()) == 1
+    lines = [(1, text[:end].split("#", 1)[0])] if fast else list(_content_lines(text))
     if not lines or not lines[0][1].startswith("points"):
         raise StructuralError("scheme file must start with 'points v classes r'")
     fields = lines[0][1].split()
@@ -100,58 +129,92 @@ def parse_scheme(text: str) -> list:
         v, r = int(fields[1]), int(fields[3])
     except (IndexError, ValueError) as exc:
         raise StructuralError("bad scheme header") from exc
+    if fast:
+        data = text.encode() if text.endswith("\n") else (text + "\n").encode()
+        digits = _digit_rows(data, data.index(b"\n") + 1, r, v)
+        if digits is not None:
+            return digits
+        lines = list(_content_lines(text))
     shape = f"expected {r} blocks of {v} rows of {v} entries"
     body = lines[1:]
     if len(body) != v * r:
         raise StructuralError(shape)
-    return [_int64_rows(body[b * v:(b + 1) * v], v, shape) for b in range(r)]
+    return np.array([_int64_rows(body[b * v:(b + 1) * v], v, shape) for b in range(r)],
+                    dtype=np.int64)
+
+
+def _float_relations(relations) -> np.ndarray:
+    """(r, v, v) float32 copy of r square 0/1 matrices of one size."""
+    relations = relations if isinstance(relations, np.ndarray) else list(relations)
+    if len(relations) == 0:
+        raise StructuralError("no relation matrices")
+    rel = np.asarray(relations) if len({np.shape(m) for m in relations}) == 1 else np.zeros(0)
+    if rel.ndim != 3 or not rel.shape[1] == rel.shape[2] > 0 or not ((rel == 0) | (rel == 1)).all():
+        raise StructuralError("relations must be square 0/1 matrices of equal size")
+    return rel.astype(np.float32)
 
 
 def from_scheme(relations) -> RBA:
     """Adjacency-algebra RBA of an association scheme, in its standard basis.
 
     lam[i,j,k] is the intersection number read off from R_i R_j = sum_k p R_k;
-    star is the transpose permutation and the valencies are the degrees.
-    The products R_i R_j run in float32 BLAS and are exact: every entry, and
-    every partial sum of it, is a count of at most v < 2^24 points. Products
-    with R_0 = I are not formed, and R_j* R_i* = (R_i R_j)^T is not formed again.
+    star is the transpose permutation and the valencies are the degrees. The
+    axioms are checked on the colour matrix color = sum_k k R_k. Closure needs
+    only a few generators: the span V of the R_k holds I, so V is an algebra
+    once R_g V lies in V for each generator g and the words in them span V.
+    The first R_i outside the span so far becomes a generator; its products
+    run in float32 BLAS, exact as every partial sum counts at most v < 2^24
+    points. The span grows by u -> u lam[g] mod p = 2^31 - 1, and rank r mod p
+    gives rank r over Q (a minor nonzero mod p is nonzero). An entry of
+    u lam[g] is below p times the valency of R_g, which int64 holds while
+    v < 2^32 (past that the step would need Python ints), and an elimination
+    step stays below p^2 < 2^62. Then each lam[i,j,k] is read at one pair of R_k.
     """
-    if isinstance(relations, str):
-        relations = parse_scheme(relations)
-    mats = [np.asarray(m, dtype=int) for m in relations]
-    r = len(mats)
-    if r == 0:
-        raise StructuralError("no relation matrices")
-    v = mats[0].shape[0]
-    for m in mats:
-        if m.shape != (v, v) or not ((m == 0) | (m == 1)).all():
-            raise StructuralError("relations must be square 0/1 matrices of equal size")
-    if not np.array_equal(mats[0], np.eye(v, dtype=int)):
+    rel = _float_relations(_scheme_stack(relations) if isinstance(relations, str) else relations)
+    r, v = rel.shape[:2]
+    flat = rel.reshape(r, v * v)
+    if flat[0].sum() != v or not flat[0, ::v + 1].all():
         raise StructuralError("R_0 must be the identity relation")
-    if not np.array_equal(sum(mats), np.ones((v, v), dtype=int)):
+    count, color = (np.array([np.ones(r), np.arange(r)], dtype=np.float32) @ flat).reshape(2, v, v)
+    if (count != 1).any():
         raise StructuralError("relations must partition the point pairs (sum to all-ones)")
-    star = [next((j for j in range(r) if np.array_equal(m.T, mats[j])), -1) for m in mats]
-    if -1 in star:
-        raise StructuralError(f"transpose of relation {star.index(-1)} is not a relation")
-    color = sum(k * m for k, m in enumerate(mats)).ravel()  # the relation of each pair
-    sizes = np.bincount(color, minlength=r)
-    if not sizes.all():
-        raise StructuralError(f"relation {int(np.argmin(sizes))} is empty")
-    first = np.argmax(color == np.arange(r)[:, None], axis=1)  # one pair per relation
-    lam = np.zeros((r, r, r), dtype=np.int64)
-    lam[0, np.arange(r), np.arange(r)] = lam[np.arange(r), 0, np.arange(r)] = 1  # R_0 = I
-    floats = [m.astype(np.float32) for m in mats]
-    for i, j in itertools.product(range(1, r), repeat=2):
-        if (star[j], star[i]) < (i, j):  # lam[j*,i*,k*] = lam[i,j,k], checked already
-            lam[i, j] = lam[star[j], star[i]][star]
-            continue
-        prod = (floats[i] @ floats[j]).ravel()
-        lam[i, j] = const = prod[first]
-        bad = prod != const[color]
-        if bad.any():
-            raise StructuralError(f"not a scheme: R_{i} R_{j} is not constant on "
-                                  f"R_{int(color[bad].min())}")
-    return RBA(lam, star)
+    x, y = np.divmod(np.argmax(flat, axis=1), v)  # one pair (x, y) of each relation
+    star = color[y, x].astype(np.intp)
+    if ((star.astype(np.float32) @ flat).reshape(v, v) != color.T).any():  # star[color] vs color^T
+        k = next(k for k in range(r) if not (rel == rel[k].T).all(axis=(1, 2)).any())
+        raise StructuralError(f"transpose of relation {k} is not a relation")
+    empty = color[x, y] != np.arange(r)
+    if empty.any():
+        raise StructuralError(f"relation {int(np.argmax(empty))} is empty")
+    p, unit = 2**31 - 1, np.eye(r, dtype=np.int64)
+    span, gens, todo = [(0, unit[0])], [], []  # echelon rows (pivot, u) mod p; u to add
+
+    def reduce(u):  # u minus its part in the span, mod p
+        for c, b in span:
+            if u[c]:
+                u = (u - u[c] * b) % p
+        return u
+
+    while len(span) < r:
+        i = next(i for i in range(1, r) if reduce(unit[i]).any())  # the next generator
+        gen = unit[[i] * r]  # row j is lam[i, j]; R_i R_0 = R_i
+        for j in range(1, r):
+            prod = rel[i] @ rel[j]
+            gen[j] = const = prod[x, y]
+            bad = prod != (const @ flat).reshape(v, v)
+            if bad.any():
+                raise StructuralError(f"not a scheme: R_{i} R_{j} is not constant on "
+                                      f"R_{int(color[bad].min())}")
+        gens.append(gen)
+        todo += [b @ gen % p for _, b in span]
+        while todo and len(span) < r:  # the Krylov closure of I under the generators
+            u = reduce(todo.pop())
+            if u.any():
+                c = int(np.argmax(u != 0))
+                span.append((c, u * pow(int(u[c]), -1, p) % p))
+                todo += [span[-1][1] @ g % p for g in gens]
+    idx = (color[x] * r + color[:, y].T) * r + np.arange(r)[:, None]  # (i, j, k) at each z
+    return RBA(np.bincount(idx.astype(np.intp).ravel(), minlength=r**3).reshape(r, r, r), star)
 
 
 def thin_scheme(table) -> list:

@@ -6,12 +6,16 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rbakit import ingest
 from rbakit.cli import main
 from rbakit.core import StructuralError, degree_map, validate
+from rbakit.fixtures import fixture_text
 from rbakit.ingest import from_group, from_scheme, parse_cayley, parse_scheme, thin_scheme
 
-from conftest import TOL, c_n_table, cayley_check, d8_table, s3_table
+from conftest import TOL, c_n_table, cayley_check, d8_table, s3_table, s4_table
 
 
 # a Latin square with identity that is not associative (order-5 loop)
@@ -107,6 +111,7 @@ def test_thin_scheme_equals_group(s3_rba):
 def test_thin_scheme_d8(d8_rba):
     scheme = from_scheme(thin_scheme(d8_table()))
     assert np.array_equal(scheme.lam, d8_rba.lam)
+    assert np.array_equal(scheme.star, d8_rba.star)
 
 
 def test_from_scheme_valencies_are_degrees():
@@ -212,6 +217,11 @@ def _relabelled(color, rng):
     return [[rel[color[pts[x]][pts[y]]] for y in range(v)] for x in range(v)]
 
 
+def _relations(color):
+    arr = np.array(color)
+    return [(arr == k).astype(int) for k in range(arr.max() + 1)]
+
+
 def _hamming(d, q):
     pts = list(itertools.product(range(q), repeat=d))
     return [[sum(a != b for a, b in zip(x, y)) for y in pts] for x in pts]
@@ -230,8 +240,7 @@ def _johnson(n, k):
 def test_from_scheme_matches_oracle(build):
     start = time.process_time()
     color = build()
-    arr = np.array(color)
-    rba = from_scheme([(arr == k).astype(int) for k in range(arr.max() + 1)])
+    rba = from_scheme(_relations(color))
     assert rba.lam.tolist() == _oracle(color)
     assert list(rba.star) == list(range(rba.rank))  # symmetric schemes
     assert time.process_time() - start <= 1.0
@@ -275,3 +284,152 @@ def test_cli_token_beyond_int64_names_its_line(command, text, lineno, tmp_path, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: line {lineno}: entry out of range\n"
+
+
+# ---------------------------------------------------------------------------
+# closure from generators: inputs that need more than R_1, and non-schemes
+# ---------------------------------------------------------------------------
+
+def _q8_table():
+    """Q8 as the unit quaternions +-1, +-i, +-j, +-k (identity first)."""
+    def mul(p, q):
+        a1, b1, c1, d1 = p
+        a2, b2, c2, d2 = q
+        return (a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2, a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+                a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2, a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2)
+
+    units = [tuple(s * (k == i) for k in range(4)) for i in range(4) for s in (1, -1)]
+    idx = {u: n for n, u in enumerate(units)}
+    return np.array([[idx[mul(p, q)] for q in units] for p in units])
+
+
+def test_from_scheme_needs_a_second_generator():
+    # H(4,2) with distance 2 as R_1: R_1 spans only the even distances (the
+    # halved cube), so closure takes a second generator
+    dist = _hamming(4, 2)
+    rel = [0, 2, 1, 3, 4]  # distance d becomes relation rel[d]
+    color = [[rel[d] for d in row] for row in dist]
+    oracle = _oracle(color)
+    even = [0, 1, 4]
+    assert all(oracle[1][j][k] == 0 for j in even for k in range(5) if k not in even)
+    rba = from_scheme(_relations(color))
+    assert rba.lam.tolist() == oracle
+
+
+@pytest.mark.parametrize("table", [_q8_table, s4_table], ids=["Q8", "S4"])
+def test_thin_scheme_matches_group(table):
+    assert cayley_check(table())
+    scheme, group = from_scheme(thin_scheme(table())), from_group(table())
+    assert np.array_equal(scheme.lam_int[1], group.lam_int[1])
+    assert np.array_equal(scheme.star, group.star)
+
+
+SCHEMES = {
+    "H(3,2)": lambda: _hamming(3, 2),
+    "J(5,2)": lambda: _johnson(5, 2),
+    "S3": lambda: np.argsort(s3_table(), axis=1).tolist(),  # (u, u g) has colour g
+}
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(st.sampled_from(sorted(SCHEMES)), st.data())
+def test_from_scheme_commutes_with_renumbering(name, data):
+    color = SCHEMES[name]()
+    v, r = len(color), 1 + max(map(max, color))
+    pts = data.draw(st.permutations(range(v)))
+    rel = [0] + data.draw(st.permutations(range(1, r)))
+    renumbered = [[rel[color[pts[x]][pts[y]]] for y in range(v)] for x in range(v)]
+    base, moved = from_scheme(_relations(color)), from_scheme(_relations(renumbered))
+    inv = np.argsort(rel)  # relation k of the renumbered scheme is relation inv[k] here
+    assert np.array_equal(moved.lam_int[1], base.lam_int[1][np.ix_(inv, inv, inv)])
+    assert list(moved.star) == [rel[base.star[inv[k]]] for k in range(r)]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_from_scheme_rejects_a_swapped_pair(seed):
+    # moving one point pair (and its transpose) from R_i to R_j and another back
+    # changes a valency in some row, so R_i R_i is not constant on R_0
+    rng = random.Random(seed)
+    mats = _relations(_relabelled(_johnson(6, 2) if seed % 2 else _hamming(3, 3), rng))
+    i, j = rng.sample(range(1, len(mats)), 2)
+    for src, dst in ((i, j), (j, i)):
+        a, b = rng.choice(np.argwhere(mats[src] == 1).tolist())
+        mats[src][a, b] = mats[src][b, a] = 0
+        mats[dst][a, b] = mats[dst][b, a] = 1
+    with pytest.raises(StructuralError, match="^not a scheme: "):
+        from_scheme(mats)
+
+
+def test_from_scheme_checks_products_beyond_the_first_generator():
+    # pairs of points (blocks) over the blocks of the 4-path: R_1 is "same block",
+    # R_2 joins blocks adjacent on the path and R_3 the rest. R_1 R_j = R_j for
+    # j > 1, so R_1's products are all constant; R_2 R_2 is not (its diagonal
+    # is twice the block degree), and only a second generator finds that
+    block = np.arange(8) // 2
+    path = np.zeros((4, 4), dtype=int)
+    for a in range(3):
+        path[a, a + 1] = path[a + 1, a] = 1
+    same = block[:, None] == block[None, :]
+    color = np.where(same, 1, np.where(path[block][:, block] == 1, 2, 3)) - np.eye(8, dtype=int)
+    with pytest.raises(StructuralError, match=r"^not a scheme: R_2 R_2 is not constant on R_0$"):
+        from_scheme(_relations(color))
+
+
+def test_from_scheme_names_the_relation_whose_transpose_breaks():
+    # C4 as a thin scheme with x -> x+2 first; one pair swapped between
+    # x -> x+1 (relation 2) and x -> x+3 (relation 3)
+    shift = [np.roll(np.eye(4, dtype=int), s, axis=1) for s in (0, 2, 1, 3)]
+    shift[2][0, 1], shift[2][0, 3] = 0, 1
+    shift[3][0, 3], shift[3][0, 1] = 0, 1
+    with pytest.raises(StructuralError, match=r"^transpose of relation 2 is not a relation$"):
+        from_scheme(shift)
+
+
+def test_from_scheme_rejects_ragged_relations():
+    with pytest.raises(StructuralError, match="square 0/1 matrices of equal size"):
+        from_scheme([np.eye(2, dtype=int), np.ones((3, 3), dtype=int)])
+    with pytest.raises(StructuralError, match="no relation matrices"):
+        from_scheme([])
+
+
+# ---------------------------------------------------------------------------
+# scheme text: the whole body from its bytes, or line by line
+# ---------------------------------------------------------------------------
+
+PETERSEN = fixture_text("petersen")
+
+
+@pytest.mark.parametrize("edit", [
+    lambda t: t.replace("\n", " # note\n", 4),
+    lambda t: t.replace(" ", "\t", 7),
+    lambda t: t.replace("\n", "\r\n"),
+    lambda t: t.replace("\n", "  \n"),
+    lambda t: t.replace("\n", "\n\n\n") + "\n\n",
+    lambda t: t.replace("\n\n", "\n"),
+    lambda t: t.rstrip("\n"),
+], ids=["comments", "tabs", "crlf", "trailing-spaces", "blank-lines", "no-blank-lines",
+        "no-final-newline"])
+def test_parse_scheme_byte_and_token_paths_agree(edit):
+    plain = "".join(line for line in PETERSEN.splitlines(True) if not line.startswith("#"))
+    assert ingest._scheme_stack(plain).dtype == np.uint8  # read at once from its bytes
+    expect = parse_scheme(plain)
+    assert expect.dtype == np.int64 and expect.shape == (3, 10, 10)
+    assert np.array_equal(parse_scheme(PETERSEN), expect)
+    got = parse_scheme(edit(plain))
+    assert got.dtype == np.int64 and np.array_equal(got, expect)
+
+
+@pytest.mark.parametrize("text,error,message", [
+    ("points 2 classes 2\n1 0\n0 1\n0 1\n", StructuralError,
+     "^expected 2 blocks of 2 rows of 2 entries$"),
+    ("points 2 classes 2\n1 0\n0 1\n0 1\n1 0 0\n", StructuralError,
+     "^expected 2 blocks of 2 rows of 2 entries$"),
+    ("points 2 classes 2\n1 0\n0 1\n0 1\n1 x\n", ValueError, "'x'"),
+    ("points 2 classes 2\n1 0\n0 1\n0 1\n1 99999999999999999999\n", StructuralError,
+     "^line 5: entry out of range$"),
+    ("points 2 classes\n1 0\n", StructuralError, "^bad scheme header$"),
+    ("1 0\npoints 1 classes 1\n", StructuralError, "must start with 'points v classes r'"),
+])
+def test_parse_scheme_errors(text, error, message):
+    with pytest.raises(error, match=message):
+        parse_scheme(text)

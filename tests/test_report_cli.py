@@ -314,6 +314,26 @@ def test_cli_seed_and_env(tmp_path, capsys, monkeypatch):
     assert json.loads(capsys.readouterr().out)["meta"]["seed"] == 9
 
 
+def test_cli_malformed_seed_env_exits_2(tmp_path, capsys, monkeypatch):
+    path = _write_s3(tmp_path)
+    monkeypatch.setenv("RBA_SEED", "abc")
+    assert main(["analyze", path, "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: RBA_SEED must be an integer, got 'abc'\n"
+    assert main(["analyze", path, "--json", "--seed", "4"]) == 0  # the flag wins
+    assert json.loads(capsys.readouterr().out)["meta"]["seed"] == 4
+
+
+def test_cli_validate_reads_no_seed_env(tmp_path, capsys, monkeypatch):
+    path = _write_s3(tmp_path)
+    monkeypatch.setenv("RBA_SEED", "abc")
+    assert main(["validate", path]) == 0
+    captured = capsys.readouterr()
+    assert "[pass]" in captured.out
+    assert captured.err == ""
+
+
 def test_cli_exact_float_flags(tmp_path, capsys):
     path = _write_s3(tmp_path)
     assert main(["analyze", path, "--exact", "--json"]) == 0
