@@ -116,12 +116,13 @@ def parse_scheme(text: str) -> np.ndarray:
 
 
 def _scheme_stack(text: str) -> np.ndarray:
-    """parse_scheme's stack; uint8 when the blocks under a header on line 1 are
-    single digits one space apart, read from their bytes. Other text goes line by
-    line, to the same values or the same error."""
-    end = text.find("\n")
-    fast = end > 0 and text.startswith("points") and len(text[:end].splitlines()) == 1
-    lines = [(1, text[:end].split("#", 1)[0])] if fast else list(_content_lines(text))
+    """parse_scheme's stack; uint8 when, under a header on line 1, the blocks are
+    single digits one space apart with blank lines only between them, each read
+    from its bytes at once. Other text goes line by line, to the same values or
+    the same error."""
+    head = text.partition("\n")[0]
+    fast = head.startswith("points") and len(head.splitlines()) == 1
+    lines = [(1, head.split("#", 1)[0])] if fast else list(_content_lines(text))
     if not lines or not lines[0][1].startswith("points"):
         raise StructuralError("scheme file must start with 'points v classes r'")
     fields = lines[0][1].split()
@@ -129,29 +130,15 @@ def _scheme_stack(text: str) -> np.ndarray:
         v, r = int(fields[1]), int(fields[3])
     except (IndexError, ValueError) as exc:
         raise StructuralError("bad scheme header") from exc
-    if fast:
-        data = text.encode() if text.endswith("\n") else (text + "\n").encode()
-        digits = _digit_rows(data, data.index(b"\n") + 1, r, v)
-        if digits is not None:
-            return digits
-        lines = list(_content_lines(text))
+    data = (text if text.endswith("\n") else text + "\n").encode() if fast else b""
+    digits = _digit_rows(data, data.find(b"\n") + 1, r, v)
+    if digits is not None:
+        return digits
     shape = f"expected {r} blocks of {v} rows of {v} entries"
-    body = lines[1:]
+    body = list(_content_lines(text))[1:]
     if len(body) != v * r:
         raise StructuralError(shape)
-    return np.array([_int64_rows(body[b * v:(b + 1) * v], v, shape) for b in range(r)],
-                    dtype=np.int64)
-
-
-def _float_relations(relations) -> np.ndarray:
-    """(r, v, v) float32 copy of r square 0/1 matrices of one size."""
-    relations = relations if isinstance(relations, np.ndarray) else list(relations)
-    if len(relations) == 0:
-        raise StructuralError("no relation matrices")
-    rel = np.asarray(relations) if len({np.shape(m) for m in relations}) == 1 else np.zeros(0)
-    if rel.ndim != 3 or not rel.shape[1] == rel.shape[2] > 0 or not ((rel == 0) | (rel == 1)).all():
-        raise StructuralError("relations must be square 0/1 matrices of equal size")
-    return rel.astype(np.float32)
+    return np.array([_int64_rows(body[b * v:(b + 1) * v], v, shape) for b in range(r)])
 
 
 def from_scheme(relations) -> RBA:
@@ -159,18 +146,27 @@ def from_scheme(relations) -> RBA:
 
     lam[i,j,k] is the intersection number read off from R_i R_j = sum_k p R_k;
     star is the transpose permutation and the valencies are the degrees. The
-    axioms are checked on the colour matrix color = sum_k k R_k. Closure needs
-    only a few generators: the span V of the R_k holds I, so V is an algebra
-    once R_g V lies in V for each generator g and the words in them span V.
-    The first R_i outside the span so far becomes a generator; its products
-    run in float32 BLAS, exact as every partial sum counts at most v < 2^24
-    points. The span grows by u -> u lam[g] mod p = 2^31 - 1, and rank r mod p
-    gives rank r over Q (a minor nonzero mod p is nonzero). An entry of
-    u lam[g] is below p times the valency of R_g, which int64 holds while
-    v < 2^32 (past that the step would need Python ints), and an elimination
-    step stays below p^2 < 2^62. Then each lam[i,j,k] is read at one pair of R_k.
+    axioms are checked on the colour matrix color = sum_k k R_k. The span V of
+    the R_k holds I, so V is an algebra once R_g V lies in V for a set of
+    generators g whose words span V. The first R_i outside the span so far
+    becomes one; its products run in float32 BLAS, exact as every partial sum
+    counts at most v < 2^24 points. The span grows by u -> u lam[g] mod
+    p = 2^31 - 1 until its rank is r, which gives rank r over Q (rank mod p is
+    at most rank over Q). An entry of u lam[g] is below p times the valency of
+    R_g, so int64 holds it while v < 2^32 (past that the step needs Python
+    ints); an elimination step stays below p^2 < 2^62. Then each lam[i,j,k] is
+    read at one pair of R_k.
     """
-    rel = _float_relations(_scheme_stack(relations) if isinstance(relations, str) else relations)
+    if isinstance(relations, str):
+        relations = _scheme_stack(relations)
+    elif not isinstance(relations, np.ndarray):
+        relations = list(relations)
+    if len(relations) == 0:
+        raise StructuralError("no relation matrices")
+    rel = np.asarray(relations) if len({np.shape(m) for m in relations}) == 1 else np.zeros(0)
+    if rel.ndim != 3 or not rel.shape[1] == rel.shape[2] > 0 or not ((rel == 0) | (rel == 1)).all():
+        raise StructuralError("relations must be square 0/1 matrices of equal size")
+    rel = rel.astype(np.float32)
     r, v = rel.shape[:2]
     flat = rel.reshape(r, v * v)
     if flat[0].sum() != v or not flat[0, ::v + 1].all():
@@ -213,8 +209,9 @@ def from_scheme(relations) -> RBA:
                 c = int(np.argmax(u != 0))
                 span.append((c, u * pow(int(u[c]), -1, p) % p))
                 todo += [span[-1][1] @ g % p for g in gens]
-    idx = (color[x] * r + color[:, y].T) * r + np.arange(r)[:, None]  # (i, j, k) at each z
-    return RBA(np.bincount(idx.astype(np.intp).ravel(), minlength=r**3).reshape(r, r, r), star)
+    left, right = color[x].astype(np.intp), color[:, y].T.astype(np.intp)  # ints: exact at any r
+    idx = (left * r + right) * r + np.arange(r)[:, None]  # (i, j, k) at each z
+    return RBA(np.bincount(idx.ravel(), minlength=r**3).reshape(r, r, r), star)
 
 
 def thin_scheme(table) -> list:

@@ -385,6 +385,19 @@ def test_from_scheme_names_the_relation_whose_transpose_breaks():
         from_scheme(shift)
 
 
+def test_from_scheme_reads_intersection_numbers_past_float32():
+    # the thin scheme of C_257: a flat index (i r + j) r + k passes 2^24, where
+    # float32 stops holding every integer. C_n has lam[i, j, i + j mod n] = 1
+    # and nothing else, and star[g] = -g mod n, as from_group gives
+    n = 257
+    g = np.arange(n)
+    rel = (g[None, :, None] + g[:, None, None]) % n == g  # R_g[u, w] = [w = u + g]
+    rba = from_scheme(rel.view(np.uint8))
+    lam = rba.lam_int[1]
+    assert lam.sum() == n * n and (lam[g[:, None], g, (g[:, None] + g) % n] == 1).all()
+    assert np.array_equal(rba.star, -g % n)
+
+
 def test_from_scheme_rejects_ragged_relations():
     with pytest.raises(StructuralError, match="square 0/1 matrices of equal size"):
         from_scheme([np.eye(2, dtype=int), np.ones((3, 3), dtype=int)])
@@ -411,9 +424,11 @@ PETERSEN = fixture_text("petersen")
         "no-final-newline"])
 def test_parse_scheme_byte_and_token_paths_agree(edit):
     plain = "".join(line for line in PETERSEN.splitlines(True) if not line.startswith("#"))
-    assert ingest._scheme_stack(plain).dtype == np.uint8  # read at once from its bytes
-    expect = parse_scheme(plain)
+    body = plain.partition("\n")[2].encode()
+    assert ingest._digit_rows(body, 0, 3, 10).shape == (3, 10, 10)  # read from its bytes
+    expect = parse_scheme("# line by line\n" + plain)  # no header on line 1: the token path
     assert expect.dtype == np.int64 and expect.shape == (3, 10, 10)
+    assert np.array_equal(parse_scheme(plain), expect)
     assert np.array_equal(parse_scheme(PETERSEN), expect)
     got = parse_scheme(edit(plain))
     assert got.dtype == np.int64 and np.array_equal(got, expect)
@@ -428,6 +443,8 @@ def test_parse_scheme_byte_and_token_paths_agree(edit):
     ("points 2 classes 2\n1 0\n0 1\n0 1\n1 99999999999999999999\n", StructuralError,
      "^line 5: entry out of range$"),
     ("points 2 classes\n1 0\n", StructuralError, "^bad scheme header$"),
+    ("points 100000 classes 10\n0 1\n", StructuralError,  # nothing the header's size
+     "^expected 10 blocks of 100000 rows of 100000 entries$"),  # is allocated first
     ("1 0\npoints 1 classes 1\n", StructuralError, "must start with 'points v classes r'"),
 ])
 def test_parse_scheme_errors(text, error, message):
