@@ -13,6 +13,7 @@ from rbakit import (
     character_table,
     charpoly_check,
     degree_map,
+    rep_residual,
     star_rep_extract,
     symmetrize,
 )
@@ -36,12 +37,13 @@ for char in table:
 # extract a real 2x2 *-representation of the degree-2 character
 chi = table.degree_two()[0]
 rep = star_rep_extract(s3, dm, chi.idempotent)
-print("\n2x2 *-representation: X(b_{i*}) = X(b_i)^T with residual",
-      f"{rep.star_residual(s3):.2e}")
+product, star = rep_residual(s3, rep)
+print("\n2x2 *-representation: X(b_i) X(b_j) = sum_k lam[i,j,k] X(b_k) with residual",
+      f"{product:.2e},\n  X(b_{{i*}}) = X(b_i)^T with residual {star:.2e}")
 print("X(r) =")
-print(np.round(rep.matrices[1], 6))
+print(np.round(rep[1], 6))
 print("traces match the character row:",
-      np.allclose(rep.traces(), chi.values_raw.real))
+      np.allclose(np.einsum("iaa->i", rep), chi.values_raw.real))
 
 # characteristic polynomials snap to rationals (rational field of definition)
 polys = charpoly_check(rep)
@@ -50,7 +52,7 @@ print("\nchar poly of X(r):", [str(c) for c in polys[1]], "(t^2 + t + 1)")
 # symmetrization: conjugate a *-rep away and recover *-compatibility
 rng = np.random.default_rng(1)
 m = rng.uniform(-1, 1, (2, 2)) + np.eye(2)
-phi = np.array([m @ rep.matrices[i] @ np.linalg.inv(m) for i in range(6)])
+phi = np.array([m @ rep[i] @ np.linalg.inv(m) for i in range(6)])
 fixed = symmetrize(s3, dm, phi)
 print("\nafter a random conjugation, symmetrize restores *-compatibility:",
-      f"{fixed.star_residual(s3):.2e}")
+      f"{rep_residual(s3, fixed)[1]:.2e}")

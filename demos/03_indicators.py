@@ -19,7 +19,7 @@ for name in ("s3", "d8", "rank7_h"):
     rba = load_fixture(name)
     dm = degree_map(rba)
     table = character_table(rba, dm, central_idempotents(rba))
-    report = indicator_report(table, rba, dm)
+    report = indicator_report(rba, dm, table)
     print(f"{name}: degrees {table.degrees()}  nu {report.nu}  "
           f"s = {report.s_actual} (predicted {report.s_predicted})  "
           f"pattern {report.pattern}")
@@ -35,7 +35,7 @@ for name in ("s3", "d8", "rank7_h"):
 rba = load_fixture("rank7_h")
 dm = degree_map(rba)
 table = character_table(rba, dm, central_idempotents(rba))
-report = indicator_report(table, rba, dm)
+report = indicator_report(rba, dm, table)
 tri = rank7_trichotomy(report)
 print(f"\nrank-7 pattern {tuple(report.nu)} forces s = {tri.s_class}; "
       f"observed {tri.s_actual} ({'consistent' if tri.consistent else 'mismatch'})")

@@ -27,7 +27,6 @@ from .decomp import (
     CentralIdempotent,
     Character,
     CharacterTable,
-    StarRep,
     center_basis,
     central_idempotents,
     character_table,
@@ -50,14 +49,7 @@ from .integrality import (
     integral_check,
     two_adic_obstruction,
 )
-from .quaternion import (
-    Quaternion,
-    QuaternionSymbol,
-    hilbert_places,
-    hilbert_symbol,
-    quaternion_verify,
-    symbol,
-)
+from .quaternion import QuaternionSymbol, hilbert_places, hilbert_symbol, symbol
 from .report import AnalysisReport, analyze
 
 __all__ = [
@@ -77,7 +69,6 @@ __all__ = [
     "CentralIdempotent",
     "Character",
     "CharacterTable",
-    "StarRep",
     "center_basis",
     "central_idempotents",
     "character_table",
@@ -99,11 +90,9 @@ __all__ = [
     "build_rank7_example",
     "integral_check",
     "two_adic_obstruction",
-    "Quaternion",
     "QuaternionSymbol",
     "hilbert_places",
     "hilbert_symbol",
-    "quaternion_verify",
     "symbol",
     "AnalysisReport",
     "analyze",

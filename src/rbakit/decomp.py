@@ -4,7 +4,8 @@ Regular representation, center, central primitive idempotents (eigenvectors
 of a random central element acting on the center), character
 table with multiplicities by two independent routes, extraction of an
 irreducible real *-representation, and symmetrization of an arbitrary real
-representation into a *-representation.
+representation into a *-representation. A representation is its images of
+the basis, an (r, d, d) array, and rep_residual is its one checker.
 
 Character values need no representation matrices. With the trace vector
 t_k = tr L(b_k) and P[i, j] = sum_k lam[i,j,k] t_k = tr L(b_i b_j), the
@@ -29,6 +30,7 @@ from .core import (
     RBA,
     ToleranceConfig,
     gram_matrix,
+    over_common_denominator,
     snap_value,
 )
 
@@ -36,7 +38,6 @@ __all__ = [
     "CentralIdempotent",
     "Character",
     "CharacterTable",
-    "StarRep",
     "regular_rep",
     "rep_residual",
     "center_basis",
@@ -60,14 +61,31 @@ def _trace_products(rba: RBA) -> np.ndarray:
     return lam @ np.einsum("ijj->i", lam)
 
 
-def rep_residual(rba: RBA, mats) -> float:
-    """max |X(b_i) X(b_j) - sum_k lam[i,j,k] X(b_k)|: zero iff the images of the
-    basis, mats of shape (r, d, d), multiply as the basis does."""
-    lam = rba.lam_float
-    return max(
-        float(abs(mats[i] @ mats - np.einsum("jk,kab->jab", lam[i], mats)).max())
+def rep_residual(rba: RBA, mats) -> tuple:
+    """(product, star) residuals of images mats, shape (r, d, d), of the basis:
+    max |X(b_i) X(b_j) - sum_k lam[i,j,k] X(b_k)| and max |X(b_{i*}) - X(b_i)^T|.
+
+    Both are zero iff the images multiply as the basis does and * maps to the
+    transpose. An exact RBA with rational images (dtype object) is checked
+    exactly, as D X_i X_j - sum_k N[i,j,k] X_k on lam_int = (D, N) in
+    integers, and both residuals are Fractions; otherwise they are floats
+    from lam_float.
+    """
+    mats = np.asarray(mats)
+    exact = rba.exact and mats.dtype == object
+    if exact:  # X = M / e with M in Python ints
+        (den, lam), (e, m) = rba.lam_int, over_common_denominator(mats.ravel())
+        mats = m.reshape(mats.shape)
+    else:
+        den, lam, e, mats = 1, rba.lam_float, 1, mats.astype(float)
+    product = max(
+        abs(den * (mats[i] @ mats) - e * np.tensordot(lam[i], mats, 1)).max()
         for i in range(rba.rank)
     )
+    star = abs(mats[rba.star] - mats.transpose(0, 2, 1)).max()
+    if exact:
+        return Fraction(product, den * e * e), Fraction(star, e)
+    return float(product), float(star)
 
 
 def center_basis(rba: RBA, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -299,21 +317,6 @@ def character_table(
 # *-representations
 # ---------------------------------------------------------------------------
 
-@dataclass
-class StarRep:
-    """A real representation with X(b_{i*}) = X(b_i)^T."""
-
-    dim: int
-    matrices: np.ndarray  # (r, dim, dim) float64
-
-    def star_residual(self, rba: RBA) -> float:
-        X = self.matrices
-        return float(abs(X[rba.star] - X.transpose(0, 2, 1)).max())
-
-    def traces(self) -> np.ndarray:
-        return np.einsum("iaa->i", self.matrices)
-
-
 def _orthonormalized_regular(rba: RBA, dm: DegreeMap):
     """Regular matrices conjugated by the Gram square root, and its diagonal d.
 
@@ -331,8 +334,9 @@ def star_rep_extract(
     dm: DegreeMap,
     idem: CentralIdempotent,
     tol: ToleranceConfig = DEFAULT_TOL,
-) -> StarRep:
-    """Irreducible real *-representation for a component split over the reals.
+) -> np.ndarray:
+    """Irreducible real *-representation for a component split over the reals:
+    images X of shape (r, n_chi, n_chi) with X(b_{i*}) = X(b_i)^T.
 
     Restricts right multiplication by a seeded random *-symmetric element to
     the isotypic subspace; its eigenvalue clusters of size n_chi span
@@ -369,13 +373,13 @@ def star_rep_extract(
             continue
         emb = basis @ mv[:, pick]
         mats = np.einsum("pa,ipq,qb->iab", emb, y, emb)
-        rep = StarRep(dim=nchi, matrices=mats)
+        product, star = rep_residual(rba, mats)
         if (
-            rep_residual(rba, mats) < bound
-            and rep.star_residual(rba) < bound
-            and abs(rep.traces() - chi_vals).max() < bound
+            product < bound
+            and star < bound
+            and abs(np.einsum("iaa->i", mats) - chi_vals).max() < bound
         ):
-            return rep
+            return mats
     raise NumericalError(
         "irreducible subspace extraction failed after 8 reseeds "
         f"(component of degree {nchi} is likely not split over the reals)"
@@ -394,7 +398,7 @@ def symmetrize(
     dm: DegreeMap,
     phi,
     tol: ToleranceConfig = DEFAULT_TOL,
-) -> StarRep:
+) -> np.ndarray:
     """Turn a real representation into a *-representation by conjugation.
 
     Steps: (i) form the positive definite symmetric average A of the images,
@@ -406,7 +410,7 @@ def symmetrize(
     if phi.shape[0] != r or phi.ndim != 3 or phi.shape[1] != phi.shape[2]:
         raise ValueError(f"expected (r, d, d) images, got {phi.shape}")
     scale = max(rba.scale, float(abs(phi).max()) ** 2)
-    prod_res = rep_residual(rba, phi)
+    prod_res, _ = rep_residual(rba, phi)
     if prod_res > tol.eps_residual * scale:
         raise ValueError(f"Phi is not a representation (product residual {prod_res:.3e})")
     avg = averaging_matrix(dm, phi)
@@ -419,19 +423,19 @@ def symmetrize(
     b = v @ np.diag(np.sqrt(w)) @ v.T
     binv = v @ np.diag(1.0 / np.sqrt(w)) @ v.T
     mats = np.einsum("ab,ibc,cd->iad", b, phi, binv)
-    rep = StarRep(dim=phi.shape[1], matrices=mats)
-    if rep.star_residual(rba) > tol.eps_residual * scale:
+    _, star = rep_residual(rba, mats)
+    if star > tol.eps_residual * scale:
         raise NumericalError(
-            f"symmetrization failed to restore *-compatibility (residual {rep.star_residual(rba):.3e})"
+            f"symmetrization failed to restore *-compatibility (residual {star:.3e})"
         )
-    return rep
+    return mats
 
 
 # ---------------------------------------------------------------------------
 # characteristic polynomials
 # ---------------------------------------------------------------------------
 
-def charpoly_check(rep: StarRep, tol: ToleranceConfig = DEFAULT_TOL) -> list:
+def charpoly_check(mats, tol: ToleranceConfig = DEFAULT_TOL) -> list:
     """Characteristic-polynomial coefficients of every image, snapped to rationals.
 
     Entry i lists the Fraction coefficients of X(b_i), leading 1 first, or is
@@ -439,7 +443,7 @@ def charpoly_check(rep: StarRep, tol: ToleranceConfig = DEFAULT_TOL) -> list:
     bigger than the rationals (or the image carries noise).
     """
     out = []
-    for mat in rep.matrices:
+    for mat in mats:
         snapped = [snap_value(c, tol.eps_zero) for c in np.poly(mat)]
         out.append(snapped if all(isinstance(c, Fraction) for c in snapped) else None)
     return out

@@ -47,9 +47,9 @@ class IndicatorReport:
 
 
 def indicator_report(
-    table: CharacterTable,
     rba: RBA,
     dm: DegreeMap,
+    table: CharacterTable,
     tol: ToleranceConfig = DEFAULT_TOL,
 ) -> IndicatorReport:
     """Raw and snapped indicators of every character, and the real count.

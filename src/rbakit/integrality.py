@@ -8,7 +8,9 @@ phi_3 = -(1 + 2 phi_1 + 2 phi_2)/2 has 2-adic valuation -1 and the algebra
 can never have (algebraic) integer structure constants.
 
 This module also reconstructs the canonical rank-7 witness from its
-character data and quaternion-valued degree-2 representation. The
+character data and quaternion-valued degree-2 representation, whose images
+are 4x4 left-multiplication matrices over Q(sqrt 5): the quaternion
+conjugate is the transpose, and the reduced trace is half the trace. The
 reconstruction is exact over Q(sqrt 5); the resulting tensor provably
 contains entries +-sqrt(5)/4, so the public RBA object is emitted in float
 mode and only the derived table data is rational.
@@ -25,7 +27,6 @@ import numpy as np
 
 from .core import RBA
 from .decomp import CharacterTable
-from .quaternion import Quaternion
 
 __all__ = [
     "Sqrt5",
@@ -264,17 +265,25 @@ RANK7_PSI = (Fraction(1), Fraction(2), Fraction(2), Fraction(-9, 2),
 RANK7_MULTIPLICITIES = (Fraction(1), Fraction(52, 45), Fraction(4, 9), Fraction(26, 5))
 RANK7_ORDER = Fraction(13)
 
+
+def _quaternion(t, x, y, z) -> np.ndarray:
+    """Left multiplication by t + x i + y j + z k (i^2 = j^2 = k^2 = -1, i j = k)
+    on the coordinates (1, i, j, k), as a 4x4 object array of Sqrt5."""
+    t, x, y, z = (_lift(v) for v in (t, x, y, z))
+    return np.array([[t, -x, -y, -z], [x, t, -z, y], [y, z, t, -x], [z, -y, x, t]])
+
+
 # degree-2 images in the quaternions; the real part of X(b_3) is -1/2 (the
 # feasible trace tau(b_3) = 0 and the chi row sum force reduced trace -1)
-RANK7_IMAGES = (
-    Quaternion(Sqrt5(Fraction(1)), Sqrt5(), Sqrt5(), Sqrt5()),
-    Quaternion(Sqrt5(), _R5H, Sqrt5(), Sqrt5()),
-    Quaternion(Sqrt5(), -_R5H, Sqrt5(), Sqrt5()),
-    Quaternion(Sqrt5(), Sqrt5(), _R5H, Sqrt5()),
-    Quaternion(Sqrt5(), Sqrt5(), -_R5H, Sqrt5()),
-    Quaternion(Sqrt5(-_HALF), Sqrt5(), Sqrt5(), _R5H),
-    Quaternion(Sqrt5(-_HALF), Sqrt5(), Sqrt5(), -_R5H),
-)
+RANK7_IMAGES = np.array([
+    _quaternion(1, 0, 0, 0),
+    _quaternion(0, _R5H, 0, 0),
+    _quaternion(0, -_R5H, 0, 0),
+    _quaternion(0, 0, _R5H, 0),
+    _quaternion(0, 0, -_R5H, 0),
+    _quaternion(-_HALF, 0, 0, _R5H),
+    _quaternion(-_HALF, 0, 0, -_R5H),
+])
 
 
 def rank7_exact_data():
@@ -283,20 +292,22 @@ def rank7_exact_data():
     Embeds each basis element as (delta(b), phi(b), psi(b), X(b)), multiplies
     tuples componentwise, and reads the structure constants off the trace
     form: lam[i,j,k] = tau(b_i b_j b_k*) / (n delta_k) with
-    tau = sum_psi m_psi psi.
+    tau = sum_psi m_psi psi. The reduced trace of X_i X_j X_k* is
+    sum(X_i X_j o X_k*^T) / 2, on the 49 products X_i X_j formed once.
     """
     star = RANK7_STAR
     m = RANK7_MULTIPLICITIES
     n = RANK7_ORDER
+    x = RANK7_IMAGES
+    products = x[:, None] @ x[None]
 
     def tau_triple(i, j, k):
         ks = star[k]
-        q = RANK7_IMAGES[i] * RANK7_IMAGES[j] * RANK7_IMAGES[ks]
         return (
             _lift(m[0] * RANK7_DELTA[i] * RANK7_DELTA[j] * RANK7_DELTA[ks])
             + _lift(m[1] * RANK7_PHI[i] * RANK7_PHI[j] * RANK7_PHI[ks])
             + _lift(m[2] * RANK7_PSI[i] * RANK7_PSI[j] * RANK7_PSI[ks])
-            + _lift(m[3]) * q.reduced_trace()
+            + _lift(m[3]) * (products[i, j] * x[ks].T).sum() / 2
         )
 
     lam = {}
@@ -308,7 +319,7 @@ def rank7_exact_data():
         "delta": RANK7_DELTA,
         "phi": RANK7_PHI,
         "psi": RANK7_PSI,
-        "chi": tuple(q.reduced_trace().rational for q in RANK7_IMAGES),
+        "chi": tuple((np.trace(q) / 2).rational for q in RANK7_IMAGES),
         "multiplicities": m,
         "order": n,
         "images": RANK7_IMAGES,

@@ -12,9 +12,6 @@ satisfy x y = -y x and y^2 = beta e with beta > 0: the standard quaternion
 basis of A_chi. An exact RBA gives (a, beta) exactly; over the rationals
 (a, beta) splits iff every local Hilbert symbol is +1, and beta > 0 alone
 already splits the pair over the reals.
-
-Also provides plain quaternion arithmetic over any exact or float scalar
-type, used to verify quaternion-valued representations.
 """
 
 from __future__ import annotations
@@ -35,78 +32,15 @@ from .core import (
     snap_rational,
     to_standard_basis,
 )
-from .decomp import Character, CharacterTable, character_table
+from .decomp import Character, character_table
 from .indicator import classify_one_pair, indicator_report
 
 __all__ = [
-    "Quaternion",
     "QuaternionSymbol",
     "symbol",
     "hilbert_symbol",
     "hilbert_places",
-    "quaternion_verify",
 ]
-
-
-# ---------------------------------------------------------------------------
-# quaternion arithmetic (coordinate type is duck-typed: Fraction, float, ...)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Quaternion:
-    """t + x i + y j + z k with i^2 = j^2 = k^2 = -1 and i j = k."""
-
-    t: object = 0
-    x: object = 0
-    y: object = 0
-    z: object = 0
-
-    def __add__(self, other):
-        o = _as_quat(other)
-        return Quaternion(self.t + o.t, self.x + o.x, self.y + o.y, self.z + o.z)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = _as_quat(other)
-        return Quaternion(self.t - o.t, self.x - o.x, self.y - o.y, self.z - o.z)
-
-    def __neg__(self):
-        return Quaternion(-self.t, -self.x, -self.y, -self.z)
-
-    def __mul__(self, other):
-        o = _as_quat(other)
-        a, b, c, d = self.t, self.x, self.y, self.z
-        e, f, g, h = o.t, o.x, o.y, o.z
-        return Quaternion(
-            a * e - b * f - c * g - d * h,
-            a * f + b * e + c * h - d * g,
-            a * g - b * h + c * e + d * f,
-            a * h + b * g - c * f + d * e,
-        )
-
-    def __rmul__(self, other):
-        return _as_quat(other) * self
-
-    def conjugate(self) -> "Quaternion":
-        return Quaternion(self.t, -self.x, -self.y, -self.z)
-
-    def reduced_norm(self):
-        return self.t * self.t + self.x * self.x + self.y * self.y + self.z * self.z
-
-    def reduced_trace(self):
-        return self.t + self.t
-
-    def char_poly(self):
-        """Coefficients (1, -trace, norm) of t^2 - Trd t + Nrd."""
-        return (1, -self.reduced_trace(), self.reduced_norm())
-
-    def coords(self):
-        return (self.t, self.x, self.y, self.z)
-
-
-def _as_quat(v) -> Quaternion:
-    return v if isinstance(v, Quaternion) else Quaternion(v)
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +226,7 @@ def symbol(rba: RBA, tol: ToleranceConfig = DEFAULT_TOL, *,
     if chi is None:
         rba, dm, _ = to_standard_basis(rba, degree_map(rba, tol), tol)
         table = character_table(rba, dm, tol=tol)
-        verdict = classify_one_pair(rba, table, indicator_report(table, rba, dm, tol))
+        verdict = classify_one_pair(rba, table, indicator_report(rba, dm, table, tol))
         if not verdict.passed:
             raise ValueError(f"one-nonreal-pair pipeline rejected: {verdict.reason}")
         chi = verdict.chi
@@ -367,75 +301,3 @@ def symbol(rba: RBA, tol: ToleranceConfig = DEFAULT_TOL, *,
         sym.field_mode = "real-numeric"
         sym.verdict = "real-split-only" if beta > 0 else "division"
     return sym
-
-
-# ---------------------------------------------------------------------------
-# quaternion-valued representation checking
-# ---------------------------------------------------------------------------
-
-@dataclass
-class QuaternionVerifyReport:
-    homomorphism_failures: list
-    star_map_failures: list
-    trace_failures: list
-    spans: bool
-
-    @property
-    def passed(self) -> bool:
-        return (
-            not self.homomorphism_failures
-            and not self.star_map_failures
-            and not self.trace_failures
-            and self.spans
-        )
-
-
-def quaternion_verify(rba: RBA, images, table: CharacterTable = None,
-                      tol: ToleranceConfig = DEFAULT_TOL) -> QuaternionVerifyReport:
-    """Check quaternion images of the basis: algebra homomorphism onto a
-    spanning set of the quaternions, compatibility with *, and (when a table
-    is given) reduced traces matching the degree-2 character row."""
-    r = rba.rank
-    images = [_as_quat(q) for q in images]
-    if len(images) != r:
-        raise ValueError(f"need {r} images, got {len(images)}")
-    exact = rba.exact and all(isinstance(c, (Fraction, int)) for q in images for c in q.coords())
-
-    def close(u, v):
-        if exact:
-            return u == v
-        return abs(float(u) - float(v)) <= tol.eps_residual * 100
-
-    den, lam = rba.lam_int if exact else (1, rba.lam_float)
-    lam = lam.tolist()  # exact mode compares D b_i b_j with sum_k N[i,j,k] b_k
-    hom_failures = []
-    for i in range(r):
-        for j in range(r):
-            got = images[i] * images[j]
-            want = Quaternion(0)
-            for k in range(r):
-                if lam[i][j][k]:
-                    want = want + Quaternion(lam[i][j][k]) * images[k]
-            if not all(close(g * den, w) for g, w in zip(got.coords(), want.coords())):
-                hom_failures.append((i, j))
-    star_failures = [
-        i for i in range(r)
-        if not all(close(g, w) for g, w in zip(
-            images[rba.star[i]].coords(), images[i].conjugate().coords()))
-    ]
-    trace_failures = []
-    if table is not None:
-        deg2 = table.degree_two()
-        if deg2:
-            chi = deg2[0]
-            for i in range(r):
-                if abs(float(images[i].reduced_trace()) - chi.values_raw[i].real) > 1e-7:
-                    trace_failures.append(i)
-    coord_matrix = np.array([[float(c) for c in q.coords()] for q in images])
-    spans = np.linalg.matrix_rank(coord_matrix, tol=tol.eps_cluster) == 4
-    return QuaternionVerifyReport(
-        homomorphism_failures=hom_failures,
-        star_map_failures=star_failures,
-        trace_failures=trace_failures,
-        spans=spans,
-    )

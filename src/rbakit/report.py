@@ -293,7 +293,7 @@ def analyze(rba: RBA, tol: ToleranceConfig = DEFAULT_TOL, force_float: bool = Fa
     gram_matrix(rba, dm)  # raises if the trace form degenerates
 
     table = character_table(rba, dm, tol=tol)
-    ind = indicator_report(table, rba, dm, tol)
+    ind = indicator_report(rba, dm, table, tol)
     data["character_table"] = _table_section(table, ind.nu)
     data["indicators"] = {
         "nu": ind.nu,

@@ -15,6 +15,7 @@ from rbakit.decomp import (
     averaging_matrix,
     central_idempotents,
     character_table,
+    rep_residual,
     star_rep_extract,
     symmetrize,
 )
@@ -45,7 +46,7 @@ def _verdict(name: str, checks):
 def _full_pipeline(rba):
     dm = degree_map(rba, TOL)
     table = character_table(rba, dm, central_idempotents(rba, TOL), TOL)
-    report = indicator_report(table, rba, dm, TOL)
+    report = indicator_report(rba, dm, table, TOL)
     return dm, table, report
 
 
@@ -96,7 +97,7 @@ def test_criterion_2_main_theorem(fixture, xd_square, a_expected, request, capsy
         chi = classify_one_pair(rba, table, report).chi
         rep = star_rep_extract(rba, dm, chi.idempotent, TOL)
         p, ps = rba.nonreal_pairs()[0]
-        xd = rep.matrices[p] - rep.matrices[ps]
+        xd = rep[p] - rep[ps]
         sym = symbol(rba, TOL, chi=chi)
         elapsed = time.perf_counter() - t0
         closed_form = -dm.n * dm.values[p] * chi.multiplicity
@@ -142,7 +143,7 @@ def test_criterion_3_symmetrization(s3_rba, capsys):
             if np.linalg.eigvalsh((avg + avg.T) / 2).min() <= 0:
                 spd_failures += 1
             rep = symmetrize(s3_rba, dm, phi, TOL)
-            worst = max(worst, rep.star_residual(s3_rba))
+            worst = max(worst, rep_residual(s3_rba, rep)[1])
             trials += 1
         checks = [
             ("100 trials ran", trials == 100),

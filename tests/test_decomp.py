@@ -66,11 +66,27 @@ def test_regular_rep_s3_permutation_matrices(s3_rba):
         assert set(np.unique(mat)) == {0.0, 1.0}
         assert np.array_equal(mat.sum(axis=0), np.ones(6))
         assert np.array_equal(mat.sum(axis=1), np.ones(6))
-    assert rep_residual(s3_rba, rr) == 0.0
+    assert rep_residual(s3_rba, rr)[0] == 0.0
 
 
 def test_regular_rep_rank7_residual(rank7_rba):
-    assert rep_residual(rank7_rba, regular_rep(rank7_rba)) < 1e-10
+    product, star = rep_residual(rank7_rba, regular_rep(rank7_rba))
+    assert product < 1e-10
+    assert star > 0.1  # L(b_{i*}) = L(b_i)^T only in the Gram-orthonormal basis
+
+
+def test_rep_residual_exact_path():
+    # the regular matrices of exact S3 as Fractions: checked on lam_int, exactly
+    rba = from_group(s3_table())
+    den, lam = rba.lam_int
+    mats = lam.transpose(0, 2, 1).astype(object) * Fraction(1, den)
+    assert rep_residual(rba, mats) == (0, 0)
+    eps = Fraction(1, 10**30)
+    i, a, b = next((i, a, b) for i in range(1, 6) for a, b in np.argwhere(mats[i] == 1) if a != b)
+    mats[i, a, b] += eps
+    product, _ = rep_residual(rba, mats)
+    assert type(product) is Fraction and product == eps
+    assert rep_residual(rba, mats.astype(float))[0] == 0.0  # 1 + 1e-30 == 1 in doubles
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +145,7 @@ def test_center_of_noisy_commutative_algebra(n, size):
         dm = degree_map(rba, TOL)
         table = character_table(rba, dm, tol=TOL)
         assert table.degrees() == [1] * n
-        assert indicator_report(table, rba, dm, TOL).consistent
+        assert indicator_report(rba, dm, table, TOL).consistent
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +238,7 @@ def test_float_group_ladder(family, n, table):
         chars = character_table(rba, dm, tol=tol)
         assert sorted(chars.degrees()) == degrees
         assert chars.multiplicities() == chars.degrees()
-        assert indicator_report(chars, rba, dm, tol).consistent
+        assert indicator_report(rba, dm, chars, tol).consistent
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +333,7 @@ def test_values_and_indicators_match_regular_rep_formulas(name):
         le = np.einsum("i,iab->ab", c.idempotent.coeffs, L)
         values = np.array([np.trace(L[i] @ le) for i in range(r)]) / c.degree
         assert abs(c.values_raw - values).max() <= 1e-10
-    raw = indicator_report(table, rba, dm, TOL).raw
+    raw = indicator_report(rba, dm, table, TOL).raw
     for c, got in zip(table, raw):
         squares = [sum(lam[i, i, k] * c.values_raw[k] for k in range(r)) for i in range(r)]
         total = sum(squares[i] / dm.values_float[i] for i in range(r))
@@ -345,8 +361,8 @@ def test_star_rep_degree_one(s3_rba):
         if char.degree != 1:
             continue
         rep = star_rep_extract(s3_rba, dm, char.idempotent, TOL)
-        assert rep.dim == 1
-        assert abs(rep.matrices.ravel() - char.values_raw.real).max() < 1e-9
+        assert rep.shape == (6, 1, 1)
+        assert abs(rep.ravel() - char.values_raw.real).max() < 1e-9
 
 
 @pytest.mark.parametrize("fixture", ["s3_rba", "d8_rba"])
@@ -355,10 +371,11 @@ def test_star_rep_degree_two(fixture, request):
     dm, idems, table = _pipeline(rba)
     chi = table.degree_two()[0]
     rep = star_rep_extract(rba, dm, chi.idempotent, TOL)
-    assert rep.dim == 2
-    assert rep_residual(rba, rep.matrices) < 1e-8
-    assert rep.star_residual(rba) < 1e-8
-    assert abs(rep.traces() - chi.values_raw.real).max() < 1e-8
+    assert rep.shape == (rba.rank, 2, 2)
+    product, star = rep_residual(rba, rep)
+    assert product < 1e-8
+    assert star < 1e-8
+    assert abs(np.einsum("iaa->i", rep) - chi.values_raw.real).max() < 1e-8
 
 
 def test_star_rep_rejects_complex_component(c3_rba):
@@ -373,7 +390,7 @@ def test_star_rep_rejects_complex_component(c3_rba):
 def test_star_rep_quaternionic_detection(rank7_rba):
     # the degree-2 component is quaternionic: no real 2x2 *-rep exists and
     # extraction must fail (the nu-first routing rule sends this case to
-    # quaternion arithmetic instead)
+    # the quaternion images instead)
     dm, idems, table = _pipeline(rank7_rba)
     chi = table.degree_two()[0]
     with pytest.raises(NumericalError):
@@ -388,7 +405,7 @@ def test_symmetrize_fixed_point(s3_rba):
     dm = degree_map(s3_rba, TOL)
     x = two_dim_s3_star_rep()
     rep = symmetrize(s3_rba, dm, x, TOL)
-    assert rep.star_residual(s3_rba) < 1e-10
+    assert rep_residual(s3_rba, rep)[1] < 1e-10
     # the averaging matrix commutes with the image of an irreducible *-rep
     avg = averaging_matrix(dm, x)
     assert max(abs(avg @ x[i] - x[i] @ avg).max() for i in range(6)) < 1e-10
@@ -404,8 +421,8 @@ def test_symmetrize_conjugated(s3_rba):
             m = rng.uniform(-1, 1, (2, 2))
         phi = np.array([m @ x[i] @ np.linalg.inv(m) for i in range(6)])
         rep = symmetrize(s3_rba, dm, phi, TOL)
-        assert rep.star_residual(s3_rba) < 1e-8
-        assert abs(rep.traces() - np.einsum("iaa->i", phi)).max() < 1e-8
+        assert rep_residual(s3_rba, rep)[1] < 1e-8
+        assert abs(np.einsum("iaa->i", rep) - np.einsum("iaa->i", phi)).max() < 1e-8
 
 
 def test_symmetrize_direct_sum_two_copies(s3_rba):
@@ -419,7 +436,7 @@ def test_symmetrize_direct_sum_two_copies(s3_rba):
         for i in range(6)
     ])
     rep = symmetrize(s3_rba, dm, phi, TOL)
-    assert rep.star_residual(s3_rba) < 1e-8
+    assert rep_residual(s3_rba, rep)[1] < 1e-8
 
 
 def test_symmetrize_rejects_non_rep(s3_rba):

@@ -16,7 +16,7 @@ from conftest import D8_CLASSICAL, RANK7_TABLE, S3_CLASSICAL, TOL
 def _report(rba):
     dm = degree_map(rba, TOL)
     table = character_table(rba, dm, central_idempotents(rba, TOL), TOL)
-    return dm, table, indicator_report(table, rba, dm, TOL)
+    return dm, table, indicator_report(rba, dm, table, TOL)
 
 
 ALL_FIXTURES = ["rank1_rba", "c2_rba", "c3_rba", "s3_rba", "d8_rba", "rank7_rba"]

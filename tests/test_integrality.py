@@ -9,6 +9,7 @@ import pytest
 from rbakit.core import RBA, degree_map, validate
 from rbakit.decomp import central_idempotents, character_table
 from rbakit.integrality import (
+    RANK7_IMAGES,
     Sqrt5,
     SQRT5,
     integral_check,
@@ -116,6 +117,15 @@ def test_rank7_not_algebraic_integral(exact_data):
 
 def test_rank7_chi_row(exact_data):
     assert exact_data["chi"] == tuple(RANK7_TABLE["chi"])
+
+
+def test_rank7_images_represent_the_tensor(exact_data):
+    # X_i X_j = sum_k lam[i,j,k] X_k and X_{i*} = X_i^T, exactly over Q(sqrt 5)
+    x = RANK7_IMAGES
+    lam = exact_data["lam"]
+    for i, j in itertools.product(range(7), repeat=2):
+        assert (x[i] @ x[j] == sum(x[k] * lam[i, j, k] for k in range(7))).all(), (i, j)
+    assert (x[list(exact_data["star"])] == x.transpose(0, 2, 1)).all()
 
 
 def test_build_rank7_example(rank7_rba):
