@@ -9,15 +9,14 @@ beta > 0. Over the rationals, splitness is decided place by place with
 exact Hilbert symbols.
 """
 
-from rbakit import hilbert_places, hilbert_symbol, symbol
+from rbakit import analyze, hilbert_places, hilbert_symbol
 from rbakit.fixtures import load_fixture
 
 for name in ("s3", "d8"):
-    rba = load_fixture(name)
-    sym = symbol(rba)
-    print(f"{name}: x^2 = {sym.a_exact} e, y^2 = {sym.beta_exact} e  "
-          f"(pair {sym.pair}, y from element {sym.y_label})")
-    print(f"   local Hilbert symbols: {sym.local_symbols} -> verdict {sym.verdict}")
+    q = analyze(load_fixture(name)).data["quaternion"]
+    print(f"{name}: x^2 = {q['a']} e, y^2 = {q['beta']} e  "
+          f"(pair {q['pair']}, y from element {q['y_label']})")
+    print(f"   local Hilbert symbols: {q['local_symbols']} -> verdict {q['verdict']}")
 
 # the classical division algebra: (-1, -1) ramifies exactly at 2 and infinity
 print("\n(-1,-1):", hilbert_places(-1, -1), "-> division algebra")

@@ -11,22 +11,16 @@ __version__ = "0.1.0"
 from .core import (
     RBA,
     AxiomError,
-    DegreeMap,
     NumericalError,
     RBAError,
     StructuralError,
     ToleranceConfig,
-    ValidationReport,
     degree_map,
     gram_matrix,
     standardize,
-    to_standard_basis,
     validate,
 )
 from .decomp import (
-    CentralIdempotent,
-    Character,
-    CharacterTable,
     center_basis,
     central_idempotents,
     character_table,
@@ -36,39 +30,23 @@ from .decomp import (
     star_rep_extract,
     symmetrize,
 )
-from .indicator import (
-    IndicatorReport,
-    classify_one_pair,
-    indicator_report,
-    rank7_trichotomy,
-)
+from .indicator import classify_one_pair, indicator_report, rank7_trichotomy
 from .ingest import from_group, from_scheme, parse_cayley, parse_scheme, thin_scheme
-from .integrality import (
-    Sqrt5,
-    build_rank7_example,
-    integral_check,
-    two_adic_obstruction,
-)
-from .quaternion import QuaternionSymbol, hilbert_places, hilbert_symbol, symbol
+from .integrality import integral_check, two_adic_obstruction
+from .quaternion import hilbert_places, hilbert_symbol, symbol
 from .report import AnalysisReport, analyze
 
 __all__ = [
     "RBA",
     "AxiomError",
-    "DegreeMap",
     "NumericalError",
     "RBAError",
     "StructuralError",
     "ToleranceConfig",
-    "ValidationReport",
     "degree_map",
     "gram_matrix",
     "standardize",
-    "to_standard_basis",
     "validate",
-    "CentralIdempotent",
-    "Character",
-    "CharacterTable",
     "center_basis",
     "central_idempotents",
     "character_table",
@@ -77,7 +55,6 @@ __all__ = [
     "rep_residual",
     "star_rep_extract",
     "symmetrize",
-    "IndicatorReport",
     "classify_one_pair",
     "indicator_report",
     "rank7_trichotomy",
@@ -86,11 +63,8 @@ __all__ = [
     "parse_cayley",
     "parse_scheme",
     "thin_scheme",
-    "Sqrt5",
-    "build_rank7_example",
     "integral_check",
     "two_adic_obstruction",
-    "QuaternionSymbol",
     "hilbert_places",
     "hilbert_symbol",
     "symbol",

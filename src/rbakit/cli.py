@@ -19,15 +19,8 @@ import sys
 from .core import DEFAULT_TOL, RBA, RBAError, StructuralError, ToleranceConfig, validate
 from .fixtures import fixture_text
 from .ingest import from_group, from_scheme, parse_cayley
-from .quaternion import hilbert_places, symbol
-from .report import (
-    analyze,
-    canonical_json,
-    integrality_section,
-    symbol_section,
-    validation_section,
-    write_atomic,
-)
+from .quaternion import hilbert_places
+from .report import analyze, canonical_json, integrality_section, validation_section, write_atomic
 from .integrality import integral_check
 from . import __version__
 
@@ -112,18 +105,24 @@ def _cmd_validate(args) -> int:
 
 def _cmd_quaternion(args) -> int:
     tol = _tolerances(args)
-    rba = _load_rba(args.path, args)
-    sym = symbol(rba, tol)
-    payload = {**symbol_section(sym), "y_label": sym.y_label}
+    report = analyze(_load_rba(args.path, args), tol).data
+    if not report["validation"]["passed"]:
+        failing = ", ".join(c["name"] for c in report["validation"]["checks"] if not c["passed"])
+        _emit(args, canonical_json(report["validation"]) if args.json else f"axioms fail: {failing}\n")
+        return 1
+    q = dict(report["quaternion"])
+    status = q.pop("status")
+    if status != "computed":
+        raise StructuralError(status)
     if args.json:
-        _emit(args, canonical_json(payload))
+        _emit(args, canonical_json(q))
     else:
         _emit(
             args,
-            f"(a, beta) = ({payload['a']}, {payload['beta']})  verdict: {sym.verdict}\n"
-            + (f"local symbols: {sym.local_symbols}\n" if sym.local_symbols else ""),
+            f"(a, beta) = ({q['a']}, {q['beta']})  verdict: {q['verdict']}\n"
+            + (f"local symbols: {q['local_symbols']}\n" if q["local_symbols"] else ""),
         )
-    return 0 if sym.verdict in ("split", "real-split-only") else 1
+    return 0 if q["verdict"] in ("split", "real-split-only") else 1
 
 
 def _cmd_hilbert(args) -> int:
@@ -156,25 +155,24 @@ def _cmd_hilbert(args) -> int:
 def _cmd_check_integrality(args) -> int:
     tol = _tolerances(args)
     rba = _load_rba(args.path, args)
-    result = integral_check(rba, tol.eps_zero)
-    payload = integrality_section(result)
-    two = None
+    payload = None
     if rba.rank == 7 and rba.star_fixed_count() == 1:
-        # the only inputs that analyze gives a 2-adic section
-        two = analyze(rba, tol).data.get("integrality", {}).get("two_adic")
-    if two:
-        payload["two_adic"] = two
+        # the only inputs that analyze gives a 2-adic section, which needs the table
+        payload = analyze(rba, tol).data.get("integrality")
+    if payload is None:  # any other input, or one that analyze stopped at validation
+        payload = integrality_section(integral_check(rba, tol.eps_zero))
     if args.json:
         _emit(args, canonical_json(payload))
     else:
-        text = "integral\n" if result.integral else (
-            f"non-integral ({len(result.offenders)} offending entries, first "
-            f"{result.offenders[0][:3] if result.offenders else ''})\n"
+        first = payload["offenders"][0] if payload["offenders"] else None
+        text = "integral\n" if payload["integral"] else (
+            f"non-integral ({payload['offender_count']} offending entries, first "
+            f"{(first['i'], first['j'], first['k']) if first else ''})\n"
         )
-        if two:
-            text += f"2-adic obstruction: {two['verdict']}\n"
+        if "two_adic" in payload:
+            text += f"2-adic obstruction: {payload['two_adic']['verdict']}\n"
         _emit(args, text)
-    return 0 if result.integral else 1
+    return 0 if payload["integral"] else 1
 
 
 def _cmd_example(args) -> int:

@@ -422,7 +422,7 @@ def validate(rba: RBA, tol: ToleranceConfig = DEFAULT_TOL) -> ValidationReport:
     """Check every defining axiom, reporting a residual per check.
 
     One body for both modes: exact mode reads lam = N / D as (D, N) with zero
-    tolerances, float mode reads (1, lam_float) with tol.eps_residual
+    tolerances, float mode reads (1, lam_float) with tol.eps_residual * rba.scale
     (tol.eps_zero for is-zero decisions). Every axiom is homogeneous in lam
     except the identity, whose 1 becomes D; residuals are divided by D (D^2
     for associativity), so they keep the units of lam. A residual that is
@@ -432,7 +432,7 @@ def validate(rba: RBA, tol: ToleranceConfig = DEFAULT_TOL) -> ValidationReport:
     r = rba.rank
     star = rba.star
     d, lam = rba.lam_int if rba.exact else (1, rba.lam_float)
-    eps_zero, eps_res = (0, 0) if rba.exact else (tol.eps_zero, tol.eps_residual)
+    eps_zero, eps_res = (0, 0) if rba.exact else (tol.eps_zero, tol.eps_residual * rba.scale)
     report = ValidationReport()
 
     # star is an involution fixing 0

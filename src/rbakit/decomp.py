@@ -161,7 +161,7 @@ def central_idempotents(rba: RBA, tol: ToleranceConfig = DEFAULT_TOL):
             if abs(v.imag).max() < tol.eps_zero:
                 v = v.real.astype(complex)
             trace = float((v @ traces).real)
-            if not trace >= 0.5:  # NaN included
+            if not trace > 0.5:  # NaN included; a trace of 0.5 rounds to rank 0
                 raise NumericalError(f"idempotent trace {trace:.3g} is not a positive rank")
             rank = round(trace)
             block = round(rank ** 0.5)

@@ -56,10 +56,7 @@ def _digit_rows(data: bytes, start: int, blocks: int, m: int):
 def _int64_rows(rows, m: int, shape: str) -> np.ndarray:
     """m x m int64 array of (line number, content) rows, else StructuralError(shape).
     A bad token raises int()'s ValueError; a token beyond int64 is a StructuralError
-    naming its line. Single digits one space apart are read from their bytes."""
-    digits = _digit_rows(("\n".join(line for _, line in rows) + "\n").encode(), 0, 1, m)
-    if digits is not None:
-        return digits[0].astype(np.int64)
+    naming its line."""
     rows = [(n, line.split()) for n, line in rows]
     if len(rows) != m or any(len(tokens) != m for _, tokens in rows):
         raise StructuralError(shape)

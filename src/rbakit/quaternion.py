@@ -27,13 +27,10 @@ from .core import (
     NumericalError,
     RBA,
     ToleranceConfig,
-    degree_map,
     over_common_denominator,
     snap_rational,
-    to_standard_basis,
 )
-from .decomp import Character, character_table
-from .indicator import classify_one_pair, indicator_report
+from .decomp import Character, character_table  # noqa: F401  (bench/test_bench.py patches the latter here)
 
 __all__ = [
     "QuaternionSymbol",
@@ -185,7 +182,7 @@ def hilbert_places(a, b) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# the symbol pipeline
+# the quaternion symbol
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -204,15 +201,12 @@ class QuaternionSymbol:
     anticommute_residual: float = 0.0
 
 
-def symbol(rba: RBA, tol: ToleranceConfig = DEFAULT_TOL, *,
-           chi: Character = None) -> QuaternionSymbol:
+def symbol(rba: RBA, chi: Character, tol: ToleranceConfig = DEFAULT_TOL) -> QuaternionSymbol:
     """Assemble the quaternion symbol of the degree-2 component.
 
-    A caller that has run the pipeline passes the degree-2 character chi
-    that classify_one_pair returned, with the standard-basis rba it came
-    from. Without chi, this runs the pipeline as analyze does: the basis is
-    standardized first, then the one-nonreal-pair contract is checked, and a
-    rejection raises ValueError.
+    rba is in the standard basis, and chi is the degree-2 character that
+    classify_one_pair returned for it; analyze runs those steps, after
+    validate, and then this.
 
     x, y and e are computed on the structure constants: exactly, on the
     integer view lam_int, for an exact RBA, and within tol.eps_residual for
@@ -223,13 +217,6 @@ def symbol(rba: RBA, tol: ToleranceConfig = DEFAULT_TOL, *,
     reals; in rational mode the verdict is "split" iff every local Hilbert
     symbol of (a, beta) is +1.
     """
-    if chi is None:
-        rba, dm, _ = to_standard_basis(rba, degree_map(rba, tol), tol)
-        table = character_table(rba, dm, tol=tol)
-        verdict = classify_one_pair(rba, table, indicator_report(rba, dm, table, tol))
-        if not verdict.passed:
-            raise ValueError(f"one-nonreal-pair pipeline rejected: {verdict.reason}")
-        chi = verdict.chi
     pairs = rba.nonreal_pairs()
     if len(pairs) != 1:
         raise ValueError(f"{len(pairs)} nonreal pairs (need exactly 1)")

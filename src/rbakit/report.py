@@ -38,7 +38,6 @@ __all__ = [
     "analyze",
     "canonical_json",
     "validation_section",
-    "symbol_section",
     "integrality_section",
     "encode_value",
     "decode_value",
@@ -194,19 +193,6 @@ def validation_section(val) -> dict:
     }
 
 
-def symbol_section(sym) -> dict:
-    """(a, beta), exact where they snapped, and the verdicts of a QuaternionSymbol."""
-    return {
-        "a": encode_value(sym.a_exact if sym.a_exact is not None else sym.a),
-        "beta": encode_value(sym.beta_exact if sym.beta_exact is not None else sym.beta),
-        "field_mode": sym.field_mode,
-        "verdict": sym.verdict,
-        "local_symbols": encode_value(sym.local_symbols) if sym.local_symbols else None,
-        "pair": list(sym.pair),
-        "anticommute_residual": sym.anticommute_residual,
-    }
-
-
 def integrality_section(integ) -> dict:
     """The verdict, offender count and first 8 offenders of an integral_check."""
     return {
@@ -320,8 +306,18 @@ def analyze(rba: RBA, tol: ToleranceConfig = DEFAULT_TOL, force_float: bool = Fa
 
     if one_pair.passed:
         try:
-            sym = symbol(rba, tol, chi=one_pair.chi)
-            data["quaternion"] = {"status": "computed", **symbol_section(sym)}
+            sym = symbol(rba, one_pair.chi, tol)
+            data["quaternion"] = {  # (a, beta), exact where they snapped, and the verdicts
+                "status": "computed",
+                "a": encode_value(sym.a_exact if sym.a_exact is not None else sym.a),
+                "beta": encode_value(sym.beta_exact if sym.beta_exact is not None else sym.beta),
+                "field_mode": sym.field_mode,
+                "verdict": sym.verdict,
+                "local_symbols": encode_value(sym.local_symbols) if sym.local_symbols else None,
+                "pair": list(sym.pair),
+                "y_label": sym.y_label,
+                "anticommute_residual": sym.anticommute_residual,
+            }
             verdicts.append(sym.verdict != "division")
         except NumericalError as exc:
             data["quaternion"] = {"status": f"failed: {exc}"}

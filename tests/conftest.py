@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from rbakit.core import RBA, ToleranceConfig
+from rbakit.fixtures import load_fixture
 from rbakit.ingest import from_group
 from rbakit.integrality import build_rank7_example
 
@@ -68,6 +69,18 @@ def rescale(rba, scale):
     lam = rba.lam.copy()
     for i, j, k in itertools.product(range(r), repeat=3):
         lam[i, j, k] = rba.lam[i, j, k] * scale[i] * scale[j] / scale[k]
+    return RBA(lam, rba.star)
+
+
+def s3_associativity_variant():
+    """The bundled exact S3 with lam[4,5,3] += 3 and lam[4,5,4] -= 3, and the same
+    on lam[5,4,*]. The identity, *, pseudo-inverse and degree-map checks hold;
+    associativity alone fails (residual 9)."""
+    rba = load_fixture("s3.rba")
+    lam = rba.lam.copy()
+    for i, j in ((4, 5), (5, 4)):
+        lam[i, j, 3] += 3
+        lam[i, j, 4] -= 3
     return RBA(lam, rba.star)
 
 

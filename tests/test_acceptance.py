@@ -98,7 +98,7 @@ def test_criterion_2_main_theorem(fixture, xd_square, a_expected, request, capsy
         rep = star_rep_extract(rba, dm, chi.idempotent, TOL)
         p, ps = rba.nonreal_pairs()[0]
         xd = rep[p] - rep[ps]
-        sym = symbol(rba, TOL, chi=chi)
+        sym = symbol(rba, chi, TOL)
         elapsed = time.perf_counter() - t0
         closed_form = -dm.n * dm.values[p] * chi.multiplicity
         checks = [

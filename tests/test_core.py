@@ -27,10 +27,12 @@ from rbakit.core import (
 )
 from rbakit.fixtures import load_fixture
 from rbakit.ingest import from_group, from_scheme
+from rbakit.report import analyze
 
 from conftest import (
     TOL,
     c_n_table,
+    d8_table,
     overflow_rba_text,
     rank5_split_rba,
     rescale,
@@ -205,6 +207,28 @@ def test_validate_anti_automorphism_failure(s3_rba):
     broken = RBA(lam, s3_rba.star)
     rep = validate(broken, TOL)
     assert not rep.passed
+
+
+@pytest.mark.parametrize("table", [s3_table(), d8_table(), c_n_table(8)], ids=["D3", "D4", "C8"])
+def test_validate_float_bounds_are_relative_to_scale(table):
+    # b_i' = t_i b_i with t_i = t_{i*} in [1, 1000] is the same algebra at
+    # scale ~9e5, where float associativity residuals reach 6e-8
+    rba = from_group(table)
+    t = np.random.default_rng(1).uniform(1, 1000, rba.rank)[np.minimum(np.arange(rba.rank), rba.star)]
+    t[0] = 1
+    lam = rba.lam_float * t[:, None, None] * t[None, :, None] / t[None, None, :]
+    rescaled = RBA(lam, rba.star)
+    assert rescaled.scale > 5e5 and validate(rescaled, TOL).passed
+    report = analyze(rescaled, TOL).data
+    assert report["overall_pass"]
+    assert report["quaternion"].get("verdict", "real-split-only") == "real-split-only"
+    # a bump of a quarter of the scale on lam[1,2,3] and its mirror still fails
+    bumped = lam.copy()
+    s = rba.star
+    bumped[1, 2, 3] += 0.25 * rescaled.scale
+    bumped[s[2], s[1], s[3]] += 0.25 * rescaled.scale
+    rep = validate(RBA(bumped, rba.star), TOL)
+    assert [c.name for c in rep.checks if not c.passed] == ["associativity"]
 
 
 TINY = Fraction(1, 10**30)

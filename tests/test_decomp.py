@@ -1,5 +1,6 @@
 """Regular representation, idempotents, character tables, *-rep machinery."""
 
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -36,6 +37,7 @@ from conftest import (
     TOL,
     c_n_table,
     rank5_split_rba,
+    s3_associativity_variant,
     s3_table,
     s4_table,
     two_dim_s3_star_rep,
@@ -122,6 +124,15 @@ def test_center_rank_ambiguous(s3_rba):
     lam = s3_rba.lam_float + rng.uniform(-1e-6, 1e-6, (6, 6, 6))
     with pytest.raises(NumericalError, match="ambiguous"):
         center_basis(RBA(lam, s3_rba.star), TOL)
+
+
+def test_central_idempotents_refuse_a_trace_that_rounds_to_rank_0():
+    # an idempotent of the associativity-broken S3 variant has trace exactly
+    # 0.5: round(0.5) == 0 would give a block of dimension 0, divided by later
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NumericalError, match=r"idempotent trace 0\.5 is not a positive rank"):
+            central_idempotents(s3_associativity_variant(), TOL)
 
 
 def _with_noise(rba, size, seed):

@@ -30,6 +30,12 @@ def _deg2_rep(rba):
     return dm, table, chi, rep
 
 
+def _symbol(rba):
+    """symbol() of an RBA already in the standard basis, with its degree-2 character."""
+    chi = character_table(rba, degree_map(rba, TOL), tol=TOL).degree_two()[0]
+    return symbol(rba, chi, TOL)
+
+
 # ---------------------------------------------------------------------------
 # quaternions as 4x4 left-multiplication matrices
 # ---------------------------------------------------------------------------
@@ -91,10 +97,10 @@ def test_rank7_image_char_polys():
 
 def test_dc_change_of_basis(s3_rba, d8_rba, rank7_rba):
     # d = b_p - b_p* and c = b_p + b_p* come from the one nonreal pair
-    assert symbol(s3_rba, TOL).pair == (1, 2)
-    assert symbol(d8_rba, TOL).pair == (1, 3)
+    assert _symbol(s3_rba).pair == (1, 2)
+    assert _symbol(d8_rba).pair == (1, 3)
     with pytest.raises(ValueError, match="3 nonreal pairs"):
-        symbol(rank7_rba, TOL)
+        _symbol(rank7_rba)
 
 
 def test_x_generator_s3(s3_rba):
@@ -102,25 +108,25 @@ def test_x_generator_s3(s3_rba):
     xd = rep[1] - rep[2]
     assert abs(xd @ xd + 3.0 * np.eye(2)).max() < 1e-8  # X(d)^2 = -3 I
     # x = m_chi d in the algebra: x^2 = a e with a = -n delta_p m_chi = -6*1*2
-    assert symbol(s3_rba, TOL).a_exact == -dm.n * dm.values[1] * chi.multiplicity == -12
+    assert symbol(s3_rba, chi, TOL).a_exact == -dm.n * dm.values[1] * chi.multiplicity == -12
 
 
 def test_x_generator_d8(d8_rba):
     dm, table, chi, rep = _deg2_rep(d8_rba)
     xd = rep[1] - rep[3]
     assert abs(xd @ xd + 4.0 * np.eye(2)).max() < 1e-8  # X(d)^2 = -4 I
-    assert symbol(d8_rba, TOL).a_exact == -dm.n * dm.values[1] * chi.multiplicity == -16
+    assert symbol(d8_rba, chi, TOL).a_exact == -dm.n * dm.values[1] * chi.multiplicity == -16
 
 
 def test_y_generator(s3_rba, d8_rba):
     # y = z - x z x / a from the first real z = e b_l that x does not commute with
     for rba, label in ((s3_rba, "3"), (d8_rba, "4")):
-        sym = symbol(rba, TOL)
+        sym = _symbol(rba)
         assert sym.beta_exact == 4  # reflections have eigenvalues +-1
         assert sym.y_label == label
         assert sym.anticommute_residual == 0.0  # x y = -y x, checked exactly
         # the float route computes the same generators within eps_residual
-        sym = symbol(RBA(rba.lam_float, rba.star), TOL)
+        sym = _symbol(RBA(rba.lam_float, rba.star))
         assert abs(sym.beta - 4.0) < 1e-8 and abs(sym.a - sym.a_exact) < 1e-8
         assert sym.y_label == label and sym.anticommute_residual < 1e-8
         assert (sym.field_mode, sym.verdict) == ("real-numeric", "real-split-only")
@@ -146,7 +152,7 @@ def test_traceless_symmetric_anticommutes_antisymmetric():
 @pytest.mark.parametrize("fixture,a_expected", [("s3_rba", -12), ("d8_rba", -16)])
 def test_symbol_split(fixture, a_expected, request):
     rba = request.getfixturevalue(fixture)
-    sym = symbol(rba, TOL)
+    sym = _symbol(rba)
     assert sym.a_exact == a_expected
     assert sym.beta_exact == 4
     assert sym.beta > 0
@@ -159,7 +165,7 @@ def test_symbol_split(fixture, a_expected, request):
 @pytest.mark.parametrize("fixture,a_expected", [("s3_rba", -12), ("d8_rba", -16)])
 def test_symbol_standardizes_the_basis_first(fixture, a_expected, request, tmp_path, capsys):
     # b_i' = t_i b_i with distinct t_i = t_{i*} > 0 is the same algebra in a
-    # non-standard basis: symbol(), `rbakit quaternion` and analyze all
+    # non-standard basis: analyze, and `rbakit quaternion` through it,
     # standardize it first
     rba = request.getfixturevalue(fixture)
     t = [Fraction(1)] + [Fraction(min(i, int(rba.star[i])) + 2, 2) for i in range(1, rba.rank)]
@@ -168,9 +174,6 @@ def test_symbol_standardizes_the_basis_first(fixture, a_expected, request, tmp_p
     assert report["rba"]["standard_basis"] is False
     q = report["quaternion"]
     assert (q["a"], q["beta"], q["verdict"]) == (str(a_expected), "4", "split")
-
-    sym = symbol(rba, TOL)
-    assert (sym.a_exact, sym.beta_exact, sym.verdict) == (a_expected, 4, "split")
 
     path = tmp_path / "rescaled.rba"
     path.write_text(rba.to_text())
@@ -181,7 +184,7 @@ def test_symbol_standardizes_the_basis_first(fixture, a_expected, request, tmp_p
 
 def test_symbol_rejects_rank7(rank7_rba):
     with pytest.raises(ValueError, match="nonreal pairs"):
-        symbol(rank7_rba, TOL)
+        _symbol(rank7_rba)
 
 
 @pytest.mark.parametrize("seed", range(24))

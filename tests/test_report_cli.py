@@ -1,18 +1,27 @@
 """AnalysisReport serialization and the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rbakit.cli
+import rbakit.report
 from rbakit.cli import main
 from rbakit.core import RBA
 from rbakit.fixtures import fixture_text, load_fixture
+from rbakit.integrality import integral_check
 from rbakit.report import AnalysisReport, analyze, decode_value, encode_value
 
-from conftest import TOL, c_n_table, overflow_rba_text, s4_table
+from conftest import TOL, c_n_table, overflow_rba_text, s3_associativity_variant, s4_table
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="module")
@@ -178,6 +187,18 @@ def test_cli_quaternion(tmp_path, capsys):
     assert payload["a"] == "-12"
     assert payload["beta"] == "4"
     assert payload["verdict"] == "split"
+    # analyze's section as it stands: a symbol that is not applicable exits 2
+    # with its status, and failing axioms exit 1 naming the check
+    r7 = tmp_path / "r7.rba"
+    r7.write_text(fixture_text("rank7_h"))
+    assert main(["quaternion", str(r7)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: not applicable: 3 nonreal pairs (need exactly 1)")
+    variant = tmp_path / "variant.rba"
+    variant.write_text(s3_associativity_variant().to_text())
+    assert main(["quaternion", str(variant)]) == 1
+    assert capsys.readouterr().out == "axioms fail: associativity\n"
 
 
 def test_cli_hilbert(capsys):
@@ -414,14 +435,16 @@ def test_cli_rejects_duplicate_lambda(command, tmp_path, capsys):
     assert "line 4: duplicate lambda 0 0 0 (first on line 3)" in captured.err
 
 
-def test_cli_json_output_is_strict(tmp_path, capsys):
+def test_cli_json_output_is_strict(tmp_path, capsys, monkeypatch):
     # 1e308 is finite, but the associativity residual of this rank-3 tensor is
     # inf - inf: --json must fail (exit 2) rather than print bare NaN
     overflow = tmp_path / "overflow.rba"
     overflow.write_text(overflow_rba_text("1e308"))
     rank1 = tmp_path / "rank1.rba"   # not an identity: associativity is not run
     rank1.write_text("rank 1\nstar 0\nlambda 0 0 0 1e308\n")
-    inputs = [_write_s3(tmp_path), str(overflow), str(rank1)]
+    variant = tmp_path / "variant.rba"  # associativity alone fails
+    variant.write_text(s3_associativity_variant().to_text())
+    inputs = [_write_s3(tmp_path), str(overflow), str(rank1), str(variant)]
     runs = [[command, path, "--json"] for command in RBA_COMMANDS for path in inputs]
     runs += [["hilbert", "-1", "-1", "--json"], ["hilbert", "2", "3", "--json"]]
     for argv in runs:
@@ -432,6 +455,35 @@ def test_cli_json_output_is_strict(tmp_path, capsys):
             json.loads(out, parse_constant=lambda c: pytest.fail(f"{argv}: {c}"))
         else:
             assert code == 2, argv
+
+    # quaternion validates first; in a process of its own, so that what LAPACK
+    # and the warnings module write is seen as well
+    proc = subprocess.run(
+        [sys.executable, "-m", "rbakit.cli", "quaternion", str(variant), "--json"],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), capture_output=True, text=True,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert json.loads(proc.stdout)["checks"][-1] == {
+        "name": "associativity", "passed": False, "residual": 9.0,
+        "detail": "worst quadruple (4,5,5,3)"}
+    assert "DLASCL" not in proc.stdout + proc.stderr and "Warning" not in proc.stderr
+
+    # check-integrality runs one integral_check, with or without analyze's 2-adic part
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return integral_check(*args)
+
+    monkeypatch.setattr(rbakit.cli, "integral_check", counted)
+    monkeypatch.setattr(rbakit.report, "integral_check", counted)
+    rank7 = tmp_path / "rank7.rba"
+    rank7.write_text(fixture_text("rank7_h"))
+    for path, code in ((variant, 0), (rank7, 1)):
+        calls.clear()
+        assert main(["check-integrality", str(path), "--json"]) == code
+        json.loads(capsys.readouterr().out)
+        assert len(calls) == 1, path
 
 
 def test_cli_validate_without_identity_is_bounded(tmp_path, capsys):
