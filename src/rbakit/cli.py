@@ -155,24 +155,25 @@ def _cmd_hilbert(args) -> int:
 def _cmd_check_integrality(args) -> int:
     tol = _tolerances(args)
     rba = _load_rba(args.path, args)
-    payload = None
+    result = integral_check(rba, tol.eps_zero)
+    payload = integrality_section(result)
+    two = None
     if rba.rank == 7 and rba.star_fixed_count() == 1:
-        # the only inputs that analyze gives a 2-adic section, which needs the table
-        payload = analyze(rba, tol).data.get("integrality")
-    if payload is None:  # any other input, or one that analyze stopped at validation
-        payload = integrality_section(integral_check(rba, tol.eps_zero))
+        # the only inputs that analyze gives a 2-adic section
+        two = analyze(rba, tol).data.get("integrality", {}).get("two_adic")
+    if two:
+        payload["two_adic"] = two
     if args.json:
         _emit(args, canonical_json(payload))
     else:
-        first = payload["offenders"][0] if payload["offenders"] else None
-        text = "integral\n" if payload["integral"] else (
-            f"non-integral ({payload['offender_count']} offending entries, first "
-            f"{(first['i'], first['j'], first['k']) if first else ''})\n"
+        text = "integral\n" if result.integral else (
+            f"non-integral ({len(result.offenders)} offending entries, first "
+            f"{result.offenders[0][:3] if result.offenders else ''})\n"
         )
-        if "two_adic" in payload:
-            text += f"2-adic obstruction: {payload['two_adic']['verdict']}\n"
+        if two:
+            text += f"2-adic obstruction: {two['verdict']}\n"
         _emit(args, text)
-    return 0 if payload["integral"] else 1
+    return 0 if result.integral else 1
 
 
 def _cmd_example(args) -> int:

@@ -424,15 +424,17 @@ def validate(rba: RBA, tol: ToleranceConfig = DEFAULT_TOL) -> ValidationReport:
     One body for both modes: exact mode reads lam = N / D as (D, N) with zero
     tolerances, float mode reads (1, lam_float) with tol.eps_residual * rba.scale
     (tol.eps_zero for is-zero decisions). Every axiom is homogeneous in lam
-    except the identity, whose 1 becomes D; residuals are divided by D (D^2
-    for associativity), so they keep the units of lam. A residual that is
+    except the identity, whose 1 becomes D and is 1 at every scale, so its
+    float bound stays the bare tol.eps_residual. Residuals are divided by D
+    (D^2 for associativity), so they keep the units of lam. A residual that is
     not finite raises NumericalError naming its check. Associativity, the one
     r^5 check, is not run (and fails) when the identity check fails.
     """
     r = rba.rank
     star = rba.star
     d, lam = rba.lam_int if rba.exact else (1, rba.lam_float)
-    eps_zero, eps_res = (0, 0) if rba.exact else (tol.eps_zero, tol.eps_residual * rba.scale)
+    eps_zero, eps_id, eps_res = (0, 0, 0) if rba.exact else (
+        tol.eps_zero, tol.eps_residual, tol.eps_residual * rba.scale)
     report = ValidationReport()
 
     # star is an involution fixing 0
@@ -442,7 +444,7 @@ def validate(rba: RBA, tol: ToleranceConfig = DEFAULT_TOL) -> ValidationReport:
     # b_0 is the two-sided identity
     eye = np.eye(r, dtype=lam.dtype) * d
     res_id = max(abs(lam[0] - eye).max(), abs(lam[:, 0, :] - eye).max())
-    report.checks.append(CheckResult("identity", res_id <= eps_res, _div(res_id, d)))
+    report.checks.append(CheckResult("identity", res_id <= eps_id, _div(res_id, d)))
 
     # anti-automorphism: lam[i,j,k] = lam[j*,i*,k*]
     res_star = abs(lam - lam[star][:, star][:, :, star].transpose(1, 0, 2)).max()

@@ -229,6 +229,14 @@ def test_validate_float_bounds_are_relative_to_scale(table):
     bumped[s[2], s[1], s[3]] += 0.25 * rescaled.scale
     rep = validate(RBA(bumped, rba.star), TOL)
     assert [c.name for c in rep.checks if not c.passed] == ["associativity"]
+    # the identity's entries are 1 at every scale, so its bound stays absolute:
+    # b_0 b_1 = 3 b_1 fails at scale 1e9, where the relative bound would be 10
+    lam = np.zeros((2, 2, 2))
+    lam[0, 0, 0] = lam[1, 1, 0] = 1
+    lam[0, 1, 1] = lam[1, 0, 1] = 3
+    lam[1, 1, 1] = 1e9
+    rep = validate(RBA(lam, np.array([0, 1])), TOL)
+    assert not rep["identity"].passed and rep["identity"].residual == 2
 
 
 TINY = Fraction(1, 10**30)

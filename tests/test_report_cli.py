@@ -11,15 +11,27 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import rbakit.cli
-import rbakit.report
 from rbakit.cli import main
 from rbakit.core import RBA
 from rbakit.fixtures import fixture_text, load_fixture
 from rbakit.integrality import integral_check
-from rbakit.report import AnalysisReport, analyze, decode_value, encode_value
+from rbakit.report import (
+    AnalysisReport,
+    analyze,
+    canonical_json,
+    decode_value,
+    encode_value,
+    integrality_section,
+)
 
-from conftest import TOL, c_n_table, overflow_rba_text, s3_associativity_variant, s4_table
+from conftest import (
+    TOL,
+    c_n_table,
+    overflow_rba_text,
+    rescale,
+    s3_associativity_variant,
+    s4_table,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -234,6 +246,16 @@ def test_cli_check_integrality(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert not payload["integral"]
     assert payload["two_adic"]["verdict"] == "obstructed-non-integral"
+    # the verdict is on the basis as given: C7 with b_i' = b_i / 2 has lam = 1/2,
+    # though analyze's standard basis is the group basis again
+    from rbakit.ingest import from_group
+    c7 = from_group(c_n_table(7))
+    halved = tmp_path / "c7_halved.rba"
+    halved.write_text(rescale(c7, [Fraction(1)] + [Fraction(1, 2)] * 6).to_text())
+    assert analyze(RBA.from_text(halved.read_text()), TOL).data["integrality"]["integral"]
+    assert main(["check-integrality", str(halved), "--json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert not payload["integral"] and "two_adic" not in payload
 
 
 def test_cli_check_integrality_skips_analysis_outside_rank7(tmp_path, capsys):
@@ -435,7 +457,7 @@ def test_cli_rejects_duplicate_lambda(command, tmp_path, capsys):
     assert "line 4: duplicate lambda 0 0 0 (first on line 3)" in captured.err
 
 
-def test_cli_json_output_is_strict(tmp_path, capsys, monkeypatch):
+def test_cli_json_output_is_strict(tmp_path, capsys):
     # 1e308 is finite, but the associativity residual of this rank-3 tensor is
     # inf - inf: --json must fail (exit 2) rather than print bare NaN
     overflow = tmp_path / "overflow.rba"
@@ -468,22 +490,17 @@ def test_cli_json_output_is_strict(tmp_path, capsys, monkeypatch):
         "detail": "worst quadruple (4,5,5,3)"}
     assert "DLASCL" not in proc.stdout + proc.stderr and "Warning" not in proc.stderr
 
-    # check-integrality runs one integral_check, with or without analyze's 2-adic part
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return integral_check(*args)
-
-    monkeypatch.setattr(rbakit.cli, "integral_check", counted)
-    monkeypatch.setattr(rbakit.report, "integral_check", counted)
+    # check-integrality judges the basis as given, adding analyze's 2-adic part
     rank7 = tmp_path / "rank7.rba"
     rank7.write_text(fixture_text("rank7_h"))
     for path, code in ((variant, 0), (rank7, 1)):
-        calls.clear()
         assert main(["check-integrality", str(path), "--json"]) == code
-        json.loads(capsys.readouterr().out)
-        assert len(calls) == 1, path
+        payload = json.loads(capsys.readouterr().out)
+        rba = RBA.from_text(path.read_text())
+        two = payload.pop("two_adic", None)
+        assert payload == json.loads(canonical_json(integrality_section(integral_check(rba))))
+        expected = analyze(rba, TOL).data.get("integrality", {}).get("two_adic")
+        assert two == json.loads(canonical_json(expected))
 
 
 def test_cli_validate_without_identity_is_bounded(tmp_path, capsys):
