@@ -12,20 +12,23 @@ r * max|N|^2 < 2^52): as a sort-join over the nonzeros, read at the keys
 its products touch, when their count makes it cheaper, else as BLAS gemm;
 einsum runs elsewhere. The degree map is sought among the real all-positive
 eigenvectors of one random element, tested by one product with the tensor.
-Text is parsed into integer pairs; Fractions are built only for the text
-output, the ``lam`` accessor and reported offenders. Eigen-computations run
-in doubles; exact mode changes how identities are checked and how derived
-values are snapped back. One tolerance, ToleranceConfig.eps_residual, sets
-the residual bound, the is-zero cut and the cluster gap; bounds on the
-tensor are relative to ``RBA.scale`` = max(1, max|lam|).
+Well-formed text is read a column at a time, other text line by line;
+Fractions are built only for the text output, the ``lam`` accessor and
+reported offenders. Eigen-computations run in doubles; exact mode changes
+how identities are checked and how derived values are snapped back. One
+tolerance, ToleranceConfig.eps_residual, sets the residual bound, the
+is-zero cut and the cluster gap; bounds on the tensor are relative to
+``RBA.scale`` = max(1, max|lam|).
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import floordiv, itemgetter, methodcaller, mul, truediv
 
 import numpy as np
 
@@ -191,6 +194,113 @@ def _parse_scalar(token: str, lineno: int):
     return value
 
 
+def _read_lines(text: str):
+    """(rank, star, (i, j, k) index, D, values) of .rba text, line by line:
+    values are N / D over one D when every entry is exact, else floats."""
+    rank = None
+    star = None
+    entries = {}  # (i, j, k) -> (line number, value)
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        fields = line.split()
+        if len(fields) != _FIELDS.get(fields[0], len(fields)):
+            raise StructuralError(f"line {lineno}: a '{fields[0]}' line has "
+                                  f"{_FIELDS[fields[0]]} fields, not {len(fields)}")
+        try:
+            if fields[0] == "rank":
+                rank = int(fields[1])
+            elif fields[0] == "star":
+                star = [int(t) for t in fields[1:]]
+            elif fields[0] == "lambda":
+                key = (int(fields[1]), int(fields[2]), int(fields[3]))
+                if key in entries:
+                    raise StructuralError(
+                        f"line {lineno}: duplicate lambda {' '.join(map(str, key))}"
+                        f" (first on line {entries[key][0]})"
+                    )
+                entries[key] = (lineno, _parse_scalar(fields[4], lineno))
+            else:
+                raise StructuralError(f"line {lineno}: unknown directive {fields[0]!r}")
+        except ValueError as exc:
+            raise StructuralError(f"line {lineno}: {raw!r}") from exc
+    if rank is None or rank < 1:
+        raise StructuralError("missing or invalid 'rank' line")
+    if star is None or len(star) != rank:
+        raise StructuralError("missing or wrong-length 'star' line")
+    for i, j, k in entries:
+        if not (0 <= i < rank and 0 <= j < rank and 0 <= k < rank):
+            raise StructuralError(f"lambda index ({i},{j},{k}) out of range for rank {rank}")
+    values = [v for _, v in entries.values()]
+    if all(isinstance(v, tuple) for v in values):  # lam = N / D over one D
+        d = math.lcm(*(q for _, q in values))
+        values = _exact_values([p * (d // q) for p, q in values])
+    else:  # one decimal entry puts the whole RBA in float mode
+        d = None
+        values = np.array([v[0] / v[1] if isinstance(v, tuple) else v for v in values], dtype=float)
+    return rank, star, tuple(np.array(list(entries), dtype=np.intp).reshape(-1, 3).T), d, values
+
+
+def _exact_values(numerators: list) -> np.ndarray:
+    """The numerators as int64, or as Python ints once one reaches 2^63."""
+    big = max(map(abs, numerators), default=0) >= 2**63
+    return np.array(numerators, dtype=object if big else np.int64)
+
+
+def _read_columns(text: str):
+    """_read_lines's result for well-formed text, read a column at a time, or
+    None for other text, before any error. Well-formed: ASCII with no '_',
+    leading '#' lines, 'rank r', 'star' and r entries, then n lines, each
+    starting 'lambda ', of 5n tokens in all. A line of other than five fields
+    would put a 'lambda' where unsigned indices and values must parse."""
+    start = 0
+    while text.startswith("#", start):
+        start = text.find("\n", start) + 1 or len(text)
+    head_end = text.find("\n", start)
+    star_end = text.find("\n", head_end + 1)
+    head, star = text[start:head_end].split(), text[head_end + 1:star_end].split()
+    tokens = text[star_end + 1:].split()
+    n = len(tokens) // 5
+    if (min(head_end, star_end) < 0 or not text.isascii() or text.find("#", start) >= 0
+            or any(c in text for c in "_\r\v\f\x1c\x1d\x1e") or len(head) != 2 or head[0] != "rank"
+            or star[:1] != ["star"] or len(tokens) != 5 * n or text.count("\nlambda ", star_end) != n
+            or text.count("\n", star_end + 1) + (not text.endswith("\n")) != n):
+        return None
+    # unsigned digit strings, which numpy reads as int() does (saturating past int64)
+    digits = " ".join(itertools.chain(tokens[1::5], tokens[2::5], tokens[3::5]))
+    values = tokens[4::5]
+    del tokens
+    try:
+        rank, star = int(head[1]), list(map(int, star[1:]))
+        if not digits.replace(" ", "").isdigit():
+            return None
+        index = np.fromstring(digits, np.int64, sep=" ").reshape(3, n)
+        if text.find("/", star_end) >= 0:  # p/q and integer tokens
+            pq = list(map(methodcaller("split", "/"), map(str.__add__, values, itertools.repeat("/1"))))
+            if max(map(len, pq)) > 3:
+                return None
+            p, q = (list(map(int, map(itemgetter(c), pq))) for c in (0, 1))
+            sum(map(truediv, p, q))  # 1/0 and out-of-range values raise, as in _parse_scalar
+            d = math.lcm(*q)
+            values = _exact_values(list(map(mul, p, map(floordiv, itertools.repeat(d), q))))
+        else:
+            try:  # with no '_', int() takes just the tokens _parse_scalar reads as integers
+                values, d = list(map(int, values)), 1
+            except ValueError:  # a decimal token: float mode
+                values, d = np.fromiter(map(float, values), float, n), None
+            else:
+                sum(map(float, values))  # out-of-range values raise, as in _parse_scalar
+                values = _exact_values(values)
+    except (ValueError, OverflowError, ZeroDivisionError):
+        return None
+    if (rank < 1 or len(star) != rank or rank >= 2**20 or index.max(initial=0) >= rank
+            or d is None and not np.isfinite(values).all()):
+        return None
+    keys = np.sort((index[0] * rank + index[1]) * rank + index[2])  # below 2^60, as rank < 2^20
+    return None if (keys[1:] == keys[:-1]).any() else (rank, star, tuple(index), d, values)
+
+
 # ---------------------------------------------------------------------------
 # the RBA object
 # ---------------------------------------------------------------------------
@@ -294,55 +404,15 @@ class RBA:
 
     @classmethod
     def from_text(cls, text: str) -> "RBA":
-        rank = None
-        star = None
-        entries = {}  # (i, j, k) -> (line number, value)
-        for lineno, raw in enumerate(text.splitlines(), 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            fields = line.split()
-            if len(fields) != _FIELDS.get(fields[0], len(fields)):
-                raise StructuralError(f"line {lineno}: a '{fields[0]}' line has "
-                                      f"{_FIELDS[fields[0]]} fields, not {len(fields)}")
-            try:
-                if fields[0] == "rank":
-                    rank = int(fields[1])
-                elif fields[0] == "star":
-                    star = [int(t) for t in fields[1:]]
-                elif fields[0] == "lambda":
-                    key = (int(fields[1]), int(fields[2]), int(fields[3]))
-                    if key in entries:
-                        raise StructuralError(
-                            f"line {lineno}: duplicate lambda {' '.join(map(str, key))}"
-                            f" (first on line {entries[key][0]})"
-                        )
-                    entries[key] = (lineno, _parse_scalar(fields[4], lineno))
-                else:
-                    raise StructuralError(f"line {lineno}: unknown directive {fields[0]!r}")
-            except ValueError as exc:
-                raise StructuralError(f"line {lineno}: {raw!r}") from exc
-        if rank is None or rank < 1:
-            raise StructuralError("missing or invalid 'rank' line")
-        if star is None or len(star) != rank:
-            raise StructuralError("missing or wrong-length 'star' line")
-        for i, j, k in entries:
-            if not (0 <= i < rank and 0 <= j < rank and 0 <= k < rank):
-                raise StructuralError(f"lambda index ({i},{j},{k}) out of range for rank {rank}")
-        values = [v for _, v in entries.values()]
-        if all(isinstance(v, tuple) for v in values):  # lam = N / D over one D
-            d = math.lcm(*(q for _, q in values))
-            values = [p * (d // q) for p, q in values]
-            dtype = object if any(abs(v) >= 2**63 for v in values) else np.int64
-        else:  # one decimal entry puts the whole RBA in float mode
-            d, dtype = None, float
-            values = [v[0] / v[1] if isinstance(v, tuple) else v for v in values]
+        """Parse .rba text: well-formed text column by column (_read_columns),
+        any other text line by line (_read_lines), which owns every error."""
+        rank, star, index, d, values = _read_columns(text) or _read_lines(text)
         try:
-            lam = np.zeros((rank, rank, rank), dtype=dtype)
+            lam = np.zeros((rank, rank, rank), dtype=values.dtype)
         except MemoryError:
             raise StructuralError(
                 f"rank {rank}: the r^3 = {rank**3} entry tensor cannot be allocated") from None
-        lam[tuple(np.array(list(entries), dtype=np.intp).reshape(-1, 3).T)] = values
+        lam[index] = values
         return cls._from_numerators(d, lam, star)
 
     @classmethod

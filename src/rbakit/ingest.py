@@ -161,7 +161,8 @@ def from_scheme(relations) -> RBA:
     if len(relations) == 0:
         raise StructuralError("no relation matrices")
     rel = np.asarray(relations) if len({np.shape(m) for m in relations}) == 1 else np.zeros(0)
-    if rel.ndim != 3 or not rel.shape[1] == rel.shape[2] > 0 or not ((rel == 0) | (rel == 1)).all():
+    if rel.ndim != 3 or not rel.shape[1] == rel.shape[2] > 0 or not (
+            rel.max() <= 1 if rel.dtype in (np.uint8, np.bool_) else ((rel == 0) | (rel == 1)).all()):
         raise StructuralError("relations must be square 0/1 matrices of equal size")
     rel = rel.astype(np.float32)
     r, v = rel.shape[:2]

@@ -45,6 +45,17 @@ __all__ = [
 # exact arithmetic in Q(sqrt 5), just enough for the reconstruction
 # ---------------------------------------------------------------------------
 
+def _lifted(op):
+    """op on the operand as a Sqrt5; NotImplemented, as for an array, where Fraction() fails."""
+    def lifted(self, other):
+        try:
+            other = _lift(other)
+        except (TypeError, ValueError):
+            return NotImplemented
+        return op(self, other)
+    return lifted
+
+
 @dataclass(frozen=True)
 class Sqrt5:
     """rational + coef * sqrt(5), exact."""
@@ -52,24 +63,25 @@ class Sqrt5:
     rational: Fraction = Fraction(0)
     coef: Fraction = Fraction(0)
 
-    def __add__(self, other):
-        o = _lift(other)
+    @_lifted
+    def __add__(self, o):
         return Sqrt5(self.rational + o.rational, self.coef + o.coef)
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        o = _lift(other)
+    @_lifted
+    def __sub__(self, o):
         return Sqrt5(self.rational - o.rational, self.coef - o.coef)
 
-    def __rsub__(self, other):
-        return _lift(other) - self
+    @_lifted
+    def __rsub__(self, o):
+        return o - self
 
     def __neg__(self):
         return Sqrt5(-self.rational, -self.coef)
 
-    def __mul__(self, other):
-        o = _lift(other)
+    @_lifted
+    def __mul__(self, o):
         return Sqrt5(
             self.rational * o.rational + 5 * self.coef * o.coef,
             self.rational * o.coef + self.coef * o.rational,
@@ -77,15 +89,15 @@ class Sqrt5:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        o = _lift(other)
+    @_lifted
+    def __truediv__(self, o):
         nrm = o.rational * o.rational - 5 * o.coef * o.coef
         if nrm == 0:
             raise ZeroDivisionError("division by zero in Q(sqrt 5)")
         return self * Sqrt5(o.rational / nrm, -o.coef / nrm)
 
-    def __eq__(self, other):
-        o = _lift(other)
+    @_lifted
+    def __eq__(self, o):
         return self.rational == o.rational and self.coef == o.coef
 
     def __hash__(self):

@@ -8,11 +8,14 @@ give byte-identical output.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
+import re
 import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import c_make_encoder, encode_basestring_ascii
 
 import numpy as np
 
@@ -74,9 +77,71 @@ def encode_value(v):
 
 def canonical_json(obj) -> str:
     """Sorted, indented JSON, with encode_value for every leaf json cannot encode;
-    nan and inf raise ValueError. Dicts with non-string keys must be passed
-    through encode_value first."""
-    return json.dumps(obj, default=encode_value, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    nan and inf raise ValueError. The bytes are json.dumps(obj, default=encode_value,
+    sort_keys=True, indent=2, allow_nan=False) + "\\n", whose pure-Python encoder
+    yields a piece per item. Here json's C encoder writes each list or dict of
+    scalars, and each list of scalars and dicts of scalars, in one call, and string
+    replacements indent it; a nan or inf is found again item by item, in json's order."""
+    return _encode(obj, "\n") + "\n"
+
+
+def _float(x) -> str:
+    text = float.__repr__(x)
+    if "n" in text:  # nan, inf, -inf
+        raise ValueError("Out of range float values are not JSON compliant: " + repr(x))
+    return text
+
+
+# the text of a scalar of exactly these types; a subclass is tested in json's order
+_TEXT = {str: encode_basestring_ascii, int: int.__repr__, float: _float,
+         bool: {True: "true", False: "false"}.__getitem__, type(None): lambda _: "null"}
+_SCALARS = frozenset(_TEXT)
+_FLAT = _SCALARS | {dict}
+# json's C encoder, keys sorted and items separated by \x00, which no string holds
+_compact = c_make_encoder(None, None, encode_basestring_ascii, None, ": ", "\x00", True, False, False)
+_KEY_AHEAD = re.compile(r'\x00(?="[^"\\]*(?:\\.[^"\\]*)*": )')  # a separator before a key
+
+
+def _encode(o, newline: str) -> str:
+    """The JSON text of o, whose nested lines start with newline plus two spaces."""
+    text = _TEXT.get(type(o))
+    if text is not None:
+        return text(o)
+    kind, inner = type(o), newline + "  "
+    if (kind is dict or kind is list or kind is tuple) and o:
+        kinds = set(map(type, o.values() if kind is dict else o))
+        try:
+            if kinds <= _SCALARS:  # one item a line
+                text = _compact(o, 0)[0]
+                return text[0] + inner + text[1:-1].replace("\x00", "," + inner) + newline + text[-1]
+            dicts = [x for x in o if type(x) is dict] if kind is not dict and kinds <= _FLAT else ()
+            if dicts and all(dicts) and _SCALARS.issuperset(
+                    map(type, itertools.chain.from_iterable(map(dict.values, dicts)))):
+                # a dict opens after a separator and closes before one; its own separators precede keys
+                text = _KEY_AHEAD.sub("," + inner + "  ", "\x00" + _compact(o, 0)[0][1:-1] + "\x00")
+                text = text.replace("\x00{", "\x00{" + inner + "  ").replace("}\x00", inner + "}\x00")
+                return "[" + inner + text[1:-1].replace("\x00", "," + inner) + newline + "]"
+        except ValueError:  # a nan or inf: raised below
+            pass
+    for base in (str, int, float):
+        if isinstance(o, base):
+            return _TEXT[base](o)
+    if isinstance(o, (list, tuple)):
+        items = map(_encode, o, itertools.repeat(inner))
+    elif isinstance(o, dict):
+        items = [encode_basestring_ascii(k if isinstance(k, str) else _key(k)) + ": " + _encode(v, inner)
+                 for k, v in sorted(o.items())]
+    else:
+        return _encode(encode_value(o), newline)
+    brackets = "{}" if isinstance(o, dict) else "[]"
+    return brackets[0] + inner + ("," + inner).join(items) + newline + brackets[1] if o else brackets
+
+
+def _key(k) -> str:
+    """json's text for a dict key that is not a str."""
+    if isinstance(k, (float, int)) or k is None:  # bool is an int
+        return _encode(k, "")
+    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
 
 
 def decode_value(v):

@@ -228,7 +228,7 @@ def test_criterion_5_orthogonality_idempotents(request, capsys):
 
 def test_criterion_6_integrality(rank7_rba, capsys):
     with capsys.disabled():
-        t0 = time.perf_counter()
+        t0 = time.process_time()  # CPU time: a busy machine does not fail the bound
         rng = np.random.default_rng(TOL.rng_seed)
         solutions = 0
         for _ in range(10_000):
@@ -236,7 +236,7 @@ def test_criterion_6_integrality(rank7_rba, capsys):
             if row_sum_relation_holds(a, b, c):
                 solutions += 1
         result = integral_check(rank7_rba)
-        elapsed = time.perf_counter() - t0
+        elapsed = time.process_time() - t0
         checks = [
             ("no integer triple satisfies the row-sum relation (10^4 samples)",
              solutions == 0),

@@ -25,7 +25,7 @@ from rbakit.core import (
     to_standard_basis,
     validate,
 )
-from rbakit.fixtures import load_fixture
+from rbakit.fixtures import fixture_text, load_fixture
 from rbakit.ingest import from_group, from_scheme
 from rbakit.report import analyze
 
@@ -157,6 +157,118 @@ def test_text_parse_exact_tokens():
     assert not rba_f.exact and rba_f.lam[1, 0, 1] == 1 / 3
     with pytest.raises(StructuralError, match="line 6: bad numeric token '1/0'"):
         RBA.from_text(text.format("1", "1/0"))
+
+
+# ---------------------------------------------------------------------------
+# text: the column read and the line loop agree
+# ---------------------------------------------------------------------------
+
+def _read(text, monkeypatch, columns):
+    """RBA.from_text's outcome with or without the column read: the RBA's
+    exactness, star, (D, dtype, N) and lam_float, or the error's type and message."""
+    with monkeypatch.context() as m:
+        if not columns:
+            m.setattr(core, "_read_columns", lambda text: None)
+        try:
+            rba = RBA.from_text(text)
+        except Exception as exc:  # compared, not swallowed
+            return type(exc), str(exc)
+    d, n = rba.lam_int if rba.exact else (None, None)
+    return (rba.exact, rba.star.tolist(), d, None if n is None else (n.dtype, n.tolist()),
+            rba.lam_float.tolist())
+
+
+def _texts_read_by_columns():
+    s3 = from_group(s3_table())
+    wide = rescale(s3, [Fraction(1)] + [Fraction(3**25)] * 5)          # numerators past 2^63
+    rational = rescale(s3, [1, Fraction(2, 3), Fraction(2, 3), Fraction(5, 7), 3, 4])
+    decimal = RBA(rational.lam_float, rational.star)                   # repr(float) tokens
+    texts = {name: fixture_text(name) for name in ("s3.rba", "rank7_h")}
+    rbas = {"s3": s3, "wide": wide, "rational": rational, "decimal": decimal,
+            "d8": from_group(d8_table()), "c6": from_group(c_n_table(6)),
+            "petersen": load_fixture("petersen"), "rank7_h": load_fixture("rank7_h")}
+    texts.update({name + ".to_text": rba.to_text() for name, rba in rbas.items()})
+    texts["crlf-free bench style"] = "rank 2\nstar 0 1\n" + "".join(
+        f"lambda {i} {j} {(i + j) % 2} {v}\n" for (i, j), v in zip(itertools.product(range(2), repeat=2),
+                                                                   ["1", "1", "1", "7/3"]))
+    return texts
+
+
+@pytest.mark.parametrize("name", sorted(_texts_read_by_columns()))
+def test_column_read_matches_line_loop(name, monkeypatch):
+    text = _texts_read_by_columns()[name]
+    assert core._read_columns(text) is not None  # the column read takes it
+    assert _read(text, monkeypatch, True) == _read(text, monkeypatch, False)
+
+
+S2 = "rank 2\nstar 0 1\nlambda 0 0 0 1\nlambda 0 1 1 1\nlambda 1 0 1 1\nlambda 1 1 0 {}\n"
+NEAR_MISSES = {
+    "two statements on a line": "rank 2\nstar 0 1\nlambda 0 0 0 1 lambda 0 1 1 1\nlambda 1 0 1 1\n",
+    "two statements, then a blank line": "rank 2\nstar 0 1\nlambda 0 0 0 1 lambda 0 1 1 1\n\nlambda 1 0 1 1\n",
+    "4 then 6 fields": "rank 2\nstar 0 1\nlambda 0 0 0\nlambda 1 0 1 1 1\nlambda 1 1 0 1\n",
+    "blank line in body": S2.format(1).replace("lambda 0 1", "\nlambda 0 1"),
+    "crlf": S2.format(1).replace("\n", "\r\n"),
+    "tabs": S2.format(1).replace(" ", "\t"),
+    "vertical tab": S2.format("1\v1"),
+    "inline comment": S2.format("1  # one"),
+    "leading space": S2.format(1).replace("lambda 1 1", " lambda 1 1"),
+    "trailing blank line": S2.format(1) + "\n",
+    "no final newline": S2.format(1).rstrip("\n"),
+    "underscore": S2.format("1_000"),
+    "underscore among rationals": S2.format("1_0").replace("lambda 0 1 1 1", "lambda 0 1 1 2/3"),
+    "plus sign": S2.format("+1"),
+    "plus index": S2.format(1).replace("lambda 1 1 0", "lambda +1 1 0"),
+    "double sign": S2.format("+-1"),
+    "negative over negative": S2.format("-3/-3"),
+    "two slashes": S2.format("1/2/3"),
+    "zero denominator": S2.format("1/0"),
+    "overflow": S2.format("1e400"),
+    "nan": S2.format("nan"),
+    "inf": S2.format("-inf"),
+    "huge integer": S2.format("1" + "0" * 400),
+    "huge ratio": S2.format("1" + "0" * 400 + "/3"),
+    "superscript digit": S2.format("\u00b2"),
+    "not a number": S2.format("x"),
+    "duplicate key": S2.format(1) + "lambda 0 0 0 2\n",
+    "negative index": S2.format(1).replace("lambda 1 1 0", "lambda -1 1 0"),
+    "index out of range": S2.format(1).replace("lambda 1 1 0", "lambda 1 1 2"),
+    "index past int64": S2.format(1).replace("lambda 1 1 0", "lambda 1 1 18446744073709551616"),
+    "entry 2^63": S2.format(2**63),
+    "entry -2^63": S2.format(-2**63),
+    "entry 2^63 - 1": S2.format(2**63 - 1),
+    "one decimal among rationals": S2.format("0.5").replace("lambda 0 1 1 1", "lambda 0 1 1 2/3"),
+    "huge rank, no entries": "rank 100000\nstar " + " ".join(map(str, range(100000))) + "\n",
+    "huge rank, short star": "rank 1000000000\nstar 0\n",
+    "rank 0": "rank 0\nstar\n",
+    "star not a permutation": S2.format(1).replace("star 0 1", "star 0 0"),
+    "rank line of 3 fields": S2.format(1).replace("rank 2", "rank 2 2"),
+    "second line not star": S2.format(1).replace("star 0 1", "start 0 1"),
+    "nothing after star": "rank 1\nstar 0",
+    "star line first": S2.format(1).replace("rank 2\nstar 0 1", "star 0 1\nrank 2"),
+    "unknown directive": S2.format(1) + "mu 0\n",
+    "comment after rank": S2.format(1).replace("star", "# star next\nstar"),
+    "non-ascii comment": "# \u03bb\n" + S2.format(1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NEAR_MISSES))
+def test_column_read_near_misses_match_line_loop(name, monkeypatch):
+    text = NEAR_MISSES[name]
+    assert _read(text, monkeypatch, True) == _read(text, monkeypatch, False)
+
+
+VALUE_TOKENS = ["0", "1", "-2", "007", "+3", "3/4", "-6/-4", "2/0", "0.5", "1e-3", "1_0", "1e400", "nan",
+                str(2**63), str(-2**63), "9" * 320, "x", "1/2/3", "--1", "."]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(-1, 3), st.integers(0, 2), st.integers(0, 2),
+                          st.sampled_from(VALUE_TOKENS)), max_size=10),
+       st.sampled_from(["\n", "\r\n", " \n"]))
+def test_column_read_matches_line_loop_on_random_text(entries, newline):
+    text = newline.join(["rank 3", "star 0 2 1"] + [f"lambda {i} {j} {k} {v}" for i, j, k, v in entries]) + newline
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert _read(text, monkeypatch, True) == _read(text, monkeypatch, False)
 
 
 # ---------------------------------------------------------------------------

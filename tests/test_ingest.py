@@ -401,6 +401,12 @@ def test_from_scheme_reads_intersection_numbers_past_float32():
 def test_from_scheme_rejects_ragged_relations():
     with pytest.raises(StructuralError, match="square 0/1 matrices of equal size"):
         from_scheme([np.eye(2, dtype=int), np.ones((3, 3), dtype=int)])
+    # entries other than 0 and 1, in dtypes other than uint8 and bool
+    for bad in (0.5, -1, 2):
+        rel = np.array([np.eye(2), 1 - np.eye(2)], dtype=type(bad))
+        rel[1, 0, 1] = bad
+        with pytest.raises(StructuralError, match="square 0/1 matrices of equal size"):
+            from_scheme(rel)
     with pytest.raises(StructuralError, match="no relation matrices"):
         from_scheme([])
 

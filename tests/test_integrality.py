@@ -36,6 +36,10 @@ def test_sqrt5_arithmetic():
     assert float(SQRT5) == pytest.approx(np.sqrt(5.0))
     with pytest.raises(ZeroDivisionError):
         x / Sqrt5()
+    # an operand Fraction() cannot take is left to its own type: numpy broadcasts
+    eye = np.eye(4, dtype=int)
+    assert (x * eye == eye * x).all() and (x * eye)[0, 0] == x and (x + eye)[0, 1] == x
+    assert (x == eye).shape == (4, 4) and x != "x"
 
 
 def test_sqrt5_algebraic_integers():

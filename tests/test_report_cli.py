@@ -1,5 +1,7 @@
 """AnalysisReport serialization and the command-line interface."""
 
+import collections
+import enum
 import json
 import os
 import subprocess
@@ -10,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rbakit.cli import main
 from rbakit.core import RBA
@@ -108,6 +112,99 @@ def test_json_round_trip_and_determinism(s3_rba, s3_report):
     # sorted keys
     parsed = json.loads(text)
     assert list(parsed) == sorted(parsed)
+
+
+# ---------------------------------------------------------------------------
+# canonical JSON: the bytes of json.dumps
+# ---------------------------------------------------------------------------
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _dumps(obj):
+    return json.dumps(obj, default=encode_value, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def _outcome(write, obj):
+    try:
+        return write(obj)
+    except Exception as exc:  # compared, not swallowed
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("golden", sorted(p.name for p in GOLDEN.glob("*.json")))
+def test_canonical_json_writes_each_golden(golden):
+    text = (GOLDEN / golden).read_text(encoding="utf-8")
+    assert canonical_json(json.loads(text)) == _dumps(json.loads(text)) == text
+
+
+@pytest.mark.parametrize("table", [c_n_table(8), s4_table()], ids=["C8", "S4"])
+def test_canonical_json_writes_complex_float_reports(table):
+    from rbakit.ingest import from_group
+    data = analyze(from_group(table), TOL, force_float=True).data
+    assert canonical_json(data) == _dumps(data)
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+
+
+class Text(str):
+    pass
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-2**70, 2**70), _FINITE,
+    st.sampled_from([-0.0, 1e-300, 1e16, 5e-324, 1.7976931348623157e308]),
+    st.text(), st.text(alphabet='"\\/\x00\x01\n\t{}[],: \u00e9\u20ac\U0001f600', max_size=6),
+)
+_LEAVES = st.one_of(
+    _SCALARS, st.fractions(max_denominator=10**6), st.builds(np.float64, _FINITE),
+    st.builds(np.int64, st.integers(-2**63, 2**63 - 1)), st.builds(np.bool_, st.booleans()),
+    st.builds(complex, _FINITE, _FINITE), st.just(Level.LOW), st.builds(Text, st.text(max_size=4)),
+    st.lists(_FINITE, max_size=4).map(np.array),
+)
+_KEYS = st.text(alphabet='ab"\\: {}\x00\u00e9', max_size=4)
+_JSONISH = st.recursive(
+    _LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5), st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(_KEYS, children, max_size=5),
+        # a table: scalars and dicts of scalars, as a character's values
+        st.lists(st.one_of(_SCALARS, st.dictionaries(_KEYS, _SCALARS, max_size=3)), max_size=6)),
+    max_leaves=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSONISH)
+def test_canonical_json_is_json_dumps(obj):
+    assert canonical_json(obj) == _dumps(obj)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.one_of(st.integers(-5, 5), st.floats(-2, 2), st.booleans(), st.none(), st.text(max_size=2)),
+                       st.one_of(_SCALARS, st.lists(_SCALARS, max_size=2)), max_size=4))
+def test_canonical_json_converts_keys_as_json_does(obj):
+    assert _outcome(canonical_json, obj) == _outcome(_dumps, obj)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), np.float64("nan")])
+@pytest.mark.parametrize("where", [
+    lambda x: x, lambda x: [1.0, x], lambda x: {"a": x}, lambda x: ["1", {"im": 0.5, "re": x}],
+    lambda x: [{"re": 1.0, "im": x}, {"re": float("nan"), "im": 0.0}], lambda x: {"a": [{"b": [x]}]},
+    lambda x: {x: 1}, lambda x: [[0.5, x], {"k": x}]])
+def test_canonical_json_refuses_nan_and_inf_as_json_does(bad, where):
+    obj = where(bad)
+    assert isinstance(_outcome(_dumps, obj)[0], type) and _outcome(canonical_json, obj) == _outcome(_dumps, obj)
+
+
+def test_canonical_json_takes_subclasses_without_recursing():
+    obj = {"level": Level.LOW, "x": np.float64(0.1), "s": Text("t"), "mixed": [Level.LOW, np.float64(2.5)],
+           "sub": collections.OrderedDict(b=1, a=[Text("u")]), "keys": {Level.LOW: 1, 2.5: None, 3: True}, "none": {None: 0}}
+    assert canonical_json(obj) == _dumps(obj)
+    with pytest.raises(TypeError, match="keys must be str, int, float, bool or None, not tuple"):
+        canonical_json({(1, 2): 1})
 
 
 def test_render_text(s3_report):
