@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from rbakit.cli import main
 from rbakit.core import RBA
 from rbakit.fixtures import fixture_text, load_fixture
+from rbakit.ingest import from_group
 from rbakit.integrality import integral_check
 from rbakit.report import (
     AnalysisReport,
@@ -140,7 +141,6 @@ def test_canonical_json_writes_each_golden(golden):
 
 @pytest.mark.parametrize("table", [c_n_table(8), s4_table()], ids=["C8", "S4"])
 def test_canonical_json_writes_complex_float_reports(table):
-    from rbakit.ingest import from_group
     data = analyze(from_group(table), TOL, force_float=True).data
     assert canonical_json(data) == _dumps(data)
 
