@@ -28,7 +28,6 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import floordiv, itemgetter, methodcaller, mul, truediv
 
 import numpy as np
 
@@ -250,10 +249,11 @@ def _exact_values(numerators: list) -> np.ndarray:
 
 def _read_columns(text: str):
     """_read_lines's result for well-formed text, read a column at a time, or
-    None for other text, before any error. Well-formed: ASCII with no '_',
-    leading '#' lines, 'rank r', 'star' and r entries, then n lines, each
-    starting 'lambda ', of 5n tokens in all. A line of other than five fields
-    would put a 'lambda' where unsigned indices and values must parse."""
+    None for other text, before any error. Well-formed: ASCII with no '_' or
+    '/' (rational text takes the line loop), leading '#' lines, 'rank r', 'star'
+    and r entries, then n lines, each starting 'lambda ', of 5n tokens in all.
+    A line of other than five fields would put a 'lambda' where unsigned
+    indices and values must parse."""
     start = 0
     while text.startswith("#", start):
         start = text.find("\n", start) + 1 or len(text)
@@ -262,8 +262,8 @@ def _read_columns(text: str):
     head, star = text[start:head_end].split(), text[head_end + 1:star_end].split()
     tokens = text[star_end + 1:].split()
     n = len(tokens) // 5
-    if (min(head_end, star_end) < 0 or not text.isascii() or text.find("#", start) >= 0
-            or any(c in text for c in "_\r\v\f\x1c\x1d\x1e") or len(head) != 2 or head[0] != "rank"
+    if (min(head_end, star_end) < 0 or not text.isascii() or any(c in text for c in "_\r\v\f\x1c\x1d\x1e")
+            or max(text.find("#", start), text.find("/", start)) >= 0 or len(head) != 2 or head[0] != "rank"
             or star[:1] != ["star"] or len(tokens) != 5 * n or text.count("\nlambda ", star_end) != n
             or text.count("\n", star_end + 1) + (not text.endswith("\n")) != n):
         return None
@@ -276,23 +276,14 @@ def _read_columns(text: str):
         if not digits.replace(" ", "").isdigit():
             return None
         index = np.fromstring(digits, np.int64, sep=" ").reshape(3, n)
-        if text.find("/", star_end) >= 0:  # p/q and integer tokens
-            pq = list(map(methodcaller("split", "/"), map(str.__add__, values, itertools.repeat("/1"))))
-            if max(map(len, pq)) > 3:
-                return None
-            p, q = (list(map(int, map(itemgetter(c), pq))) for c in (0, 1))
-            sum(map(truediv, p, q))  # 1/0 and out-of-range values raise, as in _parse_scalar
-            d = math.lcm(*q)
-            values = _exact_values(list(map(mul, p, map(floordiv, itertools.repeat(d), q))))
+        try:  # with no '_', int() takes just the tokens _parse_scalar reads as integers
+            values, d = list(map(int, values)), 1
+        except ValueError:  # a decimal token: float mode
+            values, d = np.fromiter(map(float, values), float, n), None
         else:
-            try:  # with no '_', int() takes just the tokens _parse_scalar reads as integers
-                values, d = list(map(int, values)), 1
-            except ValueError:  # a decimal token: float mode
-                values, d = np.fromiter(map(float, values), float, n), None
-            else:
-                sum(map(float, values))  # out-of-range values raise, as in _parse_scalar
-                values = _exact_values(values)
-    except (ValueError, OverflowError, ZeroDivisionError):
+            sum(map(float, values))  # out-of-range values raise, as in _parse_scalar
+            values = _exact_values(values)
+    except (ValueError, OverflowError):
         return None
     if (rank < 1 or len(star) != rank or rank >= 2**20 or index.max(initial=0) >= rank
             or d is None and not np.isfinite(values).all()):

@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import json
 import os
-import re
 import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
@@ -80,8 +79,8 @@ def canonical_json(obj) -> str:
     nan and inf raise ValueError. The bytes are json.dumps(obj, default=encode_value,
     sort_keys=True, indent=2, allow_nan=False) + "\\n", whose pure-Python encoder
     yields a piece per item. Here json's C encoder writes each list or dict of
-    scalars, and each list of scalars and dicts of scalars, in one call, and string
-    replacements indent it; a nan or inf is found again item by item, in json's order."""
+    scalars in one call, and one string replacement indents it; a nan or inf is
+    found again item by item, in json's order."""
     return _encode(obj, "\n") + "\n"
 
 
@@ -96,10 +95,8 @@ def _float(x) -> str:
 _TEXT = {str: encode_basestring_ascii, int: int.__repr__, float: _float,
          bool: {True: "true", False: "false"}.__getitem__, type(None): lambda _: "null"}
 _SCALARS = frozenset(_TEXT)
-_FLAT = _SCALARS | {dict}
 # json's C encoder, keys sorted and items separated by \x00, which no string holds
 _compact = c_make_encoder(None, None, encode_basestring_ascii, None, ": ", "\x00", True, False, False)
-_KEY_AHEAD = re.compile(r'\x00(?="[^"\\]*(?:\\.[^"\\]*)*": )')  # a separator before a key
 
 
 def _encode(o, newline: str) -> str:
@@ -108,19 +105,11 @@ def _encode(o, newline: str) -> str:
     if text is not None:
         return text(o)
     kind, inner = type(o), newline + "  "
-    if (kind is dict or kind is list or kind is tuple) and o:
-        kinds = set(map(type, o.values() if kind is dict else o))
+    if (kind is dict or kind is list or kind is tuple) and o and _SCALARS.issuperset(
+            map(type, o.values() if kind is dict else o)):  # one item a line
         try:
-            if kinds <= _SCALARS:  # one item a line
-                text = _compact(o, 0)[0]
-                return text[0] + inner + text[1:-1].replace("\x00", "," + inner) + newline + text[-1]
-            dicts = [x for x in o if type(x) is dict] if kind is not dict and kinds <= _FLAT else ()
-            if dicts and all(dicts) and _SCALARS.issuperset(
-                    map(type, itertools.chain.from_iterable(map(dict.values, dicts)))):
-                # a dict opens after a separator and closes before one; its own separators precede keys
-                text = _KEY_AHEAD.sub("," + inner + "  ", "\x00" + _compact(o, 0)[0][1:-1] + "\x00")
-                text = text.replace("\x00{", "\x00{" + inner + "  ").replace("}\x00", inner + "}\x00")
-                return "[" + inner + text[1:-1].replace("\x00", "," + inner) + newline + "]"
+            text = "".join(_compact(o, 0))
+            return text[0] + inner + text[1:-1].replace("\x00", "," + inner) + newline + text[-1]
         except ValueError:  # a nan or inf: raised below
             pass
     for base in (str, int, float):

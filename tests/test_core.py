@@ -194,10 +194,13 @@ def _texts_read_by_columns():
     return texts
 
 
+RATIONAL_TEXTS = {"crlf-free bench style", "rational.to_text"}  # a '/' in the body: the line loop
+
+
 @pytest.mark.parametrize("name", sorted(_texts_read_by_columns()))
 def test_column_read_matches_line_loop(name, monkeypatch):
     text = _texts_read_by_columns()[name]
-    assert core._read_columns(text) is not None  # the column read takes it
+    assert (core._read_columns(text) is None) == (name in RATIONAL_TEXTS)  # else the column read takes it
     assert _read(text, monkeypatch, True) == _read(text, monkeypatch, False)
 
 

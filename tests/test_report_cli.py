@@ -199,6 +199,12 @@ def test_canonical_json_refuses_nan_and_inf_as_json_does(bad, where):
     assert isinstance(_outcome(_dumps, obj)[0], type) and _outcome(canonical_json, obj) == _outcome(_dumps, obj)
 
 
+def test_canonical_json_writes_long_runs_of_scalars():
+    # json's C encoder returns its text in chunks past 100,000 pieces
+    obj = {"ints": list(range(60_000)), "floats": {f"k{i}": i / 7 for i in range(30_000)}}
+    assert canonical_json(obj) == _dumps(obj)
+
+
 def test_canonical_json_takes_subclasses_without_recursing():
     obj = {"level": Level.LOW, "x": np.float64(0.1), "s": Text("t"), "mixed": [Level.LOW, np.float64(2.5)],
            "sub": collections.OrderedDict(b=1, a=[Text("u")]), "keys": {Level.LOW: 1, 2.5: None, 3: True}, "none": {None: 0}}
