@@ -1,24 +1,25 @@
 """Core data model for reality-based algebras (RBAs).
 
 An RBA is held as a dense structure-constant tensor lam[i, j, k] (the
-coefficient of b_k in b_i*b_j), a basis involution ``star`` acting on
-indices, and a mode flag. An exact RBA is stored as its integer view
-lam = N / D (``lam_int``), a float one as ``lam_float``; every RBA also
-keeps ``lam_float``. The axiom checks, the degree-map homomorphism test,
-standardization and the integrality test run on (D, N) with zero
-tolerances, or on (1, lam_float) with the float tolerances. Associativity,
-the one r^5 check, runs in float64 wherever that is exact (integer entries,
-r * max|N|^2 < 2^52): as a sort-join over the nonzeros, read at the keys
-its products touch, when their count makes it cheaper, else as BLAS gemm;
-einsum runs elsewhere. The degree map is sought among the real all-positive
-eigenvectors of one random element, tested by one product with the tensor.
-Well-formed text is read a column at a time, other text line by line;
-Fractions are built only for the text output, the ``lam`` accessor and
-reported offenders. Eigen-computations run in doubles; exact mode changes
-how identities are checked and how derived values are snapped back. One
-tolerance, ToleranceConfig.eps_residual, sets the residual bound, the
-is-zero cut and the cluster gap; bounds on the tensor are relative to
-``RBA.scale`` = max(1, max|lam|).
+coefficient of b_k in b_i*b_j), a basis involution ``star`` acting on indices,
+and a mode flag. An exact RBA is stored as its integer view lam = N / D
+(``lam_int``), a float one as ``lam_float``; every RBA also keeps ``lam_float``.
+The axiom checks and the integrality test run on (D, N) with zero tolerances,
+or on (1, lam_float) with the float tolerances; standardize rescales N and D
+by integers. Exact element arithmetic (RBA.mul, degree map, rep_residual,
+symbol) has one integer frame, _frame: lam = N / D and each rational operand
+x = X / E, in int64 while m^2 max(D, |N|) prod max(E, |X|)^2 < 2^62 (m the
+largest axis length), else in Python ints. Associativity, the one r^5 check,
+runs in float64 wherever that is exact (integer entries, r max|N|^2 < 2^52):
+as a sort-join over the nonzeros, read at the keys its products touch, when
+their count makes it cheaper, else as BLAS gemm; einsum runs elsewhere. The
+degree map is sought among the real all-positive eigenvectors of one random
+element, tested by one product with the tensor. Well-formed text is read a
+column at a time, other text line by line. Eigen-computations run in doubles;
+exact mode changes how identities are checked and how derived values are
+snapped back. One tolerance, ToleranceConfig.eps_residual, sets the residual
+bound, the is-zero cut and the cluster gap; bounds on the tensor are relative
+to ``RBA.scale`` = max(1, max|lam|).
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ SNAP_MAX_DENOMINATOR = 10**6
 ASSOC_BLOCK = 2**16  # entries per block of the associativity check: memory r^3, not r^4
 JOIN_FACTOR = 300     # measured gemm/join crossover of 2 r^5 / T in associativity (_join_kernel)
 _FIELDS = {"rank": 2, "lambda": 5}  # fields on a line of these .rba directives
+_FRACTIONS = np.frompyfunc(Fraction, 2, 1)  # elementwise Fraction(N, D), for Python-int N
 
 
 class RBAError(Exception):
@@ -156,10 +158,34 @@ def snap_value(x, eps: float):
     snapped = snap_rational(z.real, eps)
     return snapped if snapped is not None else z.real
 
-def over_common_denominator(fractions):
-    """(D, N): the lcm D of the denominators, and the Python ints N = D * fractions."""
-    d = math.lcm(*(f.denominator for f in fractions))
-    return d, np.array([int(f.numerator) * (d // f.denominator) for f in fractions], dtype=object)
+def _rational(x: np.ndarray) -> bool:
+    """True when every entry of x is an integer or a Fraction."""
+    return x.dtype.kind in "biu" or x.dtype == object and all(
+        map(isinstance, x.flat, itertools.repeat((int, Fraction, np.integer))))
+
+
+def over_common_denominator(x: np.ndarray):
+    """(D, N = D x) for rationals x, D the lcm of their denominators: (1, x) for integers, else Python ints."""
+    if x.dtype.kind in "biu":
+        return 1, x
+    values = x.ravel().tolist()
+    d = math.lcm(*(f.denominator for f in values))
+    return d, np.array([int(f.numerator) * (d // f.denominator) for f in values], dtype=object).reshape(x.shape)
+
+
+def _frame(rba, *xs):
+    """(D, N, [(E, X), ...]): lam = N / D and x = X / E for an exact RBA and rational xs, in
+    int64 while m^2 t prod_k s_k^2 < 2^62 (m the largest axis length, t = max(D, |N|), s_k =
+    max(E_k, |X_k|)), which holds any sum of m^2 products of a t and two s_k per x, and the
+    difference of two such sums; else Python ints. Otherwise (1, lam_float, [(1, x), ...])."""
+    if not (rba.exact and all(_rational(np.asarray(x)) for x in xs)):  # a float RBA's operands: not inspected
+        return 1, rba.lam_float, [(1, x) for x in xs]
+    d, n = rba.lam_int
+    parts = [over_common_denominator(np.asarray(x)) for x in xs]
+    m = max([rba.rank] + [max(x.shape, default=1) for _, x in parts])
+    s = math.prod(max(e, max(map(abs, x.ravel().tolist()), default=0)) for e, x in parts)
+    dtype = np.int64 if m * m * rba._magnitude * s * s < 2**62 else object
+    return d, n.astype(dtype, copy=False), [(e, x.astype(dtype, copy=False)) for e, x in parts]
 
 
 def _div(x, d) -> float:
@@ -316,13 +342,8 @@ class RBA:
 
     def __init__(self, lam, star, labels=None):
         lam = np.asarray(lam)
-        if lam.dtype.kind in "biu":
-            self._store(1, lam, star, labels)
-        elif lam.dtype == object and all(isinstance(v, (Fraction, int, np.integer)) for v in lam.flat):
-            d, n = over_common_denominator(lam.ravel())
-            self._store(d, n.reshape(lam.shape), star, labels)
-        else:
-            self._store(None, np.array(lam, dtype=float), star, labels)
+        d, n = over_common_denominator(lam) if _rational(lam) else (None, np.array(lam, dtype=float))
+        self._store(d, n, star, labels)
 
     @classmethod
     def _from_numerators(cls, d, n, star, labels=None) -> "RBA":
@@ -341,7 +362,7 @@ class RBA:
         if self.exact:  # the one place where n / d is put in lowest terms
             g = math.gcd(d, int(np.gcd.reduce(n, axis=None))) if d > 1 else 1
             d, n = d // g, n // g
-            big = max(d, int(n.max(initial=0)), -int(n.min(initial=0)))
+            self._magnitude = big = max(d, int(n.max(initial=0)), -int(n.min(initial=0)))
             n = n.astype(np.int64 if r * big * big < 2**62 else object, copy=False)
             self.lam_int = (d, n)
             quotient = np.frompyfunc(_div, 2, 1) if n.dtype == object else np.true_divide
@@ -353,7 +374,7 @@ class RBA:
         """The tensor: Fractions for an exact RBA (built on first use), else lam_float."""
         if not self.exact:
             return self.lam_float
-        return np.frompyfunc(Fraction, 2, 1)(self.lam_int[1].astype(object), self.lam_int[0])
+        return _FRACTIONS(self.lam_int[1].astype(object), self.lam_int[0])
 
     @functools.cached_property
     def scale(self) -> float:
@@ -372,8 +393,12 @@ class RBA:
     # -- algebra operations on coefficient vectors --------------------------
 
     def mul(self, u, v):
-        """Product of two elements given by basis-coefficient vectors."""
-        return np.einsum("i,j,ijk->k", u, v, self.lam_float)
+        """u v for coefficient vectors u = X / E and v = Y / F: for an exact RBA and
+        rational u, v, the Fractions Y (X N) / (D E F) in _frame's integers, int64 while
+        r^2 max(D, |N|) max(E, |X|)^2 max(F, |Y|)^2 < 2^62; else floats, v @ (u @ lam_float)."""
+        d, n, ((e, x), (f, y)) = _frame(self, u, v)
+        uv = y @ (x @ n.reshape(self.rank, -1)).reshape(self.rank, self.rank)
+        return uv if n is self.lam_float else _FRACTIONS(uv.astype(object), d * e * f)
 
     def star_coeffs(self, u):
         """Coefficient vector of the *-image of the element with coefficients u."""
@@ -545,6 +570,7 @@ def validate(rba: RBA, tol: ToleranceConfig = DEFAULT_TOL) -> ValidationReport:
     return report
 
 
+@np.errstate(invalid="ignore", over="ignore")  # inf - inf: the NaN residual is the report
 def _associativity(lam, d, eps_res) -> CheckResult:
     """sum_m lam[i,j,m] lam[m,k,l] = sum_m lam[j,k,m] lam[i,m,l] on lam = N / D
     (D = 1 for a float tensor), over blocks of i so that memory stays at
@@ -674,17 +700,11 @@ def degree_map(rba: RBA, tol: ToleranceConfig = DEFAULT_TOL) -> DegreeMap:
             "input is not a valid RBA"
         )
     vals = positive[0]
-    if rba.exact:
-        snapped = [snap_rational(x, tol.eps_zero) for x in vals]
-        if all(s is not None for s in snapped):
-            # sum_k lam[i,j,k] v_k = v_i v_j, times D E^2, with v = V / E: int64 when it fits
-            d, lam = rba.lam_int
-            e, v = over_common_denominator(snapped)
-            top = max(abs(v))
-            if lam.dtype != object and max(r * int(abs(lam).max()) * e, d * top) * top < 2**63:
-                v = v.astype(np.int64)
-            if np.array_equal(e * np.einsum("ijk,k->ij", lam, v), d * np.outer(v, v)):
-                return DegreeMap(np.array(snapped, dtype=object), exact=True)
+    if rba.exact:  # sum_k lam[i,j,k] v_k = v_i v_j, times D E^2, for v = V / E once every value snaps
+        snapped = np.array([snap_rational(x, tol.eps_zero) for x in vals], dtype=object)
+        d, lam, ((e, v),) = _frame(rba, snapped)  # a None is not rational: the float frame
+        if lam is not rba.lam_float and np.array_equal(e * np.einsum("ijk,k->ij", lam, v), d * np.outer(v, v)):
+            return DegreeMap(snapped, exact=True)
     return DegreeMap(vals, exact=False)
 
 
@@ -709,7 +729,7 @@ def standardize(rba: RBA, dm: DegreeMap) -> RBA:
     if not exact:
         t = dm.values_float / diag
         return RBA(lam * t[:, None, None] * t[None, :, None] / t[None, None, :], star, rba.labels)
-    e, u = over_common_denominator([v * d / x for v, x in zip(dm.values, diag.tolist())])
+    e, u = over_common_denominator(np.array([v * d / x for v, x in zip(dm.values, diag.tolist())]))
     m = math.lcm(*u)
     wide = lam.dtype == object or int(abs(lam).max()) * max(u) ** 2 * m >= 2**63
     u = u.astype(object if wide else np.int64)

@@ -29,8 +29,8 @@ from .core import (
     NumericalError,
     RBA,
     ToleranceConfig,
+    _frame,
     gram_matrix,
-    over_common_denominator,
     snap_value,
 )
 
@@ -66,26 +66,20 @@ def rep_residual(rba: RBA, mats) -> tuple:
     max |X(b_i) X(b_j) - sum_k lam[i,j,k] X(b_k)| and max |X(b_{i*}) - X(b_i)^T|.
 
     Both are zero iff the images multiply as the basis does and * maps to the
-    transpose. An exact RBA with rational images (dtype object) is checked
-    exactly, as D X_i X_j - sum_k N[i,j,k] X_k on lam_int = (D, N) in
-    integers, and both residuals are Fractions; otherwise they are floats
-    from lam_float.
+    transpose. An exact RBA with rational images (integers or Fractions) is
+    checked exactly, as D M_i M_j - E sum_k N[i,j,k] M_k in the integer frame
+    lam = N / D, X = M / E (core._frame), to Fractions; else floats from lam_float.
     """
-    mats = np.asarray(mats)
-    exact = rba.exact and mats.dtype == object
-    if exact:  # X = M / e with M in Python ints
-        (den, lam), (e, m) = rba.lam_int, over_common_denominator(mats.ravel())
-        mats = m.reshape(mats.shape)
-    else:
-        den, lam, e, mats = 1, rba.lam_float, 1, mats.astype(float)
+    den, lam, ((e, mats),) = _frame(rba, np.asarray(mats))
+    mats = mats.astype(float) if lam is rba.lam_float else mats  # object entries such as Sqrt5 too
     product = max(
         abs(den * (mats[i] @ mats) - e * np.tensordot(lam[i], mats, 1)).max()
         for i in range(rba.rank)
     )
     star = abs(mats[rba.star] - mats.transpose(0, 2, 1)).max()
-    if exact:
-        return Fraction(product, den * e * e), Fraction(star, e)
-    return float(product), float(star)
+    if lam is rba.lam_float:
+        return float(product), float(star)
+    return Fraction(int(product), den * e * e), Fraction(int(star), e)
 
 
 def center_basis(rba: RBA, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:

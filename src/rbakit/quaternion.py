@@ -27,7 +27,7 @@ from .core import (
     NumericalError,
     RBA,
     ToleranceConfig,
-    over_common_denominator,
+    _frame,
     snap_rational,
 )
 from .decomp import Character, character_table  # noqa: F401  (bench/test_bench.py patches the latter here)
@@ -208,10 +208,9 @@ def symbol(rba: RBA, chi: Character, tol: ToleranceConfig = DEFAULT_TOL) -> Quat
     classify_one_pair returned for it; analyze runs those steps, after
     validate, and then this.
 
-    x, y and e are computed on the structure constants: exactly, on the
-    integer view lam_int, for an exact RBA, and within tol.eps_residual for
-    a float one. e^2 = e, e central, y^2 = beta e and x y = -y x are checked
-    (exactly in exact mode); x^2 = a e holds by construction, and
+    x, y and e are products of basis elements (RBA.mul), exact for an exact
+    RBA. e^2 = e, e central, y^2 = beta e and x y = -y x are checked, exactly
+    or within tol.eps_residual; x^2 = a e holds by construction, and
     a = -n delta_p m_chi and m_chi against the character's multiplicity
     are cross-checked. beta > 0 already splits the component over the
     reals; in rational mode the verdict is "split" iff every local Hilbert
@@ -222,20 +221,7 @@ def symbol(rba: RBA, chi: Character, tol: ToleranceConfig = DEFAULT_TOL) -> Quat
         raise ValueError(f"{len(pairs)} nonreal pairs (need exactly 1)")
     (p, ps), = pairs
     r = rba.rank
-    exact = rba.exact
-    if exact:  # elements are Fraction vectors, multiplied on integer numerators
-        den, lam = rba.lam_int
-        split, number, eps = over_common_denominator, Fraction, 0
-    else:
-        den, lam = 1, rba.lam_float
-        split, number, eps = (lambda u: (1, u)), float, tol.eps_residual
-    left = lam.reshape(r, -1)                      # row i: b_i b_j, over (j, k)
-    right = lam.transpose(1, 0, 2).reshape(r, -1)  # row i: b_j b_i, over (j, k)
-
-    def mul(u, v):
-        du, nu = split(u)
-        dv, nv = split(v)
-        return nv @ (nu @ left).reshape(r, r) / number(den * du * dv)
+    eps = 0 if rba.exact else tol.eps_residual
 
     def check(name, lhs, rhs):
         res = np.max(np.abs(lhs - rhs))
@@ -243,44 +229,44 @@ def symbol(rba: RBA, chi: Character, tol: ToleranceConfig = DEFAULT_TOL) -> Quat
             raise NumericalError(f"{name} fails (residual {float(res):.3e})")
         return float(res)
 
-    eye = np.eye(r, dtype=object if exact else float)
+    eye = np.eye(r, dtype=_frame(rba)[1].dtype)  # basis vectors in the numbers of the frame
     d = eye[p] - eye[ps]  # in A_chi: every linear character is real, so vanishes on d
-    d2 = mul(d, d)
-    a0 = mul(d2, d2)[0] / d2[0]
+    d2 = rba.mul(d, d)
+    a0 = rba.mul(d2, d2)[0] / d2[0]
     e = d2 / a0           # d^2 = a0 e, e the identity of A_chi
-    check("e^2 = e", mul(e, e), e)
-    ne = split(e)[1]
-    check("e central", ne @ left, ne @ right)
-    delta = lam[np.arange(r), rba.star, 0].astype(object if exact else float) / number(den)
-    n = delta.sum()
-    m_chi = n * e[0] / 2
+    check("e^2 = e", rba.mul(e, e), e)
+    den, lam, ((_, ne),) = _frame(rba, e)  # lam = N / D, e = ne / E
+    check("e central", ne @ lam.reshape(r, -1), ne @ lam.transpose(1, 0, 2).reshape(r, -1))
+    delta = lam[np.arange(r), rba.star, 0]  # D delta_i, delta_i = lam[i, i*, 0]
+    n = delta.sum()                         # D n
+    m_chi = n * e[0] / (2 * den)
     if abs(float(m_chi) - chi.multiplicity_raw) > tol.eps_residual * max(1.0, float(m_chi)):
         raise NumericalError(
             f"m_chi = {float(m_chi)} does not match the multiplicity {chi.multiplicity_raw}"
         )
     x = m_chi * d
     a = m_chi * m_chi * a0  # x^2 = a e
-    check("a = -n delta_p m_chi", a, -n * delta[p] * m_chi)
+    check("a = -n delta_p m_chi", a, -m_chi * n * delta[p] / (den * den))  # m_chi first: no int64 products
     candidates = [(str(i), eye[i]) for i in range(1, r) if i not in (p, ps)]
     candidates.append(("c", eye[p] + eye[ps]))
     for label, b in candidates:
-        z = mul(e, b)
-        y = z - mul(mul(x, z), x) / a  # z minus its conjugate by x: anticommutes with x
+        z = rba.mul(e, b)
+        y = z - rba.mul(rba.mul(x, z), x) / a  # z minus its conjugate by x: anticommutes with x
         if np.max(np.abs(y)) > eps * max(1.0, np.max(np.abs(z))):
             break
     else:
         raise NumericalError("every candidate commutes with x: component is not 4-dimensional")
-    y2 = mul(y, y)
+    y2 = rba.mul(y, y)
     beta = y2[0] / e[0]
     check("y^2 = beta e", y2, beta * e)
-    anti = check("x y = -y x", mul(x, y), -mul(y, x))
+    anti = check("x y = -y x", rba.mul(x, y), -rba.mul(y, x))
     sym = QuaternionSymbol(
         a=float(a), beta=float(beta),
         a_exact=snap_rational(a, tol.eps_zero * max(1.0, abs(a))),
         beta_exact=snap_rational(beta, tol.eps_zero * max(1.0, abs(beta))),
         pair=(p, ps), y_label=label, anticommute_residual=anti,
     )
-    if exact:
+    if rba.exact:
         sym.field_mode = "rational"
         sym.local_symbols = hilbert_places(a, beta)
         sym.verdict = "split" if all(v == 1 for v in sym.local_symbols.values()) else "division"

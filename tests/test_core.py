@@ -574,6 +574,59 @@ def test_tolerance_config_derives_zero_and_cluster_cuts(eps):
 
 
 # ---------------------------------------------------------------------------
+# element products and the integer frame
+# ---------------------------------------------------------------------------
+
+def _fractions(rng, r):
+    return np.array([Fraction(int(p), int(q)) for p, q in
+                     zip(rng.integers(-9, 10, r), rng.integers(1, 10, r))], dtype=object)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: from_group(s3_table()),
+    lambda: rank5_split_rba(0),
+    # t = 3^10 off the identity: N holds Python ints
+    lambda: rescale(from_group(s3_table()), [Fraction(1)] + [Fraction(3**10)] * 5),
+], ids=["s3", "rank5", "python-int N"])
+def test_mul_on_rationals_is_the_exact_product(build):
+    rba = build()
+    rng = np.random.default_rng(7)
+    for _ in range(5):
+        u, v = _fractions(rng, rba.rank), _fractions(rng, rba.rank)
+        uv = rba.mul(u, v)
+        assert all(type(c) is Fraction for c in uv)
+        assert (uv == np.einsum("i,j,ijk->k", u, v, rba.lam)).all()
+
+
+def test_mul_on_floats_and_complex_stays_in_floats(s3_rba, rank7_rba):
+    rng = np.random.default_rng(8)
+    for rba in (s3_rba, rank7_rba, RBA(s3_rba.lam_float, s3_rba.star)):
+        r = rba.rank
+        for u, v, dtype in ((rng.normal(size=r), rng.normal(size=r), np.float64),
+                            (rng.normal(size=r) + 1j * rng.normal(size=r), rng.normal(size=r), np.complex128)):
+            uv = rba.mul(u, v)
+            assert uv.dtype == dtype
+            assert abs(uv - np.einsum("i,j,ijk->k", u, v, rba.lam_float)).max() < 1e-12
+
+
+def test_frame_int64_bound():
+    # exact S3: t = max(D, max|N|) = 1 and m = r = 6, so with v a basis vector
+    # (s_v = 1) the frame is int64 while 36 s_u^2 < 2^62
+    rba = from_group(s3_table())
+    below = math.isqrt((2**62 - 1) // 36)
+    assert 36 * below**2 < 2**62 <= 36 * (below + 1) ** 2
+    w, v = np.array([1, -1, 1, 0, -1, 1]), np.eye(6, dtype=int)[2]
+    products = []
+    for s, dtype in ((below, np.int64), (below + 1, object)):
+        _, n, parts = core._frame(rba, s * w, v)
+        assert n.dtype == dtype and all(x.dtype == dtype for _, x in parts)
+        uv = rba.mul(s * w, v)
+        assert (uv == np.einsum("i,j,ijk->k", s * w.astype(object), v.astype(object), rba.lam)).all()
+        products.append(uv)
+    assert (products[0] * (below + 1) == products[1] * below).all()
+
+
+# ---------------------------------------------------------------------------
 # degree map
 # ---------------------------------------------------------------------------
 

@@ -91,6 +91,19 @@ def test_rep_residual_exact_path():
     assert rep_residual(rba, mats.astype(float))[0] == 0.0  # 1 + 1e-30 == 1 in doubles
 
 
+def test_rep_residual_mode_follows_the_images():
+    # exact S3: Fraction or integer images are checked exactly, floats in an
+    # object array take the float path (they have no denominator)
+    rba = from_group(s3_table())
+    den, lam = rba.lam_int
+    regular = lam.transpose(0, 2, 1)
+    for mats in (regular.astype(object) * Fraction(1, den), regular):
+        assert [type(x) for x in rep_residual(rba, mats)] == [Fraction, Fraction]
+        assert rep_residual(rba, mats) == (0, 0)
+    residuals = rep_residual(rba, regular_rep(rba).astype(object))
+    assert [type(x) for x in residuals] == [float, float] and residuals == (0.0, 0.0)
+
+
 # ---------------------------------------------------------------------------
 # center
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Quaternions as 4x4 matrices, the symbol's generators, Hilbert symbols."""
 
+import dataclasses
 import json
+import re
 import time
 from fractions import Fraction
 
@@ -8,7 +10,7 @@ import numpy as np
 import pytest
 
 from rbakit.cli import main
-from rbakit.core import RBA, degree_map
+from rbakit.core import RBA, NumericalError, degree_map
 from rbakit.decomp import (
     central_idempotents,
     character_table,
@@ -130,6 +132,36 @@ def test_y_generator(s3_rba, d8_rba):
         assert abs(sym.beta - 4.0) < 1e-8 and abs(sym.a - sym.a_exact) < 1e-8
         assert sym.y_label == label and sym.anticommute_residual < 1e-8
         assert (sym.field_mode, sym.verdict) == ("real-numeric", "real-split-only")
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+@pytest.mark.parametrize("index, message", [
+    ((0, 0, 0), "e^2 = e fails"),
+    ((0, 3, 0), "e central fails"),
+    ((3, 3, 0), "does not match the multiplicity"),
+    ((3, 3, 1), "y^2 = beta e fails"),
+])
+def test_symbol_failure_paths(s3_rba, index, message, exact):
+    # S3 from its Cayley table is in the standard basis, its pair is (1, 2) and
+    # b_3 an involution; 1 added to one entry of N trips one identity, exactly
+    # or within the float tolerance
+    chi = character_table(s3_rba, degree_map(s3_rba, TOL), tol=TOL).degree_two()[0]
+    lam = s3_rba.lam_int[1].copy()
+    lam[index] += 1
+    rba = RBA(lam if exact else lam.astype(float), s3_rba.star)
+    assert rba.exact == exact
+    with pytest.raises(NumericalError, match=re.escape(message)):
+        symbol(rba, chi, TOL)
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_symbol_rejects_a_character_of_another_multiplicity(s3_rba, exact):
+    rba = s3_rba if exact else RBA(s3_rba.lam_float, s3_rba.star)
+    chi = character_table(rba, degree_map(rba, TOL), tol=TOL).degree_two()[0]
+    off = dataclasses.replace(chi, multiplicity_raw=chi.multiplicity_raw + 1)
+    message = f"m_chi = 2.0 does not match the multiplicity {off.multiplicity_raw}"
+    with pytest.raises(NumericalError, match=re.escape(message)):
+        symbol(rba, off, TOL)
 
 
 def test_traceless_symmetric_anticommutes_antisymmetric():
@@ -296,6 +328,7 @@ def test_quaternion_verify_rank7(rank7_rba):
     product, star = rep_residual(rank7_rba, images)
     assert product < 1e-12
     assert star == 0.0
+    assert rep_residual(rank7_rba, RANK7_IMAGES) == (product, star)  # Sqrt5 entries, as floats
     # reduced traces (half the 4x4 traces) match the degree-2 character row
     chi = table.degree_two()[0]
     assert abs(np.einsum("iaa->i", images) / 2 - chi.values_raw.real).max() < 1e-9
