@@ -452,15 +452,15 @@ class DegreeMap:
     values: np.ndarray          # object array of Fractions when exact, else float64
     exact: bool
 
-    @property
+    @functools.cached_property
     def n(self):
         return sum(self.values) if self.exact else float(self.values.sum())
 
-    @property
+    @functools.cached_property
     def values_float(self) -> np.ndarray:
         return np.array(self.values, dtype=float)
 
-    @property
+    @functools.cached_property
     def n_float(self) -> float:
         return float(self.values_float.sum())
 
@@ -634,6 +634,8 @@ def _join_kernel(terms):
     sums them; every other entry of the block is 0.
     """
     r = terms.shape[0]
+    if r * r <= JOIN_FACTOR:  # T >= 2 r^3 once a positive degree map exists; both kernels are exact
+        return None
     first, mid, last = np.nonzero(terms)  # ordered by first index
     c1, c2, c3 = (np.bincount(x, minlength=r) for x in (first, mid, last))
     if JOIN_FACTOR * int(c3 @ (c1 + c2)) >= 2 * r**5:
@@ -742,8 +744,13 @@ def to_standard_basis(rba: RBA, dm: DegreeMap, tol: ToleranceConfig = DEFAULT_TO
 
     An input within tol.eps_residual of its rescaling, relative to its largest
     entry when that is above 1, counts as already standard and comes back
-    unchanged, with the dm it came with.
+    unchanged, with the dm it came with; an exact one with exact degrees
+    delta_i = lam[i,i*,0] (every group and scheme RBA) is not rescaled at all.
     """
+    if rba.exact and dm.exact:
+        d, lam = rba.lam_int
+        if all(x * d == y for x, y in zip(dm.values, lam[np.arange(rba.rank), rba.star, 0].tolist())):
+            return rba, dm, True
     standard = standardize(rba, dm)
     if float(abs(standard.lam_float - rba.lam_float).max()) <= tol.eps_residual * rba.scale:
         return rba, dm, True

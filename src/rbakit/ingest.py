@@ -48,7 +48,7 @@ def _digit_rows(data: bytes, start: int, blocks: int, m: int):
         block = np.frombuffer(data, dtype="<u2", count=m * m, offset=start).reshape(m, m)
         np.subtract(block, pairs, out=digits[b])  # a non-digit or a wrong separator wraps past 9
         start += 2 * m * m
-    if data.count(b"\n", start) != len(data) - start or (digits > 9).any():
+    if data.count(b"\n", start) != len(data) - start or digits.max() > 9:
         return None
     return digits.astype(np.uint8)
 
@@ -117,7 +117,7 @@ def _scheme_stack(text: str) -> np.ndarray:
     single digits one space apart with blank lines only between them, each read
     from its bytes at once. Other text goes line by line, to the same values or
     the same error."""
-    head = text.partition("\n")[0]
+    head = text[:text.find("\n")] if "\n" in text else text  # partition() would copy the body
     fast = head.startswith("points") and len(head.splitlines()) == 1
     lines = [(1, head.split("#", 1)[0])] if fast else list(_content_lines(text))
     if not lines or not lines[0][1].startswith("points"):
@@ -143,16 +143,23 @@ def from_scheme(relations) -> RBA:
 
     lam[i,j,k] is the intersection number read off from R_i R_j = sum_k p R_k;
     star is the transpose permutation and the valencies are the degrees. The
-    axioms are checked on the colour matrix color = sum_k k R_k. The span V of
-    the R_k holds I, so V is an algebra once R_g V lies in V for a set of
-    generators g whose words span V. The first R_i outside the span so far
-    becomes one; its products run in float32 BLAS, exact as every partial sum
-    counts at most v < 2^24 points. The span grows by u -> u lam[g] mod
-    p = 2^31 - 1 until its rank is r, which gives rank r over Q (rank mod p is
-    at most rank over Q). An entry of u lam[g] is below p times the valency of
-    R_g, so int64 holds it while v < 2^32 (past that the step needs Python
-    ints); an elimination step stays below p^2 < 2^62. Then each lam[i,j,k] is
-    read at one pair of R_k.
+    axioms are checked on the colour matrix color = sum_k k R_k of the uint8
+    stack. The span V of the R_k holds I, so V is an algebra once R_g V lies in
+    V for a set of generators g whose words span V: relations are tried by
+    smallest valency, valency-1 ones last, and the next outside the span so far
+    becomes one. Its r - 1 products run as one float32 BLAS product: every
+    count (R_g R_j)[x, y] is below B = 1 + the largest row sum of R_g, so
+    R_g W, with W[z, y] = B^(colour(z, y) - j0) on the colours of a group
+    [j0, j0 + w) and 0 elsewhere, holds the group's counts as base-B digits.
+    With B^w <= 2^24 every partial sum is an integer below 2^24, exact in
+    float32 in any order; a product is constant on R_k when its packed values
+    are, and digits are read at one pair of each R_k (and where that fails).
+    The span grows by u -> u lam[g] mod p = 2^31 - 1 until its rank is r, which
+    gives rank r over Q (rank mod p is at most rank over Q) in any generator
+    order. An entry of u lam[g] is below p times the valency of R_g, so int64
+    holds it while v < 2^32 (past that the step needs Python ints); an
+    elimination step stays below p^2 < 2^62. Then each lam[i,j,k] is read at
+    one pair of R_k.
     """
     if isinstance(relations, str):
         relations = _scheme_stack(relations)
@@ -164,22 +171,25 @@ def from_scheme(relations) -> RBA:
     if rel.ndim != 3 or not rel.shape[1] == rel.shape[2] > 0 or not (
             rel.max() <= 1 if rel.dtype in (np.uint8, np.bool_) else ((rel == 0) | (rel == 1)).all()):
         raise StructuralError("relations must be square 0/1 matrices of equal size")
-    rel = rel.astype(np.float32)
+    rel = rel.astype(np.uint8, copy=False)
     r, v = rel.shape[:2]
     flat = rel.reshape(r, v * v)
     if flat[0].sum() != v or not flat[0, ::v + 1].all():
         raise StructuralError("R_0 must be the identity relation")
-    count, color = (np.array([np.ones(r), np.arange(r)], dtype=np.float32) @ flat).reshape(2, v, v)
-    if (count != 1).any():
+    small = np.min_scalar_type(r)  # holds every count and colour
+    if (flat.sum(axis=0, dtype=small) != 1).any():
         raise StructuralError("relations must partition the point pairs (sum to all-ones)")
+    color = np.einsum("k,kz->z", np.arange(r, dtype=small), flat).astype(np.intp).reshape(v, v)
     x, y = np.divmod(np.argmax(flat, axis=1), v)  # one pair (x, y) of each relation
-    star = color[y, x].astype(np.intp)
-    if ((star.astype(np.float32) @ flat).reshape(v, v) != color.T).any():  # star[color] vs color^T
+    star = color[y, x]
+    if (np.take(star, color) != color.T).any():
         k = next(k for k in range(r) if not (rel == rel[k].T).all(axis=(1, 2)).any())
         raise StructuralError(f"transpose of relation {k} is not a relation")
     empty = color[x, y] != np.arange(r)
     if empty.any():
         raise StructuralError(f"relation {int(np.argmax(empty))} is empty")
+    valency = rel[:, 0].sum(axis=1)  # of a scheme; the row of point 0 in any case
+    order = sorted(range(1, r), key=lambda k: (valency[k] == 1, valency[k], k))
     p, unit = 2**31 - 1, np.eye(r, dtype=np.int64)
     span, gens, todo = [(0, unit[0])], [], []  # echelon rows (pivot, u) mod p; u to add
 
@@ -190,15 +200,28 @@ def from_scheme(relations) -> RBA:
         return u
 
     while len(span) < r:
-        i = next(i for i in range(1, r) if reduce(unit[i]).any())  # the next generator
+        i = next(i for i in order if reduce(unit[i]).any())  # the next generator
+        base, w = int(rel[i].sum(axis=1).max()) + 1, 1
+        while base ** (w + 1) <= 2**24:
+            w += 1
+        groups, j = -(-(r - 1) // w), np.arange(r - 1)  # colour 1 + j is digit j % w of group j // w
+        weight = np.zeros((groups, r), dtype=np.float32)
+        weight[j // w, 1 + j] = base ** (j % w)
+        stack = np.take(weight, color, axis=1).transpose(1, 0, 2).reshape(v, groups * v)
+        packed = (rel[i].astype(np.float32) @ stack).reshape(v, groups, v).transpose(1, 0, 2)
+        const = packed[:, x, y]  # (group, k)
+        bad = packed != np.take(const, color, axis=1)
+        if bad.any():  # the first failing j, then the smallest colour where its digit fails
+            g = int(np.argmax(bad.any(axis=(1, 2))))
+            at = bad[g]
+            got, want = (a.astype(np.int64)[:, None] // base ** np.arange(w) % base
+                         for a in (packed[g][at], const[g][color[at]]))
+            d = int(np.argmax((got != want).any(axis=0)))
+            raise StructuralError(f"not a scheme: R_{i} R_{1 + g * w + d} is not constant on "
+                                  f"R_{int(color[at][got[:, d] != want[:, d]].min())}")
         gen = unit[[i] * r]  # row j is lam[i, j]; R_i R_0 = R_i
-        for j in range(1, r):
-            prod = rel[i] @ rel[j]
-            gen[j] = const = prod[x, y]
-            bad = prod != (const @ flat).reshape(v, v)
-            if bad.any():
-                raise StructuralError(f"not a scheme: R_{i} R_{j} is not constant on "
-                                      f"R_{int(color[bad].min())}")
+        digits = const.astype(np.int64)[:, None] // (base ** np.arange(w))[:, None] % base
+        gen[1:] = digits.reshape(groups * w, r)[:r - 1]
         gens.append(gen)
         todo += [b @ gen % p for _, b in span]
         while todo and len(span) < r:  # the Krylov closure of I under the generators
@@ -207,8 +230,7 @@ def from_scheme(relations) -> RBA:
                 c = int(np.argmax(u != 0))
                 span.append((c, u * pow(int(u[c]), -1, p) % p))
                 todo += [span[-1][1] @ g % p for g in gens]
-    left, right = color[x].astype(np.intp), color[:, y].T.astype(np.intp)  # ints: exact at any r
-    idx = (left * r + right) * r + np.arange(r)[:, None]  # (i, j, k) at each z
+    idx = (color[x] * r + color[:, y].T) * r + np.arange(r)[:, None]  # (i, j, k) at each z
     return RBA(np.bincount(idx.ravel(), minlength=r**3).reshape(r, r, r), star)
 
 

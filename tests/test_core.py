@@ -422,7 +422,8 @@ def _assoc_reference(rba):
     """(residual, detail) of associativity from one einsum over the whole
     tensor (D, N) or (1, lam_float), in the arithmetic of its own dtype."""
     d, lam = rba.lam_int if rba.exact else (1, rba.lam_float)
-    diff = abs(np.einsum("ijm,mkl->ijkl", lam, lam) - np.einsum("jkm,iml->ijkl", lam, lam))
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf: the NaN residual is the answer
+        diff = abs(np.einsum("ijm,mkl->ijkl", lam, lam) - np.einsum("jkm,iml->ijkl", lam, lam))
     worst = np.unravel_index(int(np.argmax(diff)), diff.shape)
     res = diff[worst]
     if res != res:

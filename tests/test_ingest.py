@@ -456,3 +456,79 @@ def test_parse_scheme_byte_and_token_paths_agree(edit):
 def test_parse_scheme_errors(text, error, message):
     with pytest.raises(error, match=message):
         parse_scheme(text)
+
+
+# ---------------------------------------------------------------------------
+# packed products: one float32 product per generator, digits base B
+# ---------------------------------------------------------------------------
+
+def test_from_scheme_packs_products_into_two_groups():
+    # thin C30: every valency is 1, so B = 2 and a group holds w = 24 digits;
+    # R_1's 29 products R_1 R_j span two groups
+    table = c_n_table(30)
+    color = [[(w - u) % 30 for w in range(30)] for u in range(30)]  # (u, u + g) has colour g
+    rba, group = from_scheme(thin_scheme(table)), from_group(table)
+    assert rba.lam.tolist() == _oracle(color)
+    assert np.array_equal(rba.lam_int[1], group.lam_int[1])
+    assert np.array_equal(rba.star, group.star)
+
+
+def _first_failure(mats, g):
+    """The message of the first R_g R_j (j = 1, 2, ...) that is not constant on
+    a relation, from one int64 product per j."""
+    color = sum(k * m for k, m in enumerate(mats))
+    pairs = [np.argwhere(m == 1)[0] for m in mats]
+    for j in range(1, len(mats)):
+        prod = mats[g].astype(np.int64) @ mats[j]
+        const = np.array([prod[x, y] for x, y in pairs])
+        bad = prod != const[color]
+        if bad.any():
+            return f"not a scheme: R_{g} R_{j} is not constant on R_{color[bad].min()}"
+    return None
+
+
+def test_from_scheme_names_a_failure_at_a_later_digit():
+    # H(5,2) by the support of x - y, with distance 2 split into five supports
+    # and the other five: every relation is a Cayley graph of Z_2^5, so every
+    # row sum is a valency (1, 5, 5, 1, 5, 5, 10 by colour). R_1 (distance 1)
+    # goes first, and R_1 R_j is constant for j = 1, 2, 3; R_1 R_4 is not.
+    # B = 6, so every j sits in one group, R_4 at its fourth digit
+    half = {(0, 1), (0, 2), (0, 3), (0, 4), (1, 2)}
+    colour_of = {0: 0, 1: 1, 4: 2, 5: 3, 3: 6}  # by distance, distance 2 aside
+    pts = list(itertools.product(range(2), repeat=5))
+    support = [[tuple(i for i in range(5) if x[i] != y[i]) for y in pts] for x in pts]
+    color = [[(4 if s in half else 5) if len(s) == 2 else colour_of[len(s)] for s in row]
+             for row in support]
+    mats = _relations(color)
+    message = _first_failure(mats, 1)
+    assert message is not None and message.startswith("not a scheme: R_1 R_4 ")
+    with pytest.raises(StructuralError, match=f"^{message}$"):
+        from_scheme(mats)
+
+
+def test_from_scheme_names_a_failure_in_the_second_group():
+    # thin C32 with point 0's pairs at shifts 26 and 27 swapped, and their
+    # transposes at shifts 6 and 5: still a partition closed under transpose,
+    # but not a scheme. R_1 R_j (shift j + 1) fails for the shifts j = 4, 5, 6,
+    # 25, 26 and 27 only. They are renumbered 26 to 31 after shift 16 at 25, so
+    # with B = 2 and w = 24 the first failure is the second digit of group two
+    color = np.array([[(w - u) % 32 for w in range(32)] for u in range(32)])
+    color[0, 26], color[0, 27], color[26, 0], color[27, 0] = 27, 26, 5, 6
+    last = [16, 4, 5, 6, 25, 26, 27]
+    order = [g for g in range(32) if g not in last] + last
+    mats = _relations(np.argsort(order)[color].tolist())
+    message = _first_failure(mats, 1)
+    assert message is not None and message.startswith("not a scheme: R_1 R_26 ")
+    with pytest.raises(StructuralError, match=f"^{message}$"):
+        from_scheme(mats)
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: _hamming(5, 3), id="H(5,3)"),
+    pytest.param(lambda: _johnson(10, 4), id="J(10,4)"),
+])
+def test_from_scheme_matches_oracle_relabelled(build):
+    color = _relabelled(build(), random.Random(7))
+    rba = from_scheme(_relations(color))
+    assert rba.lam.tolist() == _oracle(color)
+    assert list(rba.star) == list(range(rba.rank))
