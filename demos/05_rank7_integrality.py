@@ -7,6 +7,8 @@ never be algebraic integers: each linear character phi != delta satisfies
 1 + 2 phi_1 + 2 phi_2 + 2 phi_3 = 0, and 1 + 2(phi_1 + phi_2) is odd.
 """
 
+from fractions import Fraction
+
 import numpy as np
 
 from rbakit import (
@@ -20,7 +22,12 @@ from rbakit import (
     two_adic_obstruction,
     validate,
 )
-from rbakit.integrality import RANK7_IMAGES, build_rank7_example, rank7_exact_data
+from rbakit.integrality import (
+    RANK7_IMAGES,
+    build_rank7_example,
+    is_algebraic_integer,
+    rank7_exact_data,
+)
 
 rba = build_rank7_example()
 print(rba)
@@ -41,8 +48,10 @@ except NumericalError as exc:
     print("\nreal 2x2 extraction fails as it must:", exc)
 
 # ... but the quaternion-valued representation works: each quaternion is its
-# 4x4 left-multiplication matrix, whose transpose is the conjugate
-images = RANK7_IMAGES.astype(float)
+# 4x4 left-multiplication matrix, whose transpose is the conjugate; the images
+# are stored exactly as integer matrices A, B with 2 X = A + B sqrt(5)
+a, b = RANK7_IMAGES
+images = (a + b * np.sqrt(5.0)) / 2
 product, star = rep_residual(rba, images)
 traces_match = np.allclose(np.einsum("iaa->i", images) / 2, chi.values_raw.real)
 print("quaternion-valued representation verifies:",
@@ -53,12 +62,11 @@ print("quaternion-valued representation verifies:",
 result = integral_check(rba)
 print("\nintegral structure constants:", bool(result),
       f"({len(result.offenders)}+ offenders)")
-exact = rank7_exact_data()
-irrational = [v for v in exact["lam"].values() if not v.is_rational]
-print("irrational entries (exact):", len(irrational), "all equal to +-sqrt(5)/4:",
-      all(abs(float(v)) == float(abs(v.coef)) * 5 ** 0.5 for v in irrational))
-non_integers = [v for v in exact["lam"].values() if not v.is_algebraic_integer()]
-print("entries that are not algebraic integers:", len(non_integers))
+rational, coef = rank7_exact_data()["lam"]  # lam = rational + coef * sqrt(5), exactly
+irrational = coef != 0
+print("irrational entries (exact):", int(irrational.sum()), "all equal to +-sqrt(5)/4:",
+      bool((rational[irrational] == 0).all() and (abs(coef[irrational]) == Fraction(1, 4)).all()))
+print("entries that are not algebraic integers:", int((~is_algebraic_integer(rational, coef)).sum()))
 
 # the 2-adic obstruction, straight from the character table
 report = two_adic_obstruction(table)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from fractions import Fraction
 
 from .core import DEFAULT_TOL, RBA, RBAError, StructuralError, ToleranceConfig, validate
 from .fixtures import fixture_text
@@ -125,14 +126,24 @@ def _cmd_quaternion(args) -> int:
     return 0 if q["verdict"] in ("split", "real-split-only") else 1
 
 
-def _cmd_hilbert(args) -> int:
-    from fractions import Fraction
+MAX_DIGITS = 4300  # Python's bound on int() of a digit string; exponent notation gets past it
 
+
+def _hilbert_argument(name: str, token: str) -> Fraction:
+    """token as a Fraction with at most MAX_DIGITS digits in its numerator and denominator;
+    an exponent too large for that is refused before 10**exponent is built."""
     try:
-        a = Fraction(args.a)
-        b = Fraction(args.b)
+        exponent = token.lower().partition("e")[2]
+        q = None if exponent and abs(int(exponent)) > MAX_DIGITS + len(token) else Fraction(token)
     except (ValueError, ZeroDivisionError) as exc:
         raise StructuralError(f"bad rational: {exc}") from exc
+    if q is None or max(abs(q.numerator), q.denominator) >= 10**MAX_DIGITS:
+        raise StructuralError(f"{name} has more than {MAX_DIGITS} digits in its numerator or denominator")
+    return q
+
+
+def _cmd_hilbert(args) -> int:
+    a, b = _hilbert_argument("a", args.a), _hilbert_argument("b", args.b)
     places = hilbert_places(a, b)
     product = 1
     for v in places.values():

@@ -5,9 +5,9 @@ coefficient of b_k in b_i*b_j), a basis involution ``star`` acting on indices,
 and a mode flag. An exact RBA is stored as its integer view lam = N / D
 (``lam_int``), a float one as ``lam_float``; every RBA also keeps ``lam_float``.
 The axiom checks and the integrality test run on (D, N) with zero tolerances,
-or on (1, lam_float) with the float tolerances; standardize rescales N and D
-by integers. Exact element arithmetic (RBA.mul, degree map, rep_residual,
-symbol) has one integer frame, _frame: lam = N / D and each rational operand
+or on (1, lam_float) with the float tolerances. Exact element arithmetic
+(RBA.mul, degree map, standardize, rep_residual, symbol) has one integer
+frame, _frame: lam = N / D and each rational operand
 x = X / E, in int64 while m^2 max(D, |N|) prod max(E, |X|)^2 < 2^62 (m the
 largest axis length), else in Python ints. Associativity, the one r^5 check,
 runs in float64 wherever that is exact (integer entries, r max|N|^2 < 2^52):
@@ -718,8 +718,8 @@ def standardize(rba: RBA, dm: DegreeMap) -> RBA:
     """Rescale the basis so the b_0-coefficient of b_i b_i* equals the degree of b_i.
 
     b_i' = t_i b_i with t_i = delta_i / lam[i,i*,0]; idempotent. With exact
-    degrees an exact RBA is rescaled on its numerators: for t = U / E and
-    M = lcm(U), lam' = N' / D' with N' = N U_i U_j (M / U_k) and D' = D E M.
+    degrees an exact RBA is rescaled in _frame's integers: for t = X / E and
+    1 / t = Y / F, lam' = N X_i X_j Y_k / (D E^2 F).
     """
     r = rba.rank
     star = rba.star
@@ -731,12 +731,9 @@ def standardize(rba: RBA, dm: DegreeMap) -> RBA:
     if not exact:
         t = dm.values_float / diag
         return RBA(lam * t[:, None, None] * t[None, :, None] / t[None, None, :], star, rba.labels)
-    e, u = over_common_denominator(np.array([v * d / x for v, x in zip(dm.values, diag.tolist())]))
-    m = math.lcm(*u)
-    wide = lam.dtype == object or int(abs(lam).max()) * max(u) ** 2 * m >= 2**63
-    u = u.astype(object if wide else np.int64)
-    lam = lam.astype(u.dtype, copy=False) * u[:, None, None] * u[None, :, None] * (m // u)
-    return RBA._from_numerators(d * e * m, lam, star, rba.labels)
+    t = np.array([v * d / x for v, x in zip(dm.values, diag.tolist())], dtype=object)
+    d, n, ((e, x), (f, y)) = _frame(rba, t, 1 / t)
+    return RBA._from_numerators(d * e * e * f, n * x[:, None, None] * x[None, :, None] * y, star, rba.labels)
 
 
 def to_standard_basis(rba: RBA, dm: DegreeMap, tol: ToleranceConfig = DEFAULT_TOL):

@@ -71,7 +71,7 @@ def rep_residual(rba: RBA, mats) -> tuple:
     lam = N / D, X = M / E (core._frame), to Fractions; else floats from lam_float.
     """
     den, lam, ((e, mats),) = _frame(rba, np.asarray(mats))
-    mats = mats.astype(float) if lam is rba.lam_float else mats  # object entries such as Sqrt5 too
+    mats = mats.astype(float) if lam is rba.lam_float else mats  # Fraction images of a float RBA too
     product = max(
         abs(den * (mats[i] @ mats) - e * np.tensordot(lam[i], mats, 1)).max()
         for i in range(rba.rank)

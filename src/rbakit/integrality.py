@@ -10,15 +10,16 @@ can never have (algebraic) integer structure constants.
 This module also reconstructs the canonical rank-7 witness from its
 character data and quaternion-valued degree-2 representation, whose images
 are 4x4 left-multiplication matrices over Q(sqrt 5): the quaternion
-conjugate is the transpose, and the reduced trace is half the trace. The
-reconstruction is exact over Q(sqrt 5); the resulting tensor provably
-contains entries +-sqrt(5)/4, so the public RBA object is emitted in float
-mode and only the derived table data is rational.
+conjugate is the transpose, and the reduced trace is half the trace. Each
+value a + b sqrt(5) is held as the pair (a, b): the images as integer
+arrays (A, B) with 2 X = A + B sqrt(5), the tensor as two Fraction arrays.
+The reconstruction is exact; the resulting tensor provably contains entries
++-sqrt(5)/4, so the public RBA object is emitted in float mode and only the
+derived table data is rational.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -29,109 +30,16 @@ from .core import RBA
 from .decomp import CharacterTable
 
 __all__ = [
-    "Sqrt5",
     "IntegralityResult",
     "TwoAdicReport",
     "integral_check",
+    "is_algebraic_integer",
     "two_adic_obstruction",
     "two_adic_valuation",
     "row_sum_relation_holds",
     "build_rank7_example",
     "rank7_exact_data",
 ]
-
-
-# ---------------------------------------------------------------------------
-# exact arithmetic in Q(sqrt 5), just enough for the reconstruction
-# ---------------------------------------------------------------------------
-
-def _lifted(op):
-    """op on the operand as a Sqrt5; NotImplemented, as for an array, where Fraction() fails."""
-    def lifted(self, other):
-        try:
-            other = _lift(other)
-        except (TypeError, ValueError):
-            return NotImplemented
-        return op(self, other)
-    return lifted
-
-
-@dataclass(frozen=True)
-class Sqrt5:
-    """rational + coef * sqrt(5), exact."""
-
-    rational: Fraction = Fraction(0)
-    coef: Fraction = Fraction(0)
-
-    @_lifted
-    def __add__(self, o):
-        return Sqrt5(self.rational + o.rational, self.coef + o.coef)
-
-    __radd__ = __add__
-
-    @_lifted
-    def __sub__(self, o):
-        return Sqrt5(self.rational - o.rational, self.coef - o.coef)
-
-    @_lifted
-    def __rsub__(self, o):
-        return o - self
-
-    def __neg__(self):
-        return Sqrt5(-self.rational, -self.coef)
-
-    @_lifted
-    def __mul__(self, o):
-        return Sqrt5(
-            self.rational * o.rational + 5 * self.coef * o.coef,
-            self.rational * o.coef + self.coef * o.rational,
-        )
-
-    __rmul__ = __mul__
-
-    @_lifted
-    def __truediv__(self, o):
-        nrm = o.rational * o.rational - 5 * o.coef * o.coef
-        if nrm == 0:
-            raise ZeroDivisionError("division by zero in Q(sqrt 5)")
-        return self * Sqrt5(o.rational / nrm, -o.coef / nrm)
-
-    @_lifted
-    def __eq__(self, o):
-        return self.rational == o.rational and self.coef == o.coef
-
-    def __hash__(self):
-        return hash((self.rational, self.coef))
-
-    def __bool__(self):
-        return bool(self.rational or self.coef)
-
-    def __float__(self):
-        return float(self.rational) + float(self.coef) * math.sqrt(5.0)
-
-    def __repr__(self):
-        if self.coef == 0:
-            return str(self.rational)
-        return f"({self.rational}+{self.coef}*sqrt5)"
-
-    @property
-    def is_rational(self) -> bool:
-        return self.coef == 0
-
-    def is_algebraic_integer(self) -> bool:
-        """True iff trace 2a and norm a^2 - 5b^2 are both rational integers."""
-        tr = 2 * self.rational
-        nm = self.rational * self.rational - 5 * self.coef * self.coef
-        return tr.denominator == 1 and nm.denominator == 1
-
-
-def _lift(v) -> Sqrt5:
-    if isinstance(v, Sqrt5):
-        return v
-    return Sqrt5(Fraction(v))
-
-
-SQRT5 = Sqrt5(Fraction(0), Fraction(1))
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +66,14 @@ def integral_check(rba: RBA, eps: float = 1e-9) -> IntegralityResult:
     offenders = [(int(i), int(j), int(k), Fraction(int(n[i, j, k]), d) if d else n[i, j, k])
                  for i, j, k in np.argwhere(bad)[:32]]
     return IntegralityResult(integral=not offenders, offenders=offenders)
+
+
+def is_algebraic_integer(rational, coef) -> np.ndarray:
+    """Elementwise: whether a + b sqrt(5) is an algebraic integer, for rational
+    arrays a, b; true iff its trace 2a and norm a^2 - 5b^2 are rational integers."""
+    a, b = np.asarray(rational, dtype=object), np.asarray(coef, dtype=object)
+    whole = np.frompyfunc(lambda q: Fraction(q).denominator == 1, 1, 1)
+    return np.asarray(whole(2 * a) & whole(a * a - 5 * b * b), dtype=bool)
 
 
 # ---------------------------------------------------------------------------
@@ -265,9 +181,6 @@ def two_adic_obstruction(table: CharacterTable) -> TwoAdicReport:
 # the canonical rank-7 witness
 # ---------------------------------------------------------------------------
 
-_HALF = Fraction(1, 2)
-_R5H = Sqrt5(Fraction(0), _HALF)  # sqrt(5)/2
-
 RANK7_STAR = (0, 2, 1, 4, 3, 6, 5)
 RANK7_DELTA = tuple(Fraction(v) for v in (1, 2, 2, 2, 2, 2, 2))
 RANK7_PHI = (Fraction(1), Fraction(-5, 2), Fraction(-5, 2), Fraction(0),
@@ -280,61 +193,55 @@ RANK7_ORDER = Fraction(13)
 
 def _quaternion(t, x, y, z) -> np.ndarray:
     """Left multiplication by t + x i + y j + z k (i^2 = j^2 = k^2 = -1, i j = k)
-    on the coordinates (1, i, j, k), as a 4x4 object array of Sqrt5."""
-    t, x, y, z = (_lift(v) for v in (t, x, y, z))
+    on the coordinates (1, i, j, k), as a 4x4 array of the coefficients."""
     return np.array([[t, -x, -y, -z], [x, t, -z, y], [y, z, t, -x], [z, -y, x, t]])
 
 
-# degree-2 images in the quaternions; the real part of X(b_3) is -1/2 (the
-# feasible trace tau(b_3) = 0 and the chi row sum force reduced trace -1)
-RANK7_IMAGES = np.array([
-    _quaternion(1, 0, 0, 0),
-    _quaternion(0, _R5H, 0, 0),
-    _quaternion(0, -_R5H, 0, 0),
-    _quaternion(0, 0, _R5H, 0),
-    _quaternion(0, 0, -_R5H, 0),
-    _quaternion(-_HALF, 0, 0, _R5H),
-    _quaternion(-_HALF, 0, 0, -_R5H),
-])
+# degree-2 images in the quaternions, as integer (7, 4, 4) stacks (A, B) with
+# 2 X(b_i) = A_i + B_i sqrt(5): +-(sqrt5/2) i on b_1, b_1*, +-(sqrt5/2) j on b_2, b_2*
+# and -1/2 +- (sqrt5/2) k on b_3, b_3*, whose real part is forced: the feasible
+# trace tau(b_3) = 0 and the chi row sum give reduced trace -1.
+RANK7_IMAGES = (
+    np.array([_quaternion(t, 0, 0, 0) for t in (2, 0, 0, 0, 0, -1, -1)]),
+    np.array([_quaternion(0, *v) for v in
+              ((0, 0, 0), (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1))]),
+)
 
 
 def rank7_exact_data():
-    """Exact Q(sqrt 5) reconstruction: tensor dict {(i,j,k): Sqrt5} plus metadata.
+    """Exact Q(sqrt 5) reconstruction: lam as the pair (rational part, sqrt 5
+    coefficient) of (7, 7, 7) Fraction arrays, with star, delta and the chi row.
 
     Embeds each basis element as (delta(b), phi(b), psi(b), X(b)), multiplies
     tuples componentwise, and reads the structure constants off the trace
     form: lam[i,j,k] = tau(b_i b_j b_k*) / (n delta_k) with
-    tau = sum_psi m_psi psi. The reduced trace of X_i X_j X_k* is
-    sum(X_i X_j o X_k*^T) / 2, on the 49 products X_i X_j formed once.
+    tau = sum_psi m_psi psi. With 2 X = A + B sqrt5, the 49 products are
+    4 X_i X_j = (A_i A_j + 5 B_i B_j) + (A_i B_j + B_i A_j) sqrt5, and as
+    X_k* = X_k^T the reduced trace of X_i X_j X_k* is sum(X_i X_j o X_k) / 2.
     """
-    star = RANK7_STAR
-    m = RANK7_MULTIPLICITIES
-    n = RANK7_ORDER
-    x = RANK7_IMAGES
-    products = x[:, None] @ x[None]
+    m, n = RANK7_MULTIPLICITIES, RANK7_ORDER
+    a, b = RANK7_IMAGES
+    pa = a[:, None] @ a[None] + 5 * (b[:, None] @ b[None])
+    pb = a[:, None] @ b[None] + b[:, None] @ a[None]
 
-    def tau_triple(i, j, k):
-        ks = star[k]
-        return (
-            _lift(m[0] * RANK7_DELTA[i] * RANK7_DELTA[j] * RANK7_DELTA[ks])
-            + _lift(m[1] * RANK7_PHI[i] * RANK7_PHI[j] * RANK7_PHI[ks])
-            + _lift(m[2] * RANK7_PSI[i] * RANK7_PSI[j] * RANK7_PSI[ks])
-            + _lift(m[3]) * (products[i, j] * x[ks].T).sum() / 2
-        )
+    def trace(p, x):
+        return np.einsum("ijab,kab->ijk", p, x).astype(object)
 
-    lam = {}
-    for i, j, k in itertools.product(range(7), repeat=3):
-        lam[i, j, k] = tau_triple(i, j, k) / _lift(n * RANK7_DELTA[k])
+    def cube(values):  # values_i values_j values_k*
+        v = np.array(values, dtype=object)
+        return v[:, None, None] * v[None, :, None] * v[list(RANK7_STAR)]
+
+    # 16 times the reduced trace of X_i X_j X_k*, rational part and sqrt5 coefficient
+    ta, tb = trace(pa, a) + 5 * trace(pb, b), trace(pa, b) + trace(pb, a)
+    scale = n * np.array(RANK7_DELTA, dtype=object)  # n delta_k
+    rational = (m[0] * cube(RANK7_DELTA) + m[1] * cube(RANK7_PHI) + m[2] * cube(RANK7_PSI)
+                + m[3] / 16 * ta) / scale
+    coef = m[3] / 16 * tb / scale
     return {
-        "lam": lam,
-        "star": star,
+        "lam": (rational, coef),
+        "star": RANK7_STAR,
         "delta": RANK7_DELTA,
-        "phi": RANK7_PHI,
-        "psi": RANK7_PSI,
-        "chi": tuple((np.trace(q) / 2).rational for q in RANK7_IMAGES),
-        "multiplicities": m,
-        "order": n,
-        "images": RANK7_IMAGES,
+        "chi": tuple(Fraction(int(t), 4) for t in np.einsum("iaa->i", a)),
     }
 
 
@@ -345,9 +252,6 @@ def build_rank7_example() -> RBA:
     contains entries +-sqrt(5)/4, so its field of definition is Q(sqrt 5)
     and no rational-mode representation exists.
     """
-    data = rank7_exact_data()
-    lam = np.empty((7, 7, 7))
-    for (i, j, k), v in data["lam"].items():
-        lam[i, j, k] = float(v)
-    labels = ["b0", "b1", "b1*", "b2", "b2*", "b3", "b3*"]
-    return RBA(lam, data["star"], labels=labels)
+    rational, coef = rank7_exact_data()["lam"]
+    lam = rational.astype(float) + coef.astype(float) * math.sqrt(5.0)
+    return RBA(lam, RANK7_STAR, labels=["b0", "b1", "b1*", "b2", "b2*", "b3", "b3*"])

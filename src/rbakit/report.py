@@ -411,10 +411,17 @@ def analyze(rba: RBA, tol: ToleranceConfig = DEFAULT_TOL, force_float: bool = Fa
 
 
 def write_atomic(path: str, content: str) -> None:
-    """Write via a temp file in the target directory, then rename."""
+    """Write via a temp file in the target directory, then rename. The file gets the
+    mode open(path, "w") gives: the old file's, else 0o666 less the umask."""
     directory = os.path.dirname(os.path.abspath(path))
+    try:
+        mode = os.stat(path).st_mode & 0o7777
+    except FileNotFoundError:
+        os.umask(umask := os.umask(0))
+        mode = 0o666 & ~umask
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
+        os.chmod(tmp, mode)
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(content)
         os.replace(tmp, path)

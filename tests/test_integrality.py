@@ -1,4 +1,4 @@
-"""Q(sqrt5) arithmetic, the rank-7 reconstruction, 2-adic obstruction."""
+"""Q(sqrt5) integrality, the rank-7 reconstruction, 2-adic obstruction."""
 
 import itertools
 from fractions import Fraction
@@ -6,13 +6,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rbakit.core import RBA, degree_map, validate
+from rbakit.core import RBA, degree_map, over_common_denominator, validate
 from rbakit.decomp import central_idempotents, character_table
 from rbakit.integrality import (
     RANK7_IMAGES,
-    Sqrt5,
-    SQRT5,
     integral_check,
+    is_algebraic_integer,
     rank7_exact_data,
     row_sum_relation_holds,
     two_adic_obstruction,
@@ -26,28 +25,12 @@ from conftest import RANK7_TABLE, TOL
 # Q(sqrt 5)
 # ---------------------------------------------------------------------------
 
-def test_sqrt5_arithmetic():
-    x = Sqrt5(Fraction(1, 2), Fraction(3, 2))
-    y = Sqrt5(Fraction(-2), Fraction(1, 3))
-    assert (x + y) - y == x
-    assert x * y == y * x
-    assert (x / y) * y == x
-    assert SQRT5 * SQRT5 == Sqrt5(Fraction(5))
-    assert float(SQRT5) == pytest.approx(np.sqrt(5.0))
-    with pytest.raises(ZeroDivisionError):
-        x / Sqrt5()
-    # an operand Fraction() cannot take is left to its own type: numpy broadcasts
-    eye = np.eye(4, dtype=int)
-    assert (x * eye == eye * x).all() and (x * eye)[0, 0] == x and (x + eye)[0, 1] == x
-    assert (x == eye).shape == (4, 4) and x != "x"
-
-
 def test_sqrt5_algebraic_integers():
-    golden = Sqrt5(Fraction(1, 2), Fraction(1, 2))  # (1 + sqrt5)/2
-    assert golden.is_algebraic_integer()
-    assert Sqrt5(Fraction(3), Fraction(-2)).is_algebraic_integer()
-    assert not Sqrt5(Fraction(0), Fraction(1, 4)).is_algebraic_integer()  # sqrt5/4
-    assert not Sqrt5(Fraction(1, 2), Fraction(0)).is_algebraic_integer()
+    # (1 + sqrt5)/2 and 3 - 2 sqrt5 are integral; sqrt5/4 and 1/2 are not
+    rational = [Fraction(1, 2), Fraction(3), Fraction(0), Fraction(1, 2)]
+    coef = [Fraction(1, 2), Fraction(-2), Fraction(1, 4), Fraction(0)]
+    assert is_algebraic_integer(rational, coef).tolist() == [True, True, False, False]
+    assert is_algebraic_integer(Fraction(1, 2), Fraction(1, 2))
 
 
 def test_two_adic_valuation():
@@ -67,69 +50,85 @@ def exact_data():
     return rank7_exact_data()
 
 
-def test_rank7_exact_axioms(exact_data):
-    lam = exact_data["lam"]
-    star = exact_data["star"]
-    delta = exact_data["delta"]
-    zero = Sqrt5()
-    for j, k in itertools.product(range(7), repeat=2):
-        assert lam[0, j, k] == (1 if j == k else zero)
-        assert lam[j, 0, k] == (1 if j == k else zero)
-    for i, j, k in itertools.product(range(7), repeat=3):
-        assert lam[i, j, k] == lam[star[j], star[i], star[k]]
-    for i, j in itertools.product(range(7), repeat=2):
-        if j == star[i]:
-            assert lam[i, j, 0] == delta[i]
-        else:
-            assert lam[i, j, 0] == zero
+@pytest.fixture(scope="module")
+def lam_pair(exact_data):
+    """(D, (R, C)): lam = (R + C sqrt5) / D with int64 R, C over one denominator."""
+    d, n = over_common_denominator(np.stack(exact_data["lam"]))
+    return d, tuple(n.astype(np.int64))
+
+
+def _pair_einsum(spec, x, y):
+    """einsum of two pairs (R, C) standing for R + C sqrt5, as the pair of the result:
+    (R1 + C1 sqrt5)(R2 + C2 sqrt5) = (R1 R2 + 5 C1 C2) + (R1 C2 + C1 R2) sqrt5."""
+    (r1, c1), (r2, c2) = x, y
+    return (np.einsum(spec, r1, r2) + 5 * np.einsum(spec, c1, c2),
+            np.einsum(spec, r1, c2) + np.einsum(spec, c1, r2))
+
+
+def test_rank7_exact_axioms(exact_data, lam_pair):
+    d, (rat, coef) = lam_pair
+    star = list(exact_data["star"])
+    delta = np.array(exact_data["delta"], dtype=np.int64)
+    for part, one in ((rat, d), (coef, 0)):  # the rational part, then the sqrt5 coefficient
+        # identity, then b_0-coefficients: lam[i,j,0] = delta_i iff j = i*
+        eye = one * np.eye(7, dtype=np.int64)
+        pseudo = np.zeros((7, 7), dtype=np.int64)
+        pseudo[range(7), star] = one * delta
+        assert np.array_equal(part[0], eye) and np.array_equal(part[:, 0], eye)
+        assert np.array_equal(part[:, :, 0], pseudo)
+        # anti-automorphism: lam[i,j,k] = lam[j*,i*,k*]
+        assert np.array_equal(part, part[np.ix_(star, star, star)].transpose(1, 0, 2))
     # associativity, exactly over Q(sqrt 5)
-    for i, j, k, l in itertools.product(range(7), repeat=4):
-        lhs = sum((lam[i, j, m] * lam[m, k, l] for m in range(7)), zero)
-        rhs = sum((lam[j, k, m] * lam[i, m, l] for m in range(7)), zero)
-        assert lhs == rhs
-    # degree homomorphism
-    for i, j in itertools.product(range(7), repeat=2):
-        acc = sum((lam[i, j, k] * delta[k] for k in range(7)), zero)
-        assert acc == delta[i] * delta[j]
+    lhs = _pair_einsum("ijm,mkl->ijkl", lam_pair[1], lam_pair[1])
+    rhs = _pair_einsum("jkm,iml->ijkl", lam_pair[1], lam_pair[1])
+    assert all(np.array_equal(x, y) for x, y in zip(lhs, rhs))
+    # degree homomorphism: sum_k lam[i,j,k] delta_k = delta_i delta_j
+    assert np.array_equal(rat @ delta, d * np.outer(delta, delta))
+    assert not (coef @ delta).any()
 
 
 def test_rank7_field_of_definition(exact_data):
     # exactly 48 entries are +-sqrt(5)/4: the tensor is NOT rational
-    lam = exact_data["lam"]
-    irrational = {ijk: v for ijk, v in lam.items() if not v.is_rational}
-    assert len(irrational) == 48
-    quarter = Fraction(1, 4)
-    assert all(v.rational == 0 and abs(v.coef) == quarter for v in irrational.values())
+    rational, coef = exact_data["lam"]
+    irrational = coef != 0
+    assert irrational.sum() == 48
+    assert (rational[irrational] == 0).all() and (abs(coef[irrational]) == Fraction(1, 4)).all()
 
 
 def test_rank7_frozen_entries(exact_data):
-    lam = exact_data["lam"]
-    assert lam[1, 2, 0] == Fraction(2)         # b_0-coefficient of b_1 b_1* = delta_1
-    assert lam[1, 1, 0] == Sqrt5()
-    assert lam[1, 1, 2] == Fraction(-1, 4)
-    assert lam[1, 2, 5] == Fraction(3, 4)
-    assert lam[5, 5, 5] == Fraction(1, 2)
-    assert lam[5, 5, 6] == Fraction(3, 2)
-    assert lam[1, 3, 5] == Sqrt5(Fraction(0), Fraction(1, 4))
-    assert lam[1, 3, 6] == Sqrt5(Fraction(0), Fraction(-1, 4))
+    rational, coef = exact_data["lam"]
+
+    def lam(*ijk):
+        return rational[ijk], coef[ijk]
+
+    assert lam(1, 2, 0) == (2, 0)                 # b_0-coefficient of b_1 b_1* = delta_1
+    assert lam(1, 1, 0) == (0, 0)
+    assert lam(1, 1, 2) == (Fraction(-1, 4), 0)
+    assert lam(1, 2, 5) == (Fraction(3, 4), 0)
+    assert lam(5, 5, 5) == (Fraction(1, 2), 0)
+    assert lam(5, 5, 6) == (Fraction(3, 2), 0)
+    assert lam(1, 3, 5) == (0, Fraction(1, 4))
+    assert lam(1, 3, 6) == (0, Fraction(-1, 4))
 
 
 def test_rank7_not_algebraic_integral(exact_data):
-    bad = [v for v in exact_data["lam"].values() if not v.is_algebraic_integer()]
-    assert len(bad) == 120
+    assert (~is_algebraic_integer(*exact_data["lam"])).sum() == 120
 
 
 def test_rank7_chi_row(exact_data):
     assert exact_data["chi"] == tuple(RANK7_TABLE["chi"])
 
 
-def test_rank7_images_represent_the_tensor(exact_data):
-    # X_i X_j = sum_k lam[i,j,k] X_k and X_{i*} = X_i^T, exactly over Q(sqrt 5)
-    x = RANK7_IMAGES
-    lam = exact_data["lam"]
-    for i, j in itertools.product(range(7), repeat=2):
-        assert (x[i] @ x[j] == sum(x[k] * lam[i, j, k] for k in range(7))).all(), (i, j)
-    assert (x[list(exact_data["star"])] == x.transpose(0, 2, 1)).all()
+def test_rank7_images_represent_the_tensor(exact_data, lam_pair):
+    # X_i X_j = sum_k lam[i,j,k] X_k and X_{i*} = X_i^T, exactly over Q(sqrt 5):
+    # with 2 X = A + B sqrt5 and lam = L / D, X_i X_j = P / 4 and
+    # sum_k lam[i,j,k] X_k = S / (2 D) for the pairs P and S below, so D P = 2 S
+    d, lam = lam_pair
+    products = _pair_einsum("iab,jbc->ijac", RANK7_IMAGES, RANK7_IMAGES)
+    sums = _pair_einsum("ijk,kab->ijab", lam, RANK7_IMAGES)
+    assert all(np.array_equal(d * p, 2 * s) for p, s in zip(products, sums))
+    star = list(exact_data["star"])
+    assert all(np.array_equal(x[star], x.transpose(0, 2, 1)) for x in RANK7_IMAGES)
 
 
 def test_build_rank7_example(rank7_rba):

@@ -47,6 +47,36 @@ def _nrd(x):
     return (x @ x.T)[0, 0]
 
 
+def _image(i):
+    """X(b_i) of the rank-7 witness as the pair (P, Q) of Fraction matrices, X = P + Q sqrt5."""
+    return tuple(x[i] * Fraction(1, 2) for x in RANK7_IMAGES)
+
+
+def _times(x, y):
+    """(P + Q sqrt5)(R + S sqrt5) = (PR + 5QS) + (PS + QR) sqrt5, on pairs of matrices."""
+    (p, q), (r, s) = x, y
+    return p @ r + 5 * (q @ s), p @ s + q @ r
+
+
+def _conj(x):
+    return tuple(m.T for m in x)
+
+
+def _pair_nrd(x):
+    """Reduced norm of a pair, as (rational part, sqrt5 coefficient)."""
+    return tuple(m[0, 0] for m in _times(x, _conj(x)))
+
+
+def _pair_trd(x):
+    """Reduced trace (half the trace) of a pair, as (rational part, sqrt5 coefficient)."""
+    return tuple(np.trace(m) / 2 for m in x)
+
+
+def _float_images():
+    a, b = RANK7_IMAGES
+    return (a + b * np.sqrt(5.0)) / 2
+
+
 def test_quaternion_units():
     one, i, j, k = (_quaternion(*row) for row in np.eye(4, dtype=int).tolist())
     assert (i @ i == -one).all()
@@ -77,20 +107,20 @@ def test_quaternion_conjugation_and_norm():
 
 def test_quaternion_exact_norm_product():
     # images of b_1 and b_2 in the rank-7 example: norm(X(b1) X(b2)) = 25/16
-    x1, x2 = RANK7_IMAGES[1], RANK7_IMAGES[2]
-    assert _nrd(x1 @ x2) == Fraction(25, 16)
-    assert _nrd(x1) * _nrd(x2) == Fraction(25, 16)
+    x1, x2 = _image(1), _image(2)
+    assert _pair_nrd(_times(x1, x2)) == (Fraction(25, 16), 0)
+    assert _pair_nrd(x1) == _pair_nrd(x2) == (Fraction(5, 4), 0)
     # reduced trace of X(b1) X(b1)^T is 2 Nrd = 5/2
-    assert np.trace(x1 @ x1.T) / 2 == Fraction(5, 2)
+    assert _pair_trd(_times(x1, _conj(x1))) == (Fraction(5, 2), 0)
 
 
 def test_rank7_image_char_polys():
     # X(b_3) = -1/2 + (sqrt5/2) k: reduced trace -1, norm 1/4 + 5/4 = 3/2
-    assert np.trace(RANK7_IMAGES[5]) / 2 == -1
-    assert _nrd(RANK7_IMAGES[5]) == Fraction(3, 2)
+    assert _pair_trd(_image(5)) == (-1, 0)
+    assert _pair_nrd(_image(5)) == (Fraction(3, 2), 0)
     # X(b_1): reduced trace 0, norm 5/4
-    assert np.trace(RANK7_IMAGES[1]) / 2 == 0
-    assert _nrd(RANK7_IMAGES[1]) == Fraction(5, 4)
+    assert _pair_trd(_image(1)) == (0, 0)
+    assert _pair_nrd(_image(1)) == (Fraction(5, 4), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -324,25 +354,24 @@ def test_hilbert_agrees_with_norm_equation_oracle():
 def test_quaternion_verify_rank7(rank7_rba):
     dm = degree_map(rank7_rba, TOL)
     table = character_table(rank7_rba, dm, central_idempotents(rank7_rba, TOL), TOL)
-    images = RANK7_IMAGES.astype(float)
+    images = _float_images()
     product, star = rep_residual(rank7_rba, images)
     assert product < 1e-12
     assert star == 0.0
-    assert rep_residual(rank7_rba, RANK7_IMAGES) == (product, star)  # Sqrt5 entries, as floats
     # reduced traces (half the 4x4 traces) match the degree-2 character row
     chi = table.degree_two()[0]
     assert abs(np.einsum("iaa->i", images) / 2 - chi.values_raw.real).max() < 1e-9
 
 
 def test_quaternion_verify_detects_broken_star(rank7_rba):
-    images = RANK7_IMAGES.astype(float)
+    images = _float_images()
     images[[1, 2]] = images[[2, 1]]  # break the pairing
     product, star = rep_residual(rank7_rba, images)
     assert product > 0.1
 
 
 def test_quaternion_verify_identity_image(rank7_rba):
-    images = RANK7_IMAGES.astype(float)
+    images = _float_images()
     assert np.array_equal(images[0], np.eye(4))  # X(b_0) = 1
     # the images span the quaternions
     assert np.linalg.matrix_rank(images.reshape(7, 16), tol=TOL.eps_cluster) == 4

@@ -329,6 +329,30 @@ def test_cli_hilbert(capsys):
     assert main(["hilbert", "2", "3/0"]) == 2
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize("a, b, name", [
+    ("1e5000", "3", "a"),
+    ("3", "1e-5000", "b"),
+    ("1e1000000", "3", "a"),
+    ("-1", "7e-99999999", "b"),
+])
+def test_cli_hilbert_refuses_long_arguments(a, b, name, json_flag, capsys):
+    # exponent notation gets past the 4,300-digit bound of int() on a digit string;
+    # such an argument is refused before any factoring, as text and as JSON
+    start = time.process_time()
+    assert main(["hilbert", a, b, *json_flag]) == 2
+    assert time.process_time() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {name} has more than 4300 digits in its numerator or denominator\n"
+
+
+def test_cli_hilbert_takes_arguments_up_to_the_bound(capsys):
+    # 10^4299 has 4,300 digits: (10^4299, 3) = (10, 3) is a division algebra
+    assert main(["hilbert", "1e4299", "3", "--json"]) == 1
+    assert json.loads(capsys.readouterr().out)["places"] == {"2": -1, "3": 1, "5": -1, "inf": 1}
+
+
 def test_cli_example_pipe(capsys):
     assert main(["example", "rank7"]) == 0
     text = capsys.readouterr().out
@@ -420,6 +444,24 @@ def test_cli_out_flag(tmp_path, capsys):
     assert capsys.readouterr().out == ""
     payload = json.loads(target.read_text())
     assert payload["overall_pass"]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o002], ids=oct)
+def test_cli_out_file_mode(tmp_path, capsys, umask):
+    # --out leaves the mode open(path, "w") would: 0o666 less the umask for a new
+    # file, the old mode for a file it replaces
+    target = tmp_path / "rank7.rba"
+    old = os.umask(umask)
+    try:
+        assert main(["example", "rank7", "--out", str(target)]) == 0
+        assert target.stat().st_mode & 0o777 == 0o666 & ~umask
+        target.chmod(0o640)
+        assert main(["example", "rank7", "--out", str(target)]) == 0
+        assert target.stat().st_mode & 0o777 == 0o640
+    finally:
+        os.umask(old)
+    assert target.read_text() == fixture_text("rank7_h")
+    assert capsys.readouterr().out == ""
 
 
 def test_cli_tol_flag(tmp_path, capsys):
