@@ -66,30 +66,29 @@ def _emit(args, text: str) -> None:
 
 def _cmd_analyze(args) -> int:
     tol = _tolerances(args)
-    paths = [args.path]
-    if args.path not in ("-",) and os.path.isdir(args.path):
-        paths = sorted(
-            os.path.join(args.path, f)
-            for f in os.listdir(args.path)
-            if f.endswith(".rba")
-        )
-        if not paths:
-            raise StructuralError(f"no .rba files in {args.path}")
+    batch = args.path != "-" and os.path.isdir(args.path)
+    paths = sorted(os.path.join(args.path, f) for f in os.listdir(args.path)
+                   if f.endswith(".rba")) if batch else [args.path]
+    if not paths:
+        raise StructuralError(f"no .rba files in {args.path}")
     worst = 0
-    chunks = []
+    reports = []
     for p in paths:
         try:
             rep = analyze(_load_rba(p, args), tol)
         except INPUT_ERRORS as exc:
-            if p == args.path:  # a single input: main reports it
+            if not batch:  # a single input: main reports it
                 raise
             print(f"error: {p}: {exc}", file=sys.stderr)
             worst = 2
             continue
         rep.data["meta"]["source"] = os.path.basename(p) if p != "-" else "<stdin>"
         worst = max(worst, rep.exit_code)
-        chunks.append(rep.to_json() if args.json else rep.render_text())
-    _emit(args, "".join(chunks))
+        reports.append(rep)
+    if args.json:  # a directory: one JSON array of its reports
+        _emit(args, canonical_json([rep.data for rep in reports]) if batch else reports[0].to_json())
+    else:
+        _emit(args, "".join(rep.render_text() for rep in reports))
     return worst
 
 

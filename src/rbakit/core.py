@@ -13,13 +13,14 @@ largest axis length), else in Python ints. Associativity, the one r^5 check,
 runs in float64 wherever that is exact (integer entries, r max|N|^2 < 2^52):
 as a sort-join over the nonzeros, read at the keys its products touch, when
 their count makes it cheaper, else as BLAS gemm; einsum runs elsewhere. The
-degree map is sought among the real all-positive eigenvectors of one random
-element, tested by one product with the tensor. Well-formed text is read a
-column at a time, other text line by line. Eigen-computations run in doubles;
-exact mode changes how identities are checked and how derived values are
-snapped back. One tolerance, ToleranceConfig.eps_residual, sets the residual
-bound, the is-zero cut and the cluster gap; bounds on the tensor are relative
-to ``RBA.scale`` = max(1, max|lam|).
+degree map of an exact RBA in its standard basis is delta_i = lam[i,i*,0],
+proved by one integer product; any other is sought among the real all-positive
+eigenvectors of one random element, tested by one product with the tensor.
+Well-formed text is read a column at a time, other text line by line.
+Eigen-computations run in doubles; exact mode changes how identities are
+checked and how derived values are snapped back. One tolerance,
+ToleranceConfig.eps_residual, sets the residual bound, the is-zero cut and the
+cluster gap; bounds on the tensor are relative to ``RBA.scale`` = max(1, max|lam|).
 """
 
 from __future__ import annotations
@@ -185,7 +186,8 @@ def _frame(rba, *xs):
     m = max([rba.rank] + [max(x.shape, default=1) for _, x in parts])
     s = math.prod(max(e, max(map(abs, x.ravel().tolist()), default=0)) for e, x in parts)
     dtype = np.int64 if m * m * rba._magnitude * s * s < 2**62 else object
-    return d, n.astype(dtype, copy=False), [(e, x.astype(dtype, copy=False)) for e, x in parts]
+    n = rba._lam_int64 if dtype is np.int64 else n.astype(object, copy=False)
+    return d, n, [(e, x.astype(dtype, copy=False)) for e, x in parts]
 
 
 def _div(x, d) -> float:
@@ -375,6 +377,11 @@ class RBA:
         if not self.exact:
             return self.lam_float
         return _FRACTIONS(self.lam_int[1].astype(object), self.lam_int[0])
+
+    @functools.cached_property
+    def _lam_int64(self) -> np.ndarray:
+        """N as int64 (N itself when stored so), cast once: _frame picks it under its bound."""
+        return self.lam_int[1].astype(np.int64, copy=False)
 
     @functools.cached_property
     def scale(self) -> float:
@@ -672,12 +679,21 @@ def _join_kernel(terms):
 def degree_map(rba: RBA, tol: ToleranceConfig = DEFAULT_TOL) -> DegreeMap:
     """The unique all-positive one-dimensional representation, plus the order n.
 
-    A one-dimensional representation (v_0 = 1) is a common eigenvector of the
-    transposed left regular matrices: a column of the eigenvectors of a seeded
-    random combination of them. The real all-positive columns are tested
-    together by one matrix product; the search reseeds until one passes.
+    An exact RBA in its standard basis has delta_i = lam[i,i*,0]: c_i = N[i,i*,0]
+    all positive and N c = c c^T prove it in integers, with no eig and no random
+    draw; that no other positive one exists rests on the axioms, which analyze
+    validates first. Otherwise a one-dimensional representation (v_0 = 1) is a
+    common eigenvector of the transposed left regular matrices: a column of the
+    eigenvectors of a seeded random combination of them. The real all-positive
+    columns are tested together by one matrix product; the search reseeds until
+    one passes, and an exact input's values are then snapped and checked exactly.
     """
     r = rba.rank
+    if rba.exact:  # N c < r max(D, |N|)^2: within int64 wherever _store keeps N int64
+        d, n = rba.lam_int
+        c = n[np.arange(r), rba.star, 0]
+        if c.min() > 0 and np.array_equal(n.reshape(r * r, r) @ c, np.outer(c, c).ravel()):
+            return DegreeMap(_FRACTIONS(c.astype(object), d), exact=True)
     lam = rba.lam_float
     scale = rba.scale
     for attempt in range(8):

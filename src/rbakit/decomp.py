@@ -89,8 +89,12 @@ def center_basis(rba: RBA, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     Singular values are cut at eps_cluster relative to the largest, but never
     below the noise that validate accepts in the tensor (eps_residual relative
     to max(1, max|lam|)): on a commutative algebra every singular value is noise.
+    An exact commutative RBA is its own center: np.eye(r), the vt that the SVD
+    of the zero matrix gives, with no SVD run.
     """
     r = rba.rank
+    if rba.exact and np.array_equal(rba.lam_int[1], rba.lam_int[1].transpose(1, 0, 2)):
+        return np.eye(r)
     lam = rba.lam_float
     comm = (lam - lam.transpose(1, 0, 2)).transpose(1, 2, 0).reshape(r * r, r)
     _, svals, vt = np.linalg.svd(comm, full_matrices=False)

@@ -411,9 +411,11 @@ def analyze(rba: RBA, tol: ToleranceConfig = DEFAULT_TOL, force_float: bool = Fa
 
 
 def write_atomic(path: str, content: str) -> None:
-    """Write via a temp file in the target directory, then rename. The file gets the
-    mode open(path, "w") gives: the old file's, else 0o666 less the umask."""
-    directory = os.path.dirname(os.path.abspath(path))
+    """Write via a temp file in the target directory, then rename. As open(path, "w"),
+    it writes through a symbolic link, and the file gets the old file's mode, else
+    0o666 less the umask."""
+    path = os.path.realpath(path)
+    directory = os.path.dirname(path)
     try:
         mode = os.stat(path).st_mode & 0o7777
     except FileNotFoundError:

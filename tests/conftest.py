@@ -63,6 +63,24 @@ def c_n_table(n):
     return np.array([[(i + j) % n for j in range(n)] for i in range(n)])
 
 
+def relations(color):
+    """The 0/1 relation matrices of a colouring, one per colour."""
+    arr = np.array(color)
+    return [(arr == k).astype(int) for k in range(arr.max() + 1)]
+
+
+def hamming(d, q):
+    """The Hamming scheme H(d, q) as a colouring: the distance of each pair of words."""
+    pts = list(itertools.product(range(q), repeat=d))
+    return [[sum(a != b for a, b in zip(x, y)) for y in pts] for x in pts]
+
+
+def johnson(n, k):
+    """The Johnson scheme J(n, k) as a colouring: k less the meet of each pair of k-sets."""
+    pts = [set(c) for c in itertools.combinations(range(n), k)]
+    return [[k - len(a & b) for b in pts] for a in pts]
+
+
 def rescale(rba, scale):
     """Rescaled basis b_i' = scale[i] * b_i (scale must respect the pairing)."""
     r = rba.rank

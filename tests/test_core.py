@@ -33,8 +33,11 @@ from conftest import (
     TOL,
     c_n_table,
     d8_table,
+    hamming,
+    johnson,
     overflow_rba_text,
     rank5_split_rba,
+    relations,
     rescale,
     s3_table,
     s4_table,
@@ -627,6 +630,16 @@ def test_frame_int64_bound():
     assert (products[0] * (below + 1) == products[1] * below).all()
 
 
+def test_frame_casts_python_int_numerators_once(s3_rba):
+    # N past int64 storage (t = 3^10 off the identity) fits the frame's int64
+    # bound: the cast is made once per RBA, not once per product
+    wide = rescale(s3_rba, [Fraction(1)] + [Fraction(3**10)] * 5)
+    assert wide.lam_int[1].dtype == object
+    first, second = core._frame(wide)[1], core._frame(wide)[1]
+    assert first.dtype == np.int64 and first is second
+    assert core._frame(s3_rba)[1] is s3_rba.lam_int[1]
+
+
 # ---------------------------------------------------------------------------
 # degree map
 # ---------------------------------------------------------------------------
@@ -664,12 +677,47 @@ def test_degree_map_missing():
 
 
 def test_degree_map_two_positive_reps():
-    # b_1^2 = -2 b_0 + 3 b_1: x^2 = 3x - 2 has the two positive roots 1 and 2
-    lam = np.zeros((2, 2, 2))
-    lam[0, 0, 0] = lam[0, 1, 1] = lam[1, 0, 1] = 1.0
-    lam[1, 1, 0], lam[1, 1, 1] = -2.0, 3.0
-    with pytest.raises(NumericalError, match="2 all-positive"):
-        degree_map(RBA(lam, [0, 1]), TOL)
+    # b_1^2 = -2 b_0 + 3 b_1: x^2 = 3x - 2 has the two positive roots 1 and 2;
+    # exact, lam[1,1,0] = -2 is no degree, so the eig search runs and finds both
+    for dtype in (float, np.int64):
+        lam = np.zeros((2, 2, 2), dtype=dtype)
+        lam[0, 0, 0] = lam[0, 1, 1] = lam[1, 0, 1] = 1
+        lam[1, 1, 0], lam[1, 1, 1] = -2, 3
+        with pytest.raises(NumericalError, match="2 all-positive"):
+            degree_map(RBA(lam, [0, 1]), TOL)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("called")
+
+
+@pytest.mark.parametrize("build, degrees", [
+    (lambda: from_group(s3_table()), [1] * 6),
+    (lambda: from_group(d8_table()), [1] * 8),
+    (lambda: from_group(c_n_table(12)), [1] * 12),
+    (lambda: from_scheme(relations(hamming(3, 3))), [1, 6, 12, 8]),
+    (lambda: from_scheme(relations(johnson(6, 3))), [1, 9, 9, 1]),
+], ids=["S3", "D8", "C12", "H(3,3)", "J(6,3)"])
+def test_exact_degree_map_is_proved_without_eig(build, degrees, monkeypatch):
+    # a standard exact RBA: delta_i = lam[i,i*,0], proved by N c = c c^T alone
+    rba = build()
+    monkeypatch.setattr(np.linalg, "eig", _refuse)
+    monkeypatch.setattr(ToleranceConfig, "rng", _refuse)
+    dm = degree_map(rba, TOL)
+    assert dm.exact and all(type(v) is Fraction for v in dm.values)
+    assert list(dm.values) == degrees
+
+
+def test_exact_degree_map_of_a_rescaled_pair(s3_rba, monkeypatch):
+    # not standard (lam[1,2,0] = 9, delta_1 = 3): one eig finds the degrees, and
+    # the degree map of the standardized RBA is proved without one
+    rescaled = rescale(s3_rba, [Fraction(v) for v in (1, 3, 3, 1, 1, 1)])
+    eig, calls = np.linalg.eig, []
+    monkeypatch.setattr(np.linalg, "eig", lambda m: calls.append(1) or eig(m))
+    std, dm, was_standard = to_standard_basis(rescaled, degree_map(rescaled, TOL), TOL)
+    assert len(calls) == 1 and not was_standard
+    assert dm.exact and list(dm.values) == [1] * 6
+    assert np.array_equal(std.lam, s3_rba.lam)
 
 
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)

@@ -28,7 +28,7 @@ from rbakit.decomp import (
 
 from rbakit.fixtures import load_fixture
 from rbakit.indicator import indicator_report
-from rbakit.ingest import from_group
+from rbakit.ingest import from_group, from_scheme
 
 from conftest import (
     D8_CLASSICAL,
@@ -36,7 +36,9 @@ from conftest import (
     S3_CLASSICAL,
     TOL,
     c_n_table,
+    hamming,
     rank5_split_rba,
+    relations,
     s3_associativity_variant,
     s3_table,
     s4_table,
@@ -120,6 +122,20 @@ def test_center_commutative(c2_rba, c3_rba, rank1_rba):
 def test_center_dimension(fixture, dim, request):
     rba = request.getfixturevalue(fixture)
     assert center_basis(rba, TOL).shape[0] == dim
+
+
+@pytest.mark.parametrize("build", [
+    lambda: from_group(c_n_table(5)),
+    lambda: from_group(c_n_table(12)),
+    lambda: from_scheme(relations(hamming(3, 3))),
+], ids=["C5", "C12", "H(3,3)"])
+def test_center_of_exact_commutative_algebra_needs_no_svd(build, monkeypatch):
+    # the float copy's SVD of the zero commutation matrix gives the same bits
+    rba = build()
+    expected = center_basis(RBA(rba.lam_float, rba.star), TOL)
+    monkeypatch.setattr(np.linalg, "svd", None)
+    got = center_basis(rba, TOL)
+    assert got.tobytes() == expected.tobytes() and got.shape == expected.shape == (rba.rank,) * 2
 
 
 def test_center_vectors_commute(s3_rba):

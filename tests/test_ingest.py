@@ -15,7 +15,7 @@ from rbakit.core import StructuralError, degree_map, validate
 from rbakit.fixtures import fixture_text
 from rbakit.ingest import from_group, from_scheme, parse_cayley, parse_scheme, thin_scheme
 
-from conftest import TOL, c_n_table, cayley_check, d8_table, s3_table, s4_table
+from conftest import TOL, c_n_table, cayley_check, d8_table, hamming, johnson, relations, s3_table, s4_table
 
 
 # a Latin square with identity that is not associative (order-5 loop)
@@ -217,30 +217,15 @@ def _relabelled(color, rng):
     return [[rel[color[pts[x]][pts[y]]] for y in range(v)] for x in range(v)]
 
 
-def _relations(color):
-    arr = np.array(color)
-    return [(arr == k).astype(int) for k in range(arr.max() + 1)]
-
-
-def _hamming(d, q):
-    pts = list(itertools.product(range(q), repeat=d))
-    return [[sum(a != b for a, b in zip(x, y)) for y in pts] for x in pts]
-
-
-def _johnson(n, k):
-    pts = [set(c) for c in itertools.combinations(range(n), k)]
-    return [[k - len(a & b) for b in pts] for a in pts]
-
-
 @pytest.mark.parametrize("build", [
-    pytest.param(lambda: _relabelled(_hamming(3, 3), random.Random(3)), id="H(3,3)-relabelled"),
-    pytest.param(lambda: _johnson(6, 3), id="J(6,3)"),
-    pytest.param(lambda: _hamming(4, 4), id="H(4,4)"),
+    pytest.param(lambda: _relabelled(hamming(3, 3), random.Random(3)), id="H(3,3)-relabelled"),
+    pytest.param(lambda: johnson(6, 3), id="J(6,3)"),
+    pytest.param(lambda: hamming(4, 4), id="H(4,4)"),
 ])
 def test_from_scheme_matches_oracle(build):
     start = time.process_time()
     color = build()
-    rba = from_scheme(_relations(color))
+    rba = from_scheme(relations(color))
     assert rba.lam.tolist() == _oracle(color)
     assert list(rba.star) == list(range(rba.rank))  # symmetric schemes
     assert time.process_time() - start <= 1.0
@@ -306,13 +291,13 @@ def _q8_table():
 def test_from_scheme_needs_a_second_generator():
     # H(4,2) with distance 2 as R_1: R_1 spans only the even distances (the
     # halved cube), so closure takes a second generator
-    dist = _hamming(4, 2)
+    dist = hamming(4, 2)
     rel = [0, 2, 1, 3, 4]  # distance d becomes relation rel[d]
     color = [[rel[d] for d in row] for row in dist]
     oracle = _oracle(color)
     even = [0, 1, 4]
     assert all(oracle[1][j][k] == 0 for j in even for k in range(5) if k not in even)
-    rba = from_scheme(_relations(color))
+    rba = from_scheme(relations(color))
     assert rba.lam.tolist() == oracle
 
 
@@ -325,8 +310,8 @@ def test_thin_scheme_matches_group(table):
 
 
 SCHEMES = {
-    "H(3,2)": lambda: _hamming(3, 2),
-    "J(5,2)": lambda: _johnson(5, 2),
+    "H(3,2)": lambda: hamming(3, 2),
+    "J(5,2)": lambda: johnson(5, 2),
     "S3": lambda: np.argsort(s3_table(), axis=1).tolist(),  # (u, u g) has colour g
 }
 
@@ -339,7 +324,7 @@ def test_from_scheme_commutes_with_renumbering(name, data):
     pts = data.draw(st.permutations(range(v)))
     rel = [0] + data.draw(st.permutations(range(1, r)))
     renumbered = [[rel[color[pts[x]][pts[y]]] for y in range(v)] for x in range(v)]
-    base, moved = from_scheme(_relations(color)), from_scheme(_relations(renumbered))
+    base, moved = from_scheme(relations(color)), from_scheme(relations(renumbered))
     inv = np.argsort(rel)  # relation k of the renumbered scheme is relation inv[k] here
     assert np.array_equal(moved.lam_int[1], base.lam_int[1][np.ix_(inv, inv, inv)])
     assert list(moved.star) == [rel[base.star[inv[k]]] for k in range(r)]
@@ -350,7 +335,7 @@ def test_from_scheme_rejects_a_swapped_pair(seed):
     # moving one point pair (and its transpose) from R_i to R_j and another back
     # changes a valency in some row, so R_i R_i is not constant on R_0
     rng = random.Random(seed)
-    mats = _relations(_relabelled(_johnson(6, 2) if seed % 2 else _hamming(3, 3), rng))
+    mats = relations(_relabelled(johnson(6, 2) if seed % 2 else hamming(3, 3), rng))
     i, j = rng.sample(range(1, len(mats)), 2)
     for src, dst in ((i, j), (j, i)):
         a, b = rng.choice(np.argwhere(mats[src] == 1).tolist())
@@ -372,7 +357,7 @@ def test_from_scheme_checks_products_beyond_the_first_generator():
     same = block[:, None] == block[None, :]
     color = np.where(same, 1, np.where(path[block][:, block] == 1, 2, 3)) - np.eye(8, dtype=int)
     with pytest.raises(StructuralError, match=r"^not a scheme: R_2 R_2 is not constant on R_0$"):
-        from_scheme(_relations(color))
+        from_scheme(relations(color))
 
 
 def test_from_scheme_names_the_relation_whose_transpose_breaks():
@@ -499,7 +484,7 @@ def test_from_scheme_names_a_failure_at_a_later_digit():
     support = [[tuple(i for i in range(5) if x[i] != y[i]) for y in pts] for x in pts]
     color = [[(4 if s in half else 5) if len(s) == 2 else colour_of[len(s)] for s in row]
              for row in support]
-    mats = _relations(color)
+    mats = relations(color)
     message = _first_failure(mats, 1)
     assert message is not None and message.startswith("not a scheme: R_1 R_4 ")
     with pytest.raises(StructuralError, match=f"^{message}$"):
@@ -516,7 +501,7 @@ def test_from_scheme_names_a_failure_in_the_second_group():
     color[0, 26], color[0, 27], color[26, 0], color[27, 0] = 27, 26, 5, 6
     last = [16, 4, 5, 6, 25, 26, 27]
     order = [g for g in range(32) if g not in last] + last
-    mats = _relations(np.argsort(order)[color].tolist())
+    mats = relations(np.argsort(order)[color].tolist())
     message = _first_failure(mats, 1)
     assert message is not None and message.startswith("not a scheme: R_1 R_26 ")
     with pytest.raises(StructuralError, match=f"^{message}$"):
@@ -524,11 +509,11 @@ def test_from_scheme_names_a_failure_in_the_second_group():
 
 
 @pytest.mark.parametrize("build", [
-    pytest.param(lambda: _hamming(5, 3), id="H(5,3)"),
-    pytest.param(lambda: _johnson(10, 4), id="J(10,4)"),
+    pytest.param(lambda: hamming(5, 3), id="H(5,3)"),
+    pytest.param(lambda: johnson(10, 4), id="J(10,4)"),
 ])
 def test_from_scheme_matches_oracle_relabelled(build):
     color = _relabelled(build(), random.Random(7))
-    rba = from_scheme(_relations(color))
+    rba = from_scheme(relations(color))
     assert rba.lam.tolist() == _oracle(color)
     assert list(rba.star) == list(range(rba.rank))

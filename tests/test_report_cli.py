@@ -425,6 +425,20 @@ def test_cli_batch_directory(tmp_path, capsys):
     assert out.count("rbakit analysis") == 2
 
 
+def test_cli_batch_directory_json_is_one_document(tmp_path, capsys):
+    # one strict JSON array, in sorted file order; a single file's --json is unchanged
+    (tmp_path / "b.rba").write_text(fixture_text("s3.rba"))
+    (tmp_path / "a.rba").write_text(fixture_text("rank7_h"))
+    singles = []
+    for name in ("a.rba", "b.rba"):
+        main(["analyze", str(tmp_path / name), "--json"])
+        singles.append(capsys.readouterr().out)
+    assert main(["analyze", str(tmp_path), "--json"]) == 1
+    out = capsys.readouterr().out
+    assert out == canonical_json([json.loads(text) for text in singles])
+    assert [rep["meta"]["source"] for rep in json.loads(out)] == ["a.rba", "b.rba"]
+
+
 def test_cli_batch_directory_survives_a_bad_file(tmp_path, capsys):
     (tmp_path / "s3.rba").write_text(fixture_text("s3.rba"))
     (tmp_path / "bad.rba").write_text("rank 2\nstar 0\n")
@@ -461,6 +475,21 @@ def test_cli_out_file_mode(tmp_path, capsys, umask):
     finally:
         os.umask(old)
     assert target.read_text() == fixture_text("rank7_h")
+    assert capsys.readouterr().out == ""
+
+
+def test_cli_out_writes_through_a_symbolic_link(tmp_path, capsys):
+    # as open(path, "w"): the link stays a link, its target gets the content
+    # and keeps its mode
+    real, link = tmp_path / "real.txt", tmp_path / "link.txt"
+    real.write_text("old\n")
+    real.chmod(0o640)
+    link.symlink_to(real.name)
+    assert main(["example", "rank7", "--out", str(link)]) == 0
+    assert link.is_symlink() and os.readlink(link) == real.name
+    assert real.read_text() == fixture_text("rank7_h")
+    assert real.stat().st_mode & 0o777 == 0o640
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.txt", "real.txt"]
     assert capsys.readouterr().out == ""
 
 
