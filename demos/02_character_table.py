@@ -9,7 +9,6 @@ import numpy as np
 
 from rbakit import (
     center_basis,
-    central_idempotents,
     character_table,
     charpoly_check,
     degree_map,
@@ -25,11 +24,10 @@ dm = degree_map(s3)
 print("center dimension (= number of irreducible characters):",
       center_basis(s3).shape[0])
 
-idems = central_idempotents(s3)
+table = character_table(s3, dm)
 print("\ncentral primitive idempotents (block dimensions):",
-      [e.block_dim for e in idems])
+      [char.idempotent.block_dim for char in table])
 
-table = character_table(s3, dm, idems)
 print("\ncharacter table (degree | values | multiplicity):")
 for char in table:
     print(f"  {char.degree}  {[str(v) for v in char.values]}  m = {char.multiplicity}")

@@ -6,7 +6,6 @@ always equals sum nu(psi) psi(b_0).
 """
 
 from rbakit import (
-    central_idempotents,
     character_table,
     classify_one_pair,
     degree_map,
@@ -18,7 +17,7 @@ from rbakit.fixtures import load_fixture
 for name in ("s3", "d8", "rank7_h"):
     rba = load_fixture(name)
     dm = degree_map(rba)
-    table = character_table(rba, dm, central_idempotents(rba))
+    table = character_table(rba, dm)
     report = indicator_report(rba, dm, table)
     print(f"{name}: degrees {table.degrees()}  nu {report.nu}  "
           f"s = {report.s_actual} (predicted {report.s_predicted})  "
@@ -34,8 +33,8 @@ for name in ("s3", "d8", "rank7_h"):
 # of *-fixed basis elements
 rba = load_fixture("rank7_h")
 dm = degree_map(rba)
-table = character_table(rba, dm, central_idempotents(rba))
+table = character_table(rba, dm)
 report = indicator_report(rba, dm, table)
 tri = rank7_trichotomy(report)
 print(f"\nrank-7 pattern {tuple(report.nu)} forces s = {tri.s_class}; "
-      f"observed {tri.s_actual} ({'consistent' if tri.consistent else 'mismatch'})")
+      f"observed {report.s_actual} ({'consistent' if tri.consistent else 'mismatch'})")

@@ -13,7 +13,6 @@ import numpy as np
 
 from rbakit import (
     NumericalError,
-    central_idempotents,
     character_table,
     degree_map,
     integral_check,
@@ -34,8 +33,7 @@ print(rba)
 print("axioms pass:", validate(rba).passed)
 
 dm = degree_map(rba)
-idems = central_idempotents(rba)
-table = character_table(rba, dm, idems)
+table = character_table(rba, dm)
 print("\nrecovered character table:")
 for char in table:
     print(f"  deg {char.degree}: {[str(v) for v in char.values]}  m = {char.multiplicity}")
@@ -69,7 +67,7 @@ print("irrational entries (exact):", int(irrational.sum()), "all equal to +-sqrt
 print("entries that are not algebraic integers:", int((~is_algebraic_integer(rational, coef)).sum()))
 
 # the 2-adic obstruction, straight from the character table
-report = two_adic_obstruction(table)
+report = two_adic_obstruction(rba, table)
 print("\n2-adic verdict:", report.verdict)
 for row in report.rows:
     print(f"  pair values {tuple(str(v) for v in row.values)}: "

@@ -6,8 +6,9 @@ commands on an .rba file take --json, --tol, --seed (not validate, which
 draws no random number), --exact, --float and --out; hilbert takes --json
 and --out; example, from-group and from-scheme take --out. Exit codes: 0
 all checks pass, 1 a mathematical verdict is negative, 2 input or contract
-error (a malformed flag, a --tol that is not finite and positive, or an
-RBA_SEED that is not an integer where --seed would read it).
+error (a malformed flag, a --tol that is not finite and positive, a seed
+from --seed or RBA_SEED that is not a non-negative integer, or a hilbert
+argument that factoring gives up on).
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ def _load_rba(path: str, args) -> RBA:
             "--exact requested but the input has decimal entries (float mode)"
         )
     if args.float and rba.exact:
-        rba = RBA(rba.lam_float, rba.star, rba.labels)
+        rba = RBA(rba.lam_float, rba.star)
     return rba
 
 
@@ -165,7 +166,7 @@ def _cmd_hilbert(args) -> int:
 def _cmd_check_integrality(args) -> int:
     tol = _tolerances(args)
     rba = _load_rba(args.path, args)
-    result = integral_check(rba, tol.eps_zero)
+    result = integral_check(rba, tol)
     payload = integrality_section(result)
     two = None
     if rba.rank == 7 and rba.star_fixed_count() == 1:

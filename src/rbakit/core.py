@@ -90,6 +90,8 @@ class ToleranceConfig:
         if not 0 < self.eps_residual < math.inf:  # NaN fails too
             raise StructuralError(
                 f"tolerance eps_residual must be finite and positive, got {self.eps_residual}")
+        if not (isinstance(self.rng_seed, (int, np.integer)) and self.rng_seed >= 0):
+            raise StructuralError(f"rng_seed must be a non-negative integer, got {self.rng_seed!r}")
 
     # cached: hot loops read them once per value, a plain attribute after the first
     @functools.cached_property
@@ -151,8 +153,6 @@ def snap_rational(x: float, eps: float, max_denominator: int = SNAP_MAX_DENOMINA
 
 def snap_value(x, eps: float):
     """Snap a float/complex to a Fraction when possible, else return a float/complex."""
-    if isinstance(x, Fraction):
-        return x
     z = complex(x)
     if abs(z.imag) > eps:
         return z
@@ -335,31 +335,30 @@ class RBA:
         gives an exact RBA; anything else puts the RBA in float mode.
     star : length-r iterable of ints
         The involution on basis indices, star[i] = i*.
-    labels : optional list of basis-element names.
 
     An exact RBA stores lam = N / D in lowest terms as ``lam_int = (D, N)``, N int64
     when r * max(D, max|N|)^2 < 2^62 (no sum of r products overflows), else Python
     ints. Every RBA stores the float64 ``lam_float``; float mode has lam_int None.
     """
 
-    def __init__(self, lam, star, labels=None):
+    def __init__(self, lam, star):
         lam = np.asarray(lam)
         d, n = over_common_denominator(lam) if _rational(lam) else (None, np.array(lam, dtype=float))
-        self._store(d, n, star, labels)
+        self._store(d, n, star)
 
     @classmethod
-    def _from_numerators(cls, d, n, star, labels=None) -> "RBA":
+    def _from_numerators(cls, d, n, star) -> "RBA":
         """The RBA lam = n / d, n an integer array; d None: the float RBA lam = n."""
-        return cls.__new__(cls)._store(d, n, star, labels)
+        return cls.__new__(cls)._store(d, n, star)
 
-    def _store(self, d, n, star, labels) -> "RBA":
+    def _store(self, d, n, star) -> "RBA":
         if n.ndim != 3 or len(set(n.shape)) != 1:
             raise StructuralError(f"lambda tensor must be r x r x r, got shape {n.shape}")
         r = n.shape[0]
         star = np.asarray(star, dtype=int)
         if star.shape != (r,) or sorted(star.tolist()) != list(range(r)):
             raise StructuralError("star must be a permutation of 0..r-1")
-        self.rank, self.star, self.labels = r, star, list(labels) if labels is not None else None
+        self.rank, self.star = r, star
         self.exact, self.lam_int, self.lam_float = d is not None, None, n
         if self.exact:  # the one place where n / d is put in lowest terms
             g = math.gcd(d, int(np.gcd.reduce(n, axis=None))) if d > 1 else 1
@@ -406,13 +405,6 @@ class RBA:
         d, n, ((e, x), (f, y)) = _frame(self, u, v)
         uv = y @ (x @ n.reshape(self.rank, -1)).reshape(self.rank, self.rank)
         return uv if n is self.lam_float else _FRACTIONS(uv.astype(object), d * e * f)
-
-    def star_coeffs(self, u):
-        """Coefficient vector of the *-image of the element with coefficients u."""
-        u = np.asarray(u)
-        out = np.empty_like(u)
-        out[self.star] = np.conj(u) if np.iscomplexobj(u) else u
-        return out
 
     # -- text format ---------------------------------------------------------
 
@@ -746,10 +738,10 @@ def standardize(rba: RBA, dm: DegreeMap) -> RBA:
         raise AxiomError("lam[i,i*,0] must be positive (pseudo-inverse violation)")
     if not exact:
         t = dm.values_float / diag
-        return RBA(lam * t[:, None, None] * t[None, :, None] / t[None, None, :], star, rba.labels)
+        return RBA(lam * t[:, None, None] * t[None, :, None] / t[None, None, :], star)
     t = np.array([v * d / x for v, x in zip(dm.values, diag.tolist())], dtype=object)
     d, n, ((e, x), (f, y)) = _frame(rba, t, 1 / t)
-    return RBA._from_numerators(d * e * e * f, n * x[:, None, None] * x[None, :, None] * y, star, rba.labels)
+    return RBA._from_numerators(d * e * e * f, n * x[:, None, None] * x[None, :, None] * y, star)
 
 
 def to_standard_basis(rba: RBA, dm: DegreeMap, tol: ToleranceConfig = DEFAULT_TOL):

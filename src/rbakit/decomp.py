@@ -192,10 +192,6 @@ class Character:
     idempotent: CentralIdempotent = None
 
     @property
-    def is_real(self) -> bool:
-        return bool(abs(self.values_raw.imag).max() < 1e-7)
-
-    @property
     def is_exact(self) -> bool:
         return all(isinstance(v, Fraction) for v in self.values)
 
@@ -232,28 +228,22 @@ class CharacterTable:
         return [c for c in self.characters if c.degree == 2]
 
 
-def character_table(
-    rba: RBA,
-    dm: DegreeMap,
-    idempotents=None,
-    tol: ToleranceConfig = DEFAULT_TOL,
-) -> CharacterTable:
+def character_table(rba: RBA, dm: DegreeMap, tol: ToleranceConfig = DEFAULT_TOL) -> CharacterTable:
     """Character values, degrees and multiplicities of every irreducible character.
 
     Values are chi(b_i) = (P e)_i / n_chi with P = _trace_products(rba), one
-    matrix for the whole table (see the module docstring). Multiplicities come
-    from two independent routes that must agree:
+    matrix for the whole table (see the module docstring), and e the idempotent
+    of central_idempotents(rba, tol) that chi keeps as chi.idempotent.
+    Multiplicities come from two independent routes that must agree:
     (a) m = n * e[0] / n_chi from the idempotent expansion, and
     (b) the linear solve sum_psi m_psi psi(b_i) = n * [i = 0].
     """
-    if idempotents is None:
-        idempotents = central_idempotents(rba, tol)
     r = rba.rank
     trace_products = _trace_products(rba)
     n = dm.n_float
     warnings = []
     chars = []
-    for idem in idempotents:
+    for idem in central_idempotents(rba, tol):
         if not idem.rank_is_square:
             warnings.append(
                 f"non-split component detected (rank L(e) = {idem.block_dim}^2 fails)"

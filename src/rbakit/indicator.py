@@ -131,7 +131,6 @@ _RANK7_PATTERNS = {
 @dataclass
 class TrichotomyResult:
     s_class: int             # 5, 3 or 1, from the indicator pattern
-    s_actual: int
     consistent: bool
 
 
@@ -144,8 +143,4 @@ def rank7_trichotomy(report: IndicatorReport) -> TrichotomyResult:
     if pattern not in _RANK7_PATTERNS:
         raise ValueError(f"indicator pattern {pattern} is not an admissible rank-7 pattern")
     s_class = _RANK7_PATTERNS[pattern]
-    return TrichotomyResult(
-        s_class=s_class,
-        s_actual=report.s_actual,
-        consistent=(s_class == report.s_actual),
-    )
+    return TrichotomyResult(s_class=s_class, consistent=(s_class == report.s_actual))

@@ -35,7 +35,7 @@ def _digit_rows(data: bytes, start: int, blocks: int, m: int):
     `blocks` blocks of m lines of m single digits one space apart, every line
     ending in a newline, with blank lines only before, between and after the
     blocks; None for anything else. Each block is read from its bytes at once."""
-    if blocks <= 0 or m <= 0 or len(data) - start < blocks * 2 * m * m:
+    if len(data) - start < blocks * 2 * m * m:
         return None
     pairs = np.full(m, ord("0") + 256 * ord(" "), dtype=np.uint16)  # a digit and its separator
     pairs[-1] = ord("0") + 256 * ord("\n")
@@ -75,6 +75,8 @@ def parse_cayley(text: str) -> np.ndarray:
         m = int(lines[0][1].split()[1])
     except (IndexError, ValueError) as exc:
         raise StructuralError("bad 'order' line") from exc
+    if m < 1:
+        raise StructuralError("bad 'order' line")
     table = _int64_rows(lines[1:], m, f"expected {m} rows of {m} entries")
     if table.min() < 0 or table.max() >= m:
         raise StructuralError("table entries out of range")
@@ -127,6 +129,8 @@ def _scheme_stack(text: str) -> np.ndarray:
         v, r = int(fields[1]), int(fields[3])
     except (IndexError, ValueError) as exc:
         raise StructuralError("bad scheme header") from exc
+    if v < 1 or r < 1:
+        raise StructuralError("bad scheme header")
     data = (text if text.endswith("\n") else text + "\n").encode() if fast else b""
     digits = _digit_rows(data, data.find(b"\n") + 1, r, v)
     if digits is not None:

@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import RBA
+from .core import DEFAULT_TOL, RBA, ToleranceConfig
 from .decomp import CharacterTable
 
 __all__ = [
@@ -55,14 +55,14 @@ class IntegralityResult:
         return self.integral
 
 
-def integral_check(rba: RBA, eps: float = 1e-9) -> IntegralityResult:
+def integral_check(rba: RBA, tol: ToleranceConfig = DEFAULT_TOL) -> IntegralityResult:
     """Whether every structure constant is a (rational) integer.
 
     Exact mode tests denominators; float mode tests distance to the nearest
-    integer against eps.
+    integer against tol.eps_zero.
     """
     d, n = rba.lam_int if rba.exact else (None, rba.lam_float)
-    bad = n % d != 0 if d else abs(n - np.round(n)) > eps
+    bad = n % d != 0 if d else abs(n - np.round(n)) > tol.eps_zero
     offenders = [(int(i), int(j), int(k), Fraction(int(n[i, j, k]), d) if d else n[i, j, k])
                  for i, j, k in np.argwhere(bad)[:32]]
     return IntegralityResult(integral=not offenders, offenders=offenders)
@@ -120,20 +120,24 @@ class TwoAdicReport:
         return self.verdict == "obstructed-non-integral"
 
 
-def two_adic_obstruction(table: CharacterTable) -> TwoAdicReport:
+def two_adic_obstruction(rba: RBA, table: CharacterTable) -> TwoAdicReport:
     """2-adic non-integrality for a class-1 rank-7 table with rational values.
 
     Requires rank 7, degrees (1, 1, 1, 2) and exactly one *-fixed element
-    (pattern class 1). Each linear row phi != delta must satisfy the row-sum
-    relation; the forced phi_3 = -(1 + 2 phi_1 + 2 phi_2)/2 has v_2 = -1
-    whenever phi_1, phi_2 are 2-integral, so integer structure constants are
-    impossible. Rows whose printed values are already non-2-integral witness
-    the same conclusion directly.
+    (pattern class 1), so the nonreal basis elements form three pairs
+    {b_i, b_i*}. phi_1, phi_2, phi_3 are the values of a linear row phi !=
+    delta on the pairs of rba.nonreal_pairs(), in that order for every row;
+    a linear character is real there, so it takes one value on each pair.
+    Each row must satisfy the row-sum relation; the forced phi_3 = -(1 +
+    2 phi_1 + 2 phi_2)/2 has v_2 = -1 whenever phi_1, phi_2 are 2-integral,
+    so integer structure constants are impossible. Rows whose printed values
+    are already non-2-integral witness the same conclusion directly.
     """
     if sorted(table.degrees()) != [1, 1, 1, 2]:
         raise ValueError(f"expected degrees (1,1,1,2), got {table.degrees()}")
-    if len(table.delta.values) != 7:
-        raise ValueError("expected a rank-7 table")
+    pairs = rba.nonreal_pairs()
+    if len(table.delta.values) != 7 or len(pairs) != 3:
+        raise ValueError("expected a rank-7 table with three nonreal pairs")
     rows = []
     for char in table.characters[1:]:
         if char.degree != 1:
@@ -141,17 +145,10 @@ def two_adic_obstruction(table: CharacterTable) -> TwoAdicReport:
         vals = char.values
         if not all(isinstance(v, Fraction) for v in vals):
             raise ValueError("obstruction check requires rational table values")
-        # values come in equal pairs (v1, v1, v2, v2, v3, v3) after b_0
-        pair_vals = []
-        rest = list(vals[1:])
-        while rest:
-            a = rest.pop(0)
-            match = next(i for i, b in enumerate(rest) if b == a)
-            rest.pop(match)
-            pair_vals.append(a)
-        if len(pair_vals) != 3:
-            raise ValueError("could not group the six nonreal values into three pairs")
-        p1, p2, p3 = pair_vals
+        unequal = [(i, j) for i, j in pairs if vals[i] != vals[j]]
+        if unequal:  # cannot happen on a valid class-1 input
+            raise ValueError(f"a linear character differs on the nonreal pair {unequal[0]}")
+        p1, p2, p3 = (vals[i] for i, _ in pairs)
         holds = row_sum_relation_holds(p1, p2, p3)
         formula = -(1 + 2 * p1 + 2 * p2) / 2
         vals2 = tuple(two_adic_valuation(v) for v in (p1, p2, p3))
@@ -254,4 +251,4 @@ def build_rank7_example() -> RBA:
     """
     rational, coef = rank7_exact_data()["lam"]
     lam = rational.astype(float) + coef.astype(float) * math.sqrt(5.0)
-    return RBA(lam, RANK7_STAR, labels=["b0", "b1", "b1*", "b2", "b2*", "b3", "b3*"])
+    return RBA(lam, RANK7_STAR)

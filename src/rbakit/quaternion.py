@@ -45,6 +45,7 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+RHO_STEPS = 2**20  # _rho's step budget: 2.8x what (10^11 + 3)(10^11 + 19) needs; ~2 s on a 40-digit n (x86-64)
 
 
 def _is_prime(n: int) -> bool:
@@ -73,15 +74,20 @@ def _is_prime(n: int) -> bool:
 
 def _rho(n: int) -> int:
     """A nontrivial factor of an odd composite n: Pollard's rho (BIT 15, 1975)
-    with Floyd's cycle search, about sqrt(p) steps for the least prime p | n."""
+    with Floyd's cycle search, about sqrt(p) steps for the least prime p | n.
+    Past RHO_STEPS steps in all it raises NumericalError."""
+    steps = 0
     for c in range(1, n):
         x = y = 2
-        g = 1
-        while g == 1:
+        for steps in range(steps + 1, RHO_STEPS + 1):
             x = (x * x + c) % n
             y = (y * y + c) % n
             y = (y * y + c) % n
             g = math.gcd(x - y, n)
+            if g != 1:
+                break
+        else:
+            raise NumericalError(f"no factor of a {len(str(n))}-digit cofactor in {RHO_STEPS} rho steps")
         if g != n:
             return g
     raise ValueError(f"no factor found for {n}")

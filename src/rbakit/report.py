@@ -289,7 +289,7 @@ def analyze(rba: RBA, tol: ToleranceConfig = DEFAULT_TOL, force_float: bool = Fa
     mathematical verdict, mirroring the 2-adic theorem's subject).
     """
     if force_float and rba.exact:
-        rba = RBA(rba.lam_float, rba.star, rba.labels)
+        rba = RBA(rba.lam_float, rba.star)
 
     data = {
         "meta": {
@@ -382,14 +382,14 @@ def analyze(rba: RBA, tol: ToleranceConfig = DEFAULT_TOL, force_float: bool = Fa
             status += "; degree-2 component is quaternionic (nu = -1), no real 2x2 *-representation"
         data["quaternion"] = {"status": status}
 
-    integ = integral_check(rba, tol.eps_zero)
+    integ = integral_check(rba, tol)
     data["integrality"] = integrality_section(integ)
     verdicts.append(integ.integral)
     if (
         classification.get("rank7_class") == 1
         and all(c.is_exact for c in table if c.degree == 1)
     ):
-        two = two_adic_obstruction(table)
+        two = two_adic_obstruction(rba, table)
         data["integrality"]["two_adic"] = {
             "verdict": two.verdict,
             "rows": [

@@ -13,7 +13,6 @@ from rbakit.cli import main as cli_main
 from rbakit.core import RBA, degree_map, validate
 from rbakit.decomp import (
     averaging_matrix,
-    central_idempotents,
     character_table,
     rep_residual,
     star_rep_extract,
@@ -45,7 +44,7 @@ def _verdict(name: str, checks):
 
 def _full_pipeline(rba):
     dm = degree_map(rba, TOL)
-    table = character_table(rba, dm, central_idempotents(rba, TOL), TOL)
+    table = character_table(rba, dm, TOL)
     report = indicator_report(rba, dm, table, TOL)
     return dm, table, report
 
@@ -188,8 +187,8 @@ def test_criterion_5_orthogonality_idempotents(request, capsys):
         for name in ["s3_rba", "d8_rba", "c3_rba", "rank7_rba"]:
             rba = request.getfixturevalue(name)
             dm = degree_map(rba, TOL)
-            idems = central_idempotents(rba, TOL)
-            table = character_table(rba, dm, idems, TOL)
+            table = character_table(rba, dm, TOL)
+            idems = [c.idempotent for c in table]
             r = rba.rank
             total = np.zeros(r, dtype=complex)
             worst_idem = 0.0

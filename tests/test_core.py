@@ -569,6 +569,9 @@ def test_tolerance_config_invariants():
     for eps in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(StructuralError, match="tolerance eps_residual must be finite"):
             ToleranceConfig(eps_residual=eps)
+    for seed in (-1, 1.5, "3", None):
+        with pytest.raises(StructuralError, match="rng_seed must be a non-negative integer"):
+            ToleranceConfig(rng_seed=seed)
 
 
 @pytest.mark.parametrize("eps", [1e-12, 1e-9, 1e-8, 1e-6, 1e-3])

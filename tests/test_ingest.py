@@ -249,6 +249,25 @@ def test_from_scheme_rejects_empty_relation():
         from_scheme([r0, empty, r1, empty])
 
 
+@pytest.mark.parametrize("m", [0, -3])
+def test_parse_cayley_refuses_a_non_positive_order(m):
+    with pytest.raises(StructuralError, match="^bad 'order' line$"):
+        parse_cayley(f"order {m}\n")
+
+
+@pytest.mark.parametrize("command,text,message", [
+    ("from-group", "order 0\n", "bad 'order' line"),
+    ("from-scheme", "points -1 classes 2\n1 0\n", "bad scheme header"),
+], ids=["from-group", "from-scheme"])
+def test_cli_refuses_non_positive_header_sizes(command, text, message, tmp_path, capsys):
+    path = tmp_path / "empty.txt"
+    path.write_text(text)
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_cli_from_scheme_bad_token(tmp_path, capsys):
     path = tmp_path / "bad.scheme"
     path.write_text("points 2 classes 2\n1 0\n0 1\n0 1\n1 x\n")
@@ -434,6 +453,9 @@ def test_parse_scheme_byte_and_token_paths_agree(edit):
     ("points 2 classes 2\n1 0\n0 1\n0 1\n1 99999999999999999999\n", StructuralError,
      "^line 5: entry out of range$"),
     ("points 2 classes\n1 0\n", StructuralError, "^bad scheme header$"),
+    ("points -1 classes 2\n1 0\n", StructuralError, "^bad scheme header$"),
+    ("points 0 classes 1\n", StructuralError, "^bad scheme header$"),
+    ("points 2 classes 0\n", StructuralError, "^bad scheme header$"),
     ("points 100000 classes 10\n0 1\n", StructuralError,  # nothing the header's size
      "^expected 10 blocks of 100000 rows of 100000 entries$"),  # is allocated first
     ("1 0\npoints 1 classes 1\n", StructuralError, "must start with 'points v classes r'"),

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from rbakit.core import RBA, degree_map, over_common_denominator, validate
-from rbakit.decomp import central_idempotents, character_table
+from rbakit.decomp import character_table
 from rbakit.integrality import (
     RANK7_IMAGES,
     integral_check,
@@ -143,7 +143,7 @@ def test_build_rank7_example(rank7_rba):
 def test_rank7_full_pipeline_round_trip(rank7_rba):
     # the whole table comes back exactly after snapping
     dm = degree_map(rank7_rba, TOL)
-    table = character_table(rank7_rba, dm, central_idempotents(rank7_rba, TOL), TOL)
+    table = character_table(rank7_rba, dm, TOL)
     assert table.multiplicities() == RANK7_TABLE["multiplicities"]
     assert tuple(table[1].values) == RANK7_TABLE["phi"]
     assert tuple(table[2].values) == RANK7_TABLE["psi"]
@@ -203,8 +203,8 @@ def test_parity_exhaustion():
 
 def test_two_adic_obstruction_rank7(rank7_rba):
     dm = degree_map(rank7_rba, TOL)
-    table = character_table(rank7_rba, dm, central_idempotents(rank7_rba, TOL), TOL)
-    report = two_adic_obstruction(table)
+    table = character_table(rank7_rba, dm, TOL)
+    report = two_adic_obstruction(rank7_rba, table)
     assert report.obstructed
     assert len(report.rows) == 2
     phi_row, psi_row = report.rows
@@ -216,8 +216,33 @@ def test_two_adic_obstruction_rank7(rank7_rba):
     assert psi_row.valuations[1] == -1  # v_2(-9/2)
 
 
+def test_two_adic_rows_follow_the_basis_pairs(rank7_rba):
+    # b'_a = b_{p[a]}: the pairs become (1, 4), (2, 5), (3, 6), and psi = 2 on
+    # the first two, so grouping equal values would pair b'_1 with b'_2
+    p = np.array([0, 1, 5, 3, 2, 6, 4])
+    star = np.argsort(p)[rank7_rba.star[p]]
+    rba = RBA(rank7_rba.lam_float[np.ix_(p, p, p)], star)
+    assert rba.nonreal_pairs() == [(1, 4), (2, 5), (3, 6)]
+    table = character_table(rba, degree_map(rba, TOL), TOL)
+    report = two_adic_obstruction(rba, table)
+    assert report.obstructed
+    assert [row.values for row in report.rows] == [
+        (Fraction(-5, 2), Fraction(2), Fraction(0)),  # phi
+        (Fraction(2), Fraction(2), Fraction(-9, 2)),  # psi
+    ]
+    for row, char in zip(report.rows, table.characters[1:3]):
+        assert row.values == tuple(char.values[i] for i, _ in rba.nonreal_pairs())
+
+
+def test_two_adic_refuses_a_character_that_differs_on_a_pair(rank7_rba):
+    table = character_table(rank7_rba, degree_map(rank7_rba, TOL), TOL)
+    table[1].values[2] += 1  # phi(b_1*) != phi(b_1)
+    with pytest.raises(ValueError, match=r"differs on the nonreal pair \(1, 2\)"):
+        two_adic_obstruction(rank7_rba, table)
+
+
 def test_two_adic_requires_shape(s3_rba):
     dm = degree_map(s3_rba, TOL)
-    table = character_table(s3_rba, dm, central_idempotents(s3_rba, TOL), TOL)
+    table = character_table(s3_rba, dm, TOL)
     with pytest.raises(ValueError):
-        two_adic_obstruction(table)
+        two_adic_obstruction(s3_rba, table)

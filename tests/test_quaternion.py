@@ -12,12 +12,11 @@ import pytest
 from rbakit.cli import main
 from rbakit.core import RBA, NumericalError, degree_map
 from rbakit.decomp import (
-    central_idempotents,
     character_table,
     rep_residual,
     star_rep_extract,
 )
-from rbakit.quaternion import hilbert_places, hilbert_symbol, symbol
+from rbakit.quaternion import RHO_STEPS, hilbert_places, hilbert_symbol, symbol
 from rbakit.integrality import RANK7_IMAGES, _quaternion
 from rbakit.report import analyze
 
@@ -26,7 +25,7 @@ from conftest import TOL, padic_norm_oracle, rank5_split_rba, rescale
 
 def _deg2_rep(rba):
     dm = degree_map(rba, TOL)
-    table = character_table(rba, dm, central_idempotents(rba, TOL), TOL)
+    table = character_table(rba, dm, TOL)
     chi = table.degree_two()[0]
     rep = star_rep_extract(rba, dm, chi.idempotent, TOL)
     return dm, table, chi, rep
@@ -338,6 +337,16 @@ def test_symbol_off_standard_by_1e_10(s3_rba):
     assert time.process_time() - start < 5.0
 
 
+def test_symbol_off_standard_by_1e_9_is_refused_within_the_rho_budget(s3_rba):
+    # a's cofactor is a product of two primes that RHO_STEPS cannot separate
+    s = 1 + Fraction(1, 10**9)
+    start = time.process_time()
+    quaternion = analyze(rescale(s3_rba, [1, s, s, 1, 1, 1]), TOL).data["quaternion"]
+    assert quaternion["status"].startswith("failed: no factor of a ")
+    assert quaternion["status"].endswith(f"-digit cofactor in {RHO_STEPS} rho steps")
+    assert time.process_time() - start < 10.0
+
+
 def test_hilbert_agrees_with_norm_equation_oracle():
     rng = np.random.default_rng(29)
     for _ in range(60):
@@ -353,7 +362,7 @@ def test_hilbert_agrees_with_norm_equation_oracle():
 
 def test_quaternion_verify_rank7(rank7_rba):
     dm = degree_map(rank7_rba, TOL)
-    table = character_table(rank7_rba, dm, central_idempotents(rank7_rba, TOL), TOL)
+    table = character_table(rank7_rba, dm, TOL)
     images = _float_images()
     product, star = rep_residual(rank7_rba, images)
     assert product < 1e-12

@@ -329,6 +329,12 @@ def test_cli_hilbert(capsys):
     assert main(["hilbert", "2", "3/0"]) == 2
 
 
+def test_cli_hilbert_refuses_a_product_of_two_large_primes(capsys):
+    # (10^19 + 51)(3 10^19 + 41): past the rho step budget, an input error
+    assert main(["hilbert", "-1", str(10000000000000000051 * 30000000000000000041)]) == 2
+    assert "no factor of a 39-digit cofactor" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
 @pytest.mark.parametrize("a, b, name", [
     ("1e5000", "3", "a"),
@@ -541,6 +547,17 @@ def test_cli_malformed_seed_env_exits_2(tmp_path, capsys, monkeypatch):
     assert captured.err == "error: RBA_SEED must be an integer, got 'abc'\n"
     assert main(["analyze", path, "--json", "--seed", "4"]) == 0  # the flag wins
     assert json.loads(capsys.readouterr().out)["meta"]["seed"] == 4
+
+
+@pytest.mark.parametrize("flag, env", [(["--seed", "-1"], None), ([], "-5")], ids=["flag", "env"])
+def test_cli_negative_seed_exits_2_before_analysis(flag, env, tmp_path, capsys, monkeypatch):
+    path = _write_s3(tmp_path)
+    if env is not None:
+        monkeypatch.setenv("RBA_SEED", env)
+    assert main(["analyze", path, "--json", *flag]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: rng_seed must be a non-negative integer, got {flag[1] if flag else env}\n"
 
 
 def test_cli_validate_reads_no_seed_env(tmp_path, capsys, monkeypatch):
