@@ -152,12 +152,28 @@ def snap_rational(x: float, eps: float, max_denominator: int = SNAP_MAX_DENOMINA
 
 
 def snap_value(x, eps: float):
-    """Snap a float/complex to a Fraction when possible, else return a float/complex."""
-    z = complex(x)
-    if abs(z.imag) > eps:
-        return z
-    snapped = snap_rational(z.real, eps)
-    return snapped if snapped is not None else z.real
+    """Snap the floats or complexes of x: its shape as nested lists (a scalar for a
+    scalar) of Fractions, floats that do not snap, and complexes, where |imag| > eps.
+
+    One array pass settles the complexes and each value within min(eps, 5e-7) of an
+    integer k, which snap_rational snaps to k: every other fraction of denominator
+    at most 10^6 lies at least 10^-6 from k, so farther from x. The rest go one at
+    a time.
+    """
+    z = np.asarray(x, dtype=complex)
+    re = z.real
+    k = np.round(np.where(np.isinf(re), 0.5, re))  # inf is not whole; inf - inf would warn
+    cplx = abs(z.imag) > eps
+    whole = (abs(re - k) < min(eps, 0.5 / SNAP_MAX_DENOMINATOR)) & ~cplx
+    out = np.empty(z.shape, dtype=object)
+    out[cplx] = z[cplx]
+    ints = k[whole].tolist()
+    fractions = {v: Fraction(int(v)) for v in set(ints)}  # one per distinct integer
+    out[whole] = [fractions[v] for v in ints]
+    rest = ~(cplx | whole)
+    out[rest] = [v if (s := snap_rational(v, eps)) is None else s for v in re[rest].tolist()]
+    return out.tolist()
+
 
 def _rational(x: np.ndarray) -> bool:
     """True when every entry of x is an integer or a Fraction."""
@@ -366,8 +382,10 @@ class RBA:
             self._magnitude = big = max(d, int(n.max(initial=0)), -int(n.min(initial=0)))
             n = n.astype(np.int64 if r * big * big < 2**62 else object, copy=False)
             self.lam_int = (d, n)
-            quotient = np.frompyfunc(_div, 2, 1) if n.dtype == object else np.true_divide
-            self.lam_float = np.asarray(quotient(n, d), dtype=float)
+            if n.dtype == object:
+                self.lam_float = np.asarray(np.frompyfunc(_div, 2, 1)(n, d), dtype=float)
+            else:  # n / 1 is n.astype(float), bit for bit
+                self.lam_float = n / d if d > 1 else n.astype(float)
         return self
 
     @functools.cached_property
@@ -711,8 +729,8 @@ def degree_map(rba: RBA, tol: ToleranceConfig = DEFAULT_TOL) -> DegreeMap:
         )
     vals = positive[0]
     if rba.exact:  # sum_k lam[i,j,k] v_k = v_i v_j, times D E^2, for v = V / E once every value snaps
-        snapped = np.array([snap_rational(x, tol.eps_zero) for x in vals], dtype=object)
-        d, lam, ((e, v),) = _frame(rba, snapped)  # a None is not rational: the float frame
+        snapped = np.array(snap_value(vals, tol.eps_zero), dtype=object)
+        d, lam, ((e, v),) = _frame(rba, snapped)  # a float is not rational: the float frame
         if lam is not rba.lam_float and np.array_equal(e * np.einsum("ijk,k->ij", lam, v), d * np.outer(v, v)):
             return DegreeMap(snapped, exact=True)
     return DegreeMap(vals, exact=False)

@@ -89,14 +89,14 @@ def center_basis(rba: RBA, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     Singular values are cut at eps_cluster relative to the largest, but never
     below the noise that validate accepts in the tensor (eps_residual relative
     to max(1, max|lam|)): on a commutative algebra every singular value is noise.
-    An exact commutative RBA is its own center: np.eye(r), the vt that the SVD
-    of the zero matrix gives, with no SVD run.
+    A tensor whose commutator is exactly zero is its own center: np.eye(r), the
+    vt that the SVD of the zero matrix gives, with no SVD run.
     """
     r = rba.rank
-    if rba.exact and np.array_equal(rba.lam_int[1], rba.lam_int[1].transpose(1, 0, 2)):
-        return np.eye(r)
     lam = rba.lam_float
     comm = (lam - lam.transpose(1, 0, 2)).transpose(1, 2, 0).reshape(r * r, r)
+    if not comm.any():
+        return np.eye(r)
     _, svals, vt = np.linalg.svd(comm, full_matrices=False)
     thr = max(
         tol.eps_cluster * svals.max(initial=0.0),
@@ -136,7 +136,9 @@ def central_idempotents(rba: RBA, tol: ToleranceConfig = DEFAULT_TOL):
     eigenvalues distinct separates the components (up to 8 reseeds); each
     eigenvector of that action is a multiple of one idempotent e, rescaled so
     that e*e = e (e[0] = m*n_chi/n > 0). L(e) is a projection, so its rank,
-    n_chi^2, is its trace.
+    n_chi^2, is its trace. All eigenvectors are rescaled, traced and ranked
+    together; each is lifted by its own product with zb, as one gemm changes
+    the last bits of some values.
     """
     zb = center_basis(rba, tol)
     m = zb.shape[0]
@@ -152,26 +154,20 @@ def central_idempotents(rba: RBA, tol: ToleranceConfig = DEFAULT_TOL):
         close = abs(evals[:, None] - evals) < tol.eps_cluster * (1.0 + abs(evals[:, None]))
         if np.triu(close, 1).any():
             continue
+        vs = np.array([evecs[:, a] @ zb for a in range(m)], dtype=complex)
+        vs *= (vs[:, 0] / np.einsum("ai,aj,ij->a", vs, vs, unit))[:, None]
+        real = abs(vs.imag).max(axis=1) < tol.eps_zero
+        vs[real] = vs[real].real
+        trace = (vs @ traces).real
+        bad = ~(trace > 0.5)  # NaN included; a trace of 0.5 rounds to rank 0
+        if bad.any():
+            raise NumericalError(f"idempotent trace {trace[bad][0]:.3g} is not a positive rank")
+        ranks, values = np.round(trace).tolist(), evals.tolist()
         out = []
-        for a in range(m):
-            v = (evecs[:, a] @ zb).astype(complex)
-            v *= v[0] / np.einsum("i,j,ij->", v, v, unit)
-            if abs(v.imag).max() < tol.eps_zero:
-                v = v.real.astype(complex)
-            trace = float((v @ traces).real)
-            if not trace > 0.5:  # NaN included; a trace of 0.5 rounds to rank 0
-                raise NumericalError(f"idempotent trace {trace:.3g} is not a positive rank")
-            rank = round(trace)
-            block = round(rank ** 0.5)
-            out.append(
-                CentralIdempotent(
-                    coeffs=v,
-                    block_dim=block,
-                    eigenvalue=complex(evals[a]),
-                    rank_is_square=(block * block == rank),
-                )
-            )
-        out.sort(key=lambda e: (e.eigenvalue.real, e.eigenvalue.imag))
+        for a in np.lexsort((evals.imag, evals.real)).tolist():
+            block = round(ranks[a] ** 0.5)
+            out.append(CentralIdempotent(coeffs=vs[a], block_dim=block, eigenvalue=complex(values[a]),
+                                         rank_is_square=block * block == ranks[a]))
         return out
     raise NumericalError("idempotent separation failed after 8 reseeds")
 
@@ -286,19 +282,15 @@ def character_table(rba: RBA, dm: DegreeMap, tol: ToleranceConfig = DEFAULT_TOL)
     if delta_idx is None:
         raise NumericalError("degree map not found among the characters")
 
-    for c in chars:
-        c.values = [snap_value(v, tol.eps_zero) for v in c.values_raw]
-        c.multiplicity = snap_value(c.multiplicity_raw, tol.eps_zero)
-    delta_char = chars.pop(delta_idx)
-    delta_char.multiplicity = Fraction(1)
-
-    def sort_key(c: Character):  # rounded (re, im) of each value, in order
-        return (c.degree, np.round(c.values_raw, 6).view(np.float64).tolist())
-
-    chars.sort(key=sort_key)
-    table = CharacterTable([delta_char] + chars, order=snap_value(n, tol.eps_zero))
-    table.warnings = warnings
-    return table
+    m = len(chars)
+    raw = np.concatenate([vmat.ravel(), [c.multiplicity_raw for c in chars], [n]])
+    snapped = snap_value(raw, tol.eps_zero)  # values, multiplicities, order
+    for i, c in enumerate(chars):
+        c.values, c.multiplicity = snapped[i * r:(i + 1) * r], snapped[m * r + i]
+    chars[delta_idx].multiplicity = Fraction(1)
+    rounded = np.round(vmat, 6).view(np.float64).tolist()  # sort by degree, then rounded (re, im) values
+    rest = sorted((i for i in range(m) if i != delta_idx), key=lambda i: (chars[i].degree, rounded[i]))
+    return CharacterTable([chars[i] for i in [delta_idx, *rest]], order=snapped[-1], warnings=warnings)
 
 
 # ---------------------------------------------------------------------------
@@ -430,8 +422,5 @@ def charpoly_check(mats, tol: ToleranceConfig = DEFAULT_TOL) -> list:
     None when one of them fails to snap: the field of the character is then
     bigger than the rationals (or the image carries noise).
     """
-    out = []
-    for mat in mats:
-        snapped = [snap_value(c, tol.eps_zero) for c in np.poly(mat)]
-        out.append(snapped if all(isinstance(c, Fraction) for c in snapped) else None)
-    return out
+    polys = snap_value(np.array([np.poly(mat) for mat in mats]), tol.eps_zero)
+    return [row if all(isinstance(c, Fraction) for c in row) else None for row in polys]

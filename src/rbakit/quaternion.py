@@ -45,7 +45,7 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-RHO_STEPS = 2**20  # _rho's step budget: 2.8x what (10^11 + 3)(10^11 + 19) needs; ~2 s on a 40-digit n (x86-64)
+RHO_STEPS = 2**20  # one factoring's rho steps: 2.8x what (10^11 + 3)(10^11 + 19) needs; ~2 s on a 40-digit n (x86-64)
 
 
 def _is_prime(n: int) -> bool:
@@ -72,11 +72,10 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _rho(n: int) -> int:
-    """A nontrivial factor of an odd composite n: Pollard's rho (BIT 15, 1975)
-    with Floyd's cycle search, about sqrt(p) steps for the least prime p | n.
-    Past RHO_STEPS steps in all it raises NumericalError."""
-    steps = 0
+def _rho(n: int, steps: int = 0):
+    """(f, steps): a nontrivial factor f of an odd composite n by Pollard's rho (BIT 15,
+    1975) with Floyd's cycle search, about sqrt(p) steps for the least prime p | n, and
+    the steps spent so far, counting the given ones. Past RHO_STEPS it raises NumericalError."""
     for c in range(1, n):
         x = y = 2
         for steps in range(steps + 1, RHO_STEPS + 1):
@@ -89,7 +88,7 @@ def _rho(n: int) -> int:
         else:
             raise NumericalError(f"no factor of a {len(str(n))}-digit cofactor in {RHO_STEPS} rho steps")
         if g != n:
-            return g
+            return g, steps
     raise ValueError(f"no factor found for {n}")
 
 
@@ -150,7 +149,8 @@ def hilbert_symbol(a, b, place) -> int:
 
 
 def _prime_factors(m: int):
-    """The primes dividing m: SMALL_PRIMES by division, the rest by Pollard's rho."""
+    """The primes dividing m: SMALL_PRIMES by division, the rest by Pollard's rho
+    within one RHO_STEPS budget for all its calls."""
     m = abs(m)
     if m == 0:
         raise ValueError("cannot factor zero")
@@ -159,13 +159,13 @@ def _prime_factors(m: int):
         while m % p == 0:
             out.add(p)
             m //= p
-    todo = [m] if m > 1 else []
+    todo, steps = [m] if m > 1 else [], 0
     while todo:
         n = todo.pop()
         if _is_prime(n):
             out.add(n)
         else:
-            f = _rho(n)
+            f, steps = _rho(n, steps)
             todo += [f, n // f]
     return out
 

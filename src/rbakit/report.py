@@ -79,8 +79,9 @@ def canonical_json(obj) -> str:
     nan and inf raise ValueError. The bytes are json.dumps(obj, default=encode_value,
     sort_keys=True, indent=2, allow_nan=False) + "\\n", whose pure-Python encoder
     yields a piece per item. Here json's C encoder writes each list or dict of
-    scalars in one call, and one string replacement indents it; a nan or inf is
-    found again item by item, in json's order."""
+    scalars, and each list of scalars and complexes {"im": .., "re": ..} (a
+    character's values), in one call, and string replacements indent it; a nan or
+    inf is found again item by item, in json's order."""
     return _encode(obj, "\n") + "\n"
 
 
@@ -95,6 +96,8 @@ def _float(x) -> str:
 _TEXT = {str: encode_basestring_ascii, int: int.__repr__, float: _float,
          bool: {True: "true", False: "false"}.__getitem__, type(None): lambda _: "null"}
 _SCALARS = frozenset(_TEXT)
+_FLAT = _SCALARS | {dict}
+_COMPLEX = frozenset(("im", "re"))  # the keys of encode_value's complex
 # json's C encoder, keys sorted and items separated by \x00, which no string holds
 _compact = c_make_encoder(None, None, encode_basestring_ascii, None, ": ", "\x00", True, False, False)
 
@@ -111,6 +114,15 @@ def _encode(o, newline: str) -> str:
             text = "".join(_compact(o, 0))
             return text[0] + inner + text[1:-1].replace("\x00", "," + inner) + newline + text[-1]
         except ValueError:  # a nan or inf: raised below
+            pass
+    elif (kind is list or kind is tuple) and dict in (kinds := set(map(type, o))) and kinds <= _FLAT and all(
+            x.keys() == _COMPLEX and _SCALARS.issuperset(map(type, x.values())) for x in o if type(x) is dict):
+        try:  # a character's values; no string holds \x00: \x00"re": is within a complex, \x00{ opens one
+            text, deeper = "\x00" + "".join(_compact(o, 0))[1:-1] + "\x00", inner + "  "
+            text = text.replace('\x00"re": ', "," + deeper + '"re": ')
+            text = text.replace("\x00{", "\x00{" + deeper).replace("}\x00", inner + "}\x00")
+            return "[" + inner + text[1:-1].replace("\x00", "," + inner) + newline + "]"
+        except ValueError:
             pass
     for base in (str, int, float):
         if isinstance(o, base):
@@ -288,8 +300,8 @@ def analyze(rba: RBA, tol: ToleranceConfig = DEFAULT_TOL, force_float: bool = Fa
     integral nothing is flagged; a non-integral tensor is a negative
     mathematical verdict, mirroring the 2-adic theorem's subject).
     """
-    if force_float and rba.exact:
-        rba = RBA(rba.lam_float, rba.star)
+    if force_float and rba.exact:  # the float RBA over the same lam_float array
+        rba = RBA._from_numerators(None, rba.lam_float, rba.star)
 
     data = {
         "meta": {
@@ -321,11 +333,11 @@ def analyze(rba: RBA, tol: ToleranceConfig = DEFAULT_TOL, force_float: bool = Fa
         return AnalysisReport(data)
 
     dm = degree_map(rba, tol)
-    data["rba"]["order"] = encode_value(dm.n if dm.exact else snap_value(dm.n_float, tol.eps_zero))
-    data["rba"]["degrees"] = encode_value(
-        list(dm.values) if dm.exact
-        else [snap_value(v, tol.eps_zero) for v in dm.values_float]
-    )
+    if dm.exact:
+        degrees, order = list(dm.values), dm.n
+    else:
+        *degrees, order = snap_value(np.append(dm.values_float, dm.n_float), tol.eps_zero)
+    data["rba"]["order"], data["rba"]["degrees"] = encode_value(order), encode_value(degrees)
 
     rba, dm, was_standard = to_standard_basis(rba, dm, tol)
     data["rba"]["standard_basis"] = was_standard

@@ -21,6 +21,7 @@ from rbakit.core import (
     degree_map,
     gram_matrix,
     snap_rational,
+    snap_value,
     standardize,
     to_standard_basis,
     validate,
@@ -910,6 +911,49 @@ def test_snap_rational_matches_limit_denominator(x, eps):
 def test_snap_rational_matches_limit_denominator_near_fractions(p, q, noise, eps):
     x = p / q + noise
     assert snap_rational(x, eps) == _snap_reference(x, eps)
+
+
+def _snap_one(x, eps):
+    """snap_value's answer for one value: the complex when |imag| > eps, else the
+    real part snapped by snap_rational, or the real part when it does not snap."""
+    z = complex(x)
+    if abs(z.imag) > eps:
+        return z
+    snapped = snap_rational(z.real, eps)
+    return z.real if snapped is None else snapped
+
+
+def _typed(values):
+    return [(type(v), repr(v)) for v in values]  # repr tells -0.0 from 0.0 and nan from nan
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(st.data())
+def test_snap_value_on_an_array_is_the_scalar_route(data):
+    eps = data.draw(EPS)
+    # offsets at the edges of the one-pass integer window, min(eps, 5e-7), and around them
+    edge = st.sampled_from([0.0, eps, 1e-6, 5e-7]).flatmap(
+        lambda e: st.sampled_from([e, -e, e * (1 + 2**-30), -e * (1 - 2**-30)]))
+    real = st.one_of(
+        st.floats(),  # nan, inf, -0.0 and |x| >= 2^53 among them
+        st.builds(lambda k, d: k + d, st.integers(-10**6, 10**6).map(float), edge),
+        st.builds(lambda k, m, e: k + m / 2**e, st.integers(-99, 99), st.integers(-9, 9), st.integers(1, 40)),
+        st.integers(-2**80, 2**80).map(float),
+    )
+    imag = st.one_of(st.sampled_from([0.0, -0.0, eps, -eps, eps * (1 + 2**-30), math.nan, math.inf]), st.floats())
+    z = np.array(data.draw(st.lists(st.builds(complex, real, imag), min_size=1, max_size=12)))
+    x = z.real if data.draw(st.booleans()) else z
+    assert _typed(snap_value(x, eps)) == _typed(_snap_one(v, eps) for v in x.tolist())
+    assert _typed(snap_value(x.reshape(1, -1), eps)[0]) == _typed(snap_value(x, eps))
+    assert _typed([snap_value(x[0], eps)]) == _typed([_snap_one(x[0], eps)])
+
+
+def test_snap_value_settles_integers_in_one_pass():
+    # -0.0 and |x| >= 2^53 snap to integers; 1 - 1e-10 is within the window, 1 + 2^-20 is not
+    x = np.array([-0.0, 2.0**60, 1 - 1e-10, 1 + 2**-20, 0.5, 0.25 + 1e-3j, math.nan])
+    assert _typed(snap_value(x, 1e-6)) == _typed(
+        [Fraction(0), Fraction(2**60), Fraction(1), 1 + 2**-20, Fraction(1, 2), 0.25 + 1e-3j, math.nan])
+    assert snap_value(np.zeros((2, 0)), 1e-9) == [[], []]
 
 
 def test_snap_rational():

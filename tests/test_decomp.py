@@ -122,18 +122,33 @@ def test_center_dimension(fixture, dim, request):
     assert center_basis(rba, TOL).shape[0] == dim
 
 
+def _center_without_svd(rba, monkeypatch):
+    """center_basis(rba) with np.linalg.svd raising; it must be np.eye(r), the vt
+    that the SVD of the zero commutation matrix gives."""
+    r = rba.rank
+    assert np.linalg.svd(np.zeros((r * r, r)), full_matrices=False)[2].tobytes() == np.eye(r).tobytes()
+
+    def svd(*args, **kwargs):
+        raise AssertionError("center_basis ran an SVD")
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    got = center_basis(rba, TOL)
+    assert got.tobytes() == np.eye(r).tobytes() and got.shape == (r, r)
+
+
 @pytest.mark.parametrize("build", [
     lambda: from_group(c_n_table(5)),
     lambda: from_group(c_n_table(12)),
     lambda: from_scheme(relations(hamming(3, 3))),
 ], ids=["C5", "C12", "H(3,3)"])
 def test_center_of_exact_commutative_algebra_needs_no_svd(build, monkeypatch):
-    # the float copy's SVD of the zero commutation matrix gives the same bits
-    rba = build()
-    expected = center_basis(RBA(rba.lam_float, rba.star), TOL)
-    monkeypatch.setattr(np.linalg, "svd", None)
-    got = center_basis(rba, TOL)
-    assert got.tobytes() == expected.tobytes() and got.shape == expected.shape == (rba.rank,) * 2
+    _center_without_svd(build(), monkeypatch)
+
+
+@pytest.mark.parametrize("n", [5, 12, 64], ids=["C5", "C12", "C64"])
+def test_center_of_float_commutative_algebra_needs_no_svd(n, monkeypatch):
+    rba = from_group(c_n_table(n))
+    _center_without_svd(RBA(rba.lam_float, rba.star), monkeypatch)
 
 
 def test_center_vectors_commute(s3_rba):

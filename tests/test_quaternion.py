@@ -2,13 +2,16 @@
 
 import dataclasses
 import json
+import math
 import re
 import time
+import types
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from rbakit import quaternion
 from rbakit.cli import main
 from rbakit.core import RBA, NumericalError, degree_map
 from rbakit.decomp import (
@@ -345,6 +348,23 @@ def test_symbol_off_standard_by_1e_9_is_refused_within_the_rho_budget(s3_rba):
     assert quaternion["status"].startswith("failed: no factor of a ")
     assert quaternion["status"].endswith(f"-digit cofactor in {RHO_STEPS} rho steps")
     assert time.process_time() - start < 10.0
+
+
+def test_factoring_spends_one_rho_budget_over_all_its_cofactors(monkeypatch):
+    # each of the 7 splits of 8 primes above 10^11 fits one budget; together they do not
+    primes = [100000000003, 100000000019, 100000000057, 100000000063,
+              100000000069, 100000000073, 100000000091, 100000000103]
+    steps = 0
+
+    def gcd(a, b):
+        nonlocal steps
+        steps += 1
+        return math.gcd(a, b)
+
+    monkeypatch.setattr(quaternion, "math", types.SimpleNamespace(gcd=gcd, inf=math.inf))
+    with pytest.raises(NumericalError, match="rho steps$"):
+        hilbert_places(-1, math.prod(primes))
+    assert steps == RHO_STEPS
 
 
 def test_hilbert_agrees_with_norm_equation_oracle():

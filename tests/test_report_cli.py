@@ -200,6 +200,18 @@ def test_canonical_json_refuses_nan_and_inf_as_json_does(bad, where):
     assert isinstance(_outcome(_dumps, obj)[0], type) and _outcome(canonical_json, obj) == _outcome(_dumps, obj)
 
 
+@pytest.mark.parametrize("obj", [
+    [{"im": 0.5, "re": -1.0}],
+    ["1", {"im": 0.5, "re": -1.0}, -0.5, None, True, {"im": -0.5, "re": 2}],
+    ['"re": ', {"im": "}{", "re": '\x00"re": '}, "}", {"im": 0.5, "re": "{"}],
+    [{"a": 1, "b": "}{"}, {"c": "}\x00{", "d": None}],
+    [{}, {"a": 1}],
+    [{"im": 1, "re": []}, "1"],
+], ids=["one", "mixed", "key-like", "flat", "empty", "nested"])
+def test_canonical_json_writes_lists_of_flat_dicts_as_json_does(obj):
+    assert canonical_json(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
 def test_canonical_json_writes_long_runs_of_scalars():
     # json's C encoder returns its text in chunks past 100,000 pieces
     obj = {"ints": list(range(60_000)), "floats": {f"k{i}": i / 7 for i in range(30_000)}}
