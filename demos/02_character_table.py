@@ -9,6 +9,7 @@ import numpy as np
 
 from rbakit import (
     center_basis,
+    central_idempotents,
     character_table,
     charpoly_check,
     degree_map,
@@ -25,8 +26,8 @@ print("center dimension (= number of irreducible characters):",
       center_basis(s3).shape[0])
 
 table = character_table(s3, dm)
-print("\ncentral primitive idempotents (block dimensions):",
-      [char.idempotent.block_dim for char in table])
+print("\ncentral primitive idempotents: rank L(e) =",
+      central_idempotents(s3)[1].tolist(), "= degree^2")
 
 print("\ncharacter table (degree | values | multiplicity):")
 for char in table:
@@ -34,7 +35,7 @@ for char in table:
 
 # extract a real 2x2 *-representation of the degree-2 character
 chi = table.degree_two()[0]
-rep = star_rep_extract(s3, dm, chi.idempotent)
+rep = star_rep_extract(s3, dm, chi)
 product, star = rep_residual(s3, rep)
 print("\n2x2 *-representation: X(b_i) X(b_j) = sum_k lam[i,j,k] X(b_k) with residual",
       f"{product:.2e},\n  X(b_{{i*}}) = X(b_i)^T with residual {star:.2e}")

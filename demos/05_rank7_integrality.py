@@ -41,7 +41,7 @@ for char in table:
 # the degree-2 character is quaternionic: extraction of a real 2x2 rep fails
 chi = table.degree_two()[0]
 try:
-    star_rep_extract(rba, dm, chi.idempotent)
+    star_rep_extract(rba, dm, chi)
 except NumericalError as exc:
     print("\nreal 2x2 extraction fails as it must:", exc)
 
@@ -59,7 +59,7 @@ print("quaternion-valued representation verifies:",
 # integrality: the tensor provably contains +-sqrt(5)/4
 result = integral_check(rba)
 print("\nintegral structure constants:", bool(result),
-      f"({len(result.offenders)}+ offenders)")
+      f"({result.count} offenders)")
 rational, coef = rank7_exact_data()["lam"]  # lam = rational + coef * sqrt(5), exactly
 irrational = coef != 0
 print("irrational entries (exact):", int(irrational.sum()), "all equal to +-sqrt(5)/4:",

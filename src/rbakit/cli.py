@@ -6,9 +6,9 @@ commands on an .rba file take --json, --tol, --seed (not validate, which
 draws no random number), --exact, --float and --out; hilbert takes --json
 and --out; example, from-group and from-scheme take --out. Exit codes: 0
 all checks pass, 1 a mathematical verdict is negative, 2 input or contract
-error (a malformed flag, a --tol that is not finite and positive, a seed
-from --seed or RBA_SEED that is not a non-negative integer, or a hilbert
-argument that factoring gives up on).
+error (a malformed flag, --exact with --float, a --tol that is not finite
+and positive, a seed from --seed or RBA_SEED that is not a non-negative
+integer, or a hilbert argument that factoring gives up on).
 """
 
 from __future__ import annotations
@@ -48,13 +48,15 @@ def _read_source(path: str) -> str:
 
 
 def _load_rba(path: str, args) -> RBA:
+    if args.exact and args.float:
+        raise StructuralError("--exact and --float exclude each other")
     rba = RBA.from_text(_read_source(path))
     if args.exact and not rba.exact:
         raise StructuralError(
             "--exact requested but the input has decimal entries (float mode)"
         )
-    if args.float and rba.exact:
-        rba = RBA(rba.lam_float, rba.star)
+    if args.float and rba.exact:  # the float RBA over the same lam_float array
+        rba = RBA._from_numerators(None, rba.lam_float, rba.star)
     return rba
 
 
@@ -178,8 +180,7 @@ def _cmd_check_integrality(args) -> int:
         _emit(args, canonical_json(payload))
     else:
         text = "integral\n" if result.integral else (
-            f"non-integral ({len(result.offenders)} offending entries, first "
-            f"{result.offenders[0][:3] if result.offenders else ''})\n"
+            f"non-integral ({result.count} offending entries, first {result.offenders[0][:3]})\n"
         )
         if two:
             text += f"2-adic obstruction: {two['verdict']}\n"

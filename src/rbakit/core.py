@@ -114,12 +114,12 @@ DEFAULT_TOL = ToleranceConfig()
 # scalar helpers
 # ---------------------------------------------------------------------------
 
-def snap_rational(x: float, eps: float, max_denominator: int = SNAP_MAX_DENOMINATOR):
+def snap_rational(x: float, eps: float):
     """Nearest small-denominator rational within eps of x, else None.
 
-    The candidate is Fraction(x).limit_denominator(max_denominator), found by
-    the same continued-fraction walk on the integers of x.as_integer_ratio()
-    and built as one Fraction. A margin guard follows: the error must also be
+    The candidate is Fraction(x).limit_denominator(SNAP_MAX_DENOMINATOR),
+    found by the same continued-fraction walk on the integers of
+    x.as_integer_ratio() and built as one Fraction. A margin guard follows: the error must also be
     well below the 1/q^2 scale at which the convergents of irrationals live,
     otherwise sqrt(2) and friends would snap onto their own convergents.
     """
@@ -128,17 +128,17 @@ def snap_rational(x: float, eps: float, max_denominator: int = SNAP_MAX_DENOMINA
     if not math.isfinite(x):
         return None
     p, q = float(x).as_integer_ratio()
-    if q > max_denominator:
+    if q > SNAP_MAX_DENOMINATOR:
         p0, q0, p1, q1 = 0, 1, 1, 0
         n, d = p, q
         while True:
             a = n // d
             q2 = q0 + a * q1
-            if q2 > max_denominator:
+            if q2 > SNAP_MAX_DENOMINATOR:
                 break
             p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
             n, d = d, n - a * d
-        k = (max_denominator - q0) // q1
+        k = (SNAP_MAX_DENOMINATOR - q0) // q1
         # the semiconvergent (p0 + k p1) / (q0 + k q1) sits 1 / (q1 (q0 + k q1))
         # from p1 / q1, which sits d / (q1 q) from x: keep p1 / q1 on a tie
         if 2 * d * (q0 + k * q1) <= q:

@@ -35,7 +35,6 @@ from .core import (
 )
 
 __all__ = [
-    "CentralIdempotent",
     "Character",
     "CharacterTable",
     "regular_rep",
@@ -115,30 +114,20 @@ def center_basis(rba: RBA, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     return vt[r - m:, :]
 
 
-@dataclass
-class CentralIdempotent:
-    """A central primitive idempotent e = sum coeffs[i] b_i of the complexified span."""
-
-    coeffs: np.ndarray   # complex128, length r
-    block_dim: int       # n_chi, from rank L(e) = n_chi^2
-    eigenvalue: complex  # separating eigenvalue (diagnostic)
-    rank_is_square: bool = True
-
-    @property
-    def is_real(self) -> bool:
-        return bool(abs(self.coeffs.imag).max() < 1e-7)
-
-
 def central_idempotents(rba: RBA, tol: ToleranceConfig = DEFAULT_TOL):
     """Central primitive idempotents from the eigenvectors of a central element.
+
+    Returns (e, ranks): e[a] is the complex coefficient vector of one
+    idempotent, shape (m, r), and ranks[a] = rank L(e[a]) = n_chi^2.
 
     A seeded random central element z whose action on the center has all
     eigenvalues distinct separates the components (up to 8 reseeds); each
     eigenvector of that action is a multiple of one idempotent e, rescaled so
-    that e*e = e (e[0] = m*n_chi/n > 0). L(e) is a projection, so its rank,
-    n_chi^2, is its trace. All eigenvectors are rescaled, traced and ranked
+    that e*e = e (e[0] = m*n_chi/n > 0). An e whose imaginary parts are all
+    below eps_zero is made real, the one realness cut. L(e) is a projection,
+    so its rank is its trace. All eigenvectors are rescaled, traced and ranked
     together; each is lifted by its own product with zb, as one gemm changes
-    the last bits of some values.
+    the last bits of some values. The rows come sorted by eigenvalue.
     """
     zb = center_basis(rba, tol)
     m = zb.shape[0]
@@ -162,13 +151,8 @@ def central_idempotents(rba: RBA, tol: ToleranceConfig = DEFAULT_TOL):
         bad = ~(trace > 0.5)  # NaN included; a trace of 0.5 rounds to rank 0
         if bad.any():
             raise NumericalError(f"idempotent trace {trace[bad][0]:.3g} is not a positive rank")
-        ranks, values = np.round(trace).tolist(), evals.tolist()
-        out = []
-        for a in np.lexsort((evals.imag, evals.real)).tolist():
-            block = round(ranks[a] ** 0.5)
-            out.append(CentralIdempotent(coeffs=vs[a], block_dim=block, eigenvalue=complex(values[a]),
-                                         rank_is_square=block * block == ranks[a]))
-        return out
+        order = np.lexsort((evals.imag, evals.real))
+        return vs[order], np.round(trace[order]).astype(int)
     raise NumericalError("idempotent separation failed after 8 reseeds")
 
 
@@ -185,7 +169,7 @@ class Character:
     multiplicity_raw: float
     values: list = field(default_factory=list)   # per-entry Fraction when snapped
     multiplicity: object = None                  # Fraction | float
-    idempotent: CentralIdempotent = None
+    idempotent: np.ndarray = None                # complex128 coefficients of e, length r
 
     @property
     def is_exact(self) -> bool:
@@ -239,20 +223,19 @@ def character_table(rba: RBA, dm: DegreeMap, tol: ToleranceConfig = DEFAULT_TOL)
     n = dm.n_float
     warnings = []
     chars = []
-    for idem in central_idempotents(rba, tol):
-        if not idem.rank_is_square:
-            warnings.append(
-                f"non-split component detected (rank L(e) = {idem.block_dim}^2 fails)"
-            )
-        deg = idem.block_dim
-        vals = trace_products @ idem.coeffs / deg
-        mult_a = n * idem.coeffs[0] / deg
+    e, ranks = central_idempotents(rba, tol)
+    for coeffs, rank in zip(e, ranks.tolist()):
+        deg = round(rank ** 0.5)
+        if deg * deg != rank:
+            warnings.append(f"non-split component detected (rank L(e) = {deg}^2 fails)")
+        vals = trace_products @ coeffs / deg
+        mult_a = n * coeffs[0] / deg
         chars.append(
             Character(
                 degree=deg,
                 values_raw=vals,
                 multiplicity_raw=float(mult_a.real),
-                idempotent=idem,
+                idempotent=coeffs,
             )
         )
         if abs(mult_a.imag) > tol.eps_residual:
@@ -312,31 +295,33 @@ def _orthonormalized_regular(rba: RBA, dm: DegreeMap):
 def star_rep_extract(
     rba: RBA,
     dm: DegreeMap,
-    idem: CentralIdempotent,
+    chi: Character,
     tol: ToleranceConfig = DEFAULT_TOL,
 ) -> np.ndarray:
-    """Irreducible real *-representation for a component split over the reals:
-    images X of shape (r, n_chi, n_chi) with X(b_{i*}) = X(b_i)^T.
+    """Irreducible real *-representation of the character chi of a component
+    split over the reals: images X of shape (r, n_chi, n_chi) with
+    X(b_{i*}) = X(b_i)^T.
 
     Restricts right multiplication by a seeded random *-symmetric element to
-    the isotypic subspace; its eigenvalue clusters of size n_chi span
-    irreducible submodules (right multiplications are the commutant of the
-    left regular action, and *-symmetry makes them self-adjoint for the Gram
-    form). Quaternionic or non-real components produce the wrong cluster
+    the isotypic subspace of chi.idempotent; its eigenvalue clusters of size
+    n_chi span irreducible submodules (right multiplications are the commutant
+    of the left regular action, and *-symmetry makes them self-adjoint for the
+    Gram form), and their traces must give chi.values_raw. An idempotent with
+    any nonzero imaginary part, which central_idempotents leaves only above
+    eps_zero, is refused; quaternionic components produce the wrong cluster
     size, which is reported as an extraction failure.
     """
-    if not idem.is_real:
+    if chi.idempotent.imag.any():
         raise NumericalError(
             "component is not split over the reals (idempotent has complex coefficients)"
         )
     r = rba.rank
-    nchi = idem.block_dim
+    nchi = chi.degree
     lam = rba.lam_float
     y, d = _orthonormalized_regular(rba, dm)
-    proj = np.einsum("i,iab->ab", idem.coeffs.real, y)
+    proj = np.einsum("i,iab->ab", chi.idempotent.real, y)
     pw, pv = np.linalg.eigh((proj + proj.T) / 2)
     basis = pv[:, pw > 0.5]
-    chi_vals = _trace_products(rba) @ idem.coeffs.real / nchi
     bound = tol.eps_residual * rba.scale
 
     for attempt in range(8):
@@ -357,7 +342,7 @@ def star_rep_extract(
         if (
             product < bound
             and star < bound
-            and abs(np.einsum("iaa->i", mats) - chi_vals).max() < bound
+            and abs(np.einsum("iaa->i", mats) - chi.values_raw).max() < bound
         ):
             return mats
     raise NumericalError(

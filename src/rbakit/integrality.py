@@ -48,8 +48,12 @@ __all__ = [
 
 @dataclass
 class IntegralityResult:
-    integral: bool
-    offenders: list = field(default_factory=list)  # (i, j, k, value), at most 32 kept
+    count: int                                     # entries that are not integers
+    offenders: list = field(default_factory=list)  # (i, j, k, value) of the first 8
+
+    @property
+    def integral(self) -> bool:
+        return self.count == 0
 
     def __bool__(self):
         return self.integral
@@ -59,13 +63,14 @@ def integral_check(rba: RBA, tol: ToleranceConfig = DEFAULT_TOL) -> IntegralityR
     """Whether every structure constant is a (rational) integer.
 
     Exact mode tests denominators; float mode tests distance to the nearest
-    integer against tol.eps_zero.
+    integer against tol.eps_zero. Every offender is counted; the first 8, in
+    (i, j, k) order, are kept with their values.
     """
     d, n = rba.lam_int if rba.exact else (None, rba.lam_float)
     bad = n % d != 0 if d else abs(n - np.round(n)) > tol.eps_zero
     offenders = [(int(i), int(j), int(k), Fraction(int(n[i, j, k]), d) if d else n[i, j, k])
-                 for i, j, k in np.argwhere(bad)[:32]]
-    return IntegralityResult(integral=not offenders, offenders=offenders)
+                 for i, j, k in np.argwhere(bad)[:8]]
+    return IntegralityResult(count=int(bad.sum()), offenders=offenders)
 
 
 def is_algebraic_integer(rational, coef) -> np.ndarray:

@@ -263,10 +263,9 @@ def integrality_section(integ) -> dict:
     """The verdict, offender count and first 8 offenders of an integral_check."""
     return {
         "integral": integ.integral,
-        "offender_count": len(integ.offenders),
+        "offender_count": integ.count,
         "offenders": [
-            {"i": i, "j": j, "k": k, "value": encode_value(v)}
-            for i, j, k, v in integ.offenders[:8]
+            {"i": i, "j": j, "k": k, "value": encode_value(v)} for i, j, k, v in integ.offenders
         ],
     }
 

@@ -94,7 +94,7 @@ def test_criterion_2_main_theorem(fixture, xd_square, a_expected, request, capsy
         t0 = time.perf_counter()
         dm, table, report = _full_pipeline(rba)
         chi = classify_one_pair(rba, table, report).chi
-        rep = star_rep_extract(rba, dm, chi.idempotent, TOL)
+        rep = star_rep_extract(rba, dm, chi, TOL)
         p, ps = rba.nonreal_pairs()[0]
         xd = rep[p] - rep[ps]
         sym = symbol(rba, chi, TOL)
@@ -193,15 +193,13 @@ def test_criterion_5_orthogonality_idempotents(request, capsys):
             total = np.zeros(r, dtype=complex)
             worst_idem = 0.0
             for e in idems:
-                total += e.coeffs
-                worst_idem = max(
-                    worst_idem, abs(rba.mul(e.coeffs, e.coeffs) - e.coeffs).max()
-                )
+                total += e
+                worst_idem = max(worst_idem, abs(rba.mul(e, e) - e).max())
             for a in range(len(idems)):
                 for b in range(a + 1, len(idems)):
                     worst_idem = max(
                         worst_idem,
-                        abs(rba.mul(idems[a].coeffs, idems[b].coeffs)).max(),
+                        abs(rba.mul(idems[a], idems[b])).max(),
                     )
             unit = np.zeros(r)
             unit[0] = 1.0
@@ -218,7 +216,7 @@ def test_criterion_5_orthogonality_idempotents(request, capsys):
                  max(abs(c.values_raw.sum()) for c in table.characters[1:]) < 1e-8)
             )
             route_gap = max(
-                abs(dm.n_float * c.idempotent.coeffs[0].real / c.degree - c.multiplicity_raw)
+                abs(dm.n_float * c.idempotent[0].real / c.degree - c.multiplicity_raw)
                 for c in table
             )
             checks.append((f"{name}: multiplicity routes agree < 1e-8", route_gap < 1e-8))

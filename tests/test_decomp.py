@@ -206,36 +206,39 @@ def test_center_of_noisy_commutative_algebra(n, size):
 # ---------------------------------------------------------------------------
 
 def test_idempotents_rank1(rank1_rba):
-    idems = central_idempotents(rank1_rba, TOL)
-    assert len(idems) == 1
-    assert np.allclose(idems[0].coeffs, [1.0])
-    assert idems[0].block_dim == 1
+    e, ranks = central_idempotents(rank1_rba, TOL)
+    assert np.allclose(e, [[1.0]])
+    assert ranks.tolist() == [1]
 
 
 @pytest.mark.parametrize(
     "fixture,dims",
     [("s3_rba", [1, 1, 2]), ("d8_rba", [1, 1, 1, 1, 2]), ("rank7_rba", [1, 1, 1, 2])],
 )
-def test_idempotent_block_dims(fixture, dims, request):
+def test_idempotent_ranks_are_squares_of_the_degrees(fixture, dims, request):
     rba = request.getfixturevalue(fixture)
-    idems = central_idempotents(rba, TOL)
-    assert sorted(e.block_dim for e in idems) == sorted(dims)
-    assert all(e.rank_is_square for e in idems)
+    e, ranks = central_idempotents(rba, TOL)
+    assert e.shape == (len(dims), rba.rank) and e.dtype == complex
+    assert ranks.dtype.kind == "i"
+    assert sorted(ranks.tolist()) == sorted(d * d for d in dims)
+    table = character_table(rba, degree_map(rba, TOL), TOL)
+    assert table.warnings == []
+    assert sorted(table.degrees()) == sorted(dims)
 
 
 def test_idempotent_algebra(s3_rba, d8_rba, rank7_rba):
     for rba in (s3_rba, d8_rba, rank7_rba):
-        idems = central_idempotents(rba, TOL)
+        idems, _ = central_idempotents(rba, TOL)
         total = np.zeros(rba.rank, dtype=complex)
         for e in idems:
-            total += e.coeffs
-            esq = rba.mul(e.coeffs, e.coeffs)
-            assert abs(esq - e.coeffs).max() < 1e-9
+            total += e
+            esq = rba.mul(e, e)
+            assert abs(esq - e).max() < 1e-9
             # e* = e for real-valued components: coefficient-level c_{i*} = conj(c_i)
-            assert abs(np.conj(e.coeffs)[rba.star] - e.coeffs).max() < 1e-9
+            assert abs(np.conj(e)[rba.star] - e).max() < 1e-9
         for a in range(len(idems)):
             for b in range(a + 1, len(idems)):
-                prod = rba.mul(idems[a].coeffs, idems[b].coeffs)
+                prod = rba.mul(idems[a], idems[b])
                 assert abs(prod).max() < 1e-9
         unit = np.zeros(rba.rank)
         unit[0] = 1.0
@@ -247,7 +250,7 @@ def test_idempotent_algebra_irrational_characters(n):
     # e_a e_b = delta_ab e_a and sum e_a = b_0, to rounding, where the
     # characters take irrational values (cyclic groups)
     rba = from_group(c_n_table(n))
-    coeffs = np.array([e.coeffs for e in central_idempotents(rba, TOL)])
+    coeffs, _ = central_idempotents(rba, TOL)
     prods = np.einsum("ai,bj,ijk->abk", coeffs, coeffs, rba.lam_float)
     assert abs(prods - np.eye(n)[:, :, None] * coeffs[:, None, :]).max() <= 1e-12
     assert abs(coeffs.sum(axis=0) - np.eye(n)[0]).max() <= 1e-12
@@ -383,7 +386,7 @@ def test_values_and_indicators_match_regular_rep_formulas(name):
     table = character_table(rba, dm, tol=TOL)
     L = regular_rep(rba)
     for c in table:
-        le = np.einsum("i,iab->ab", c.idempotent.coeffs, L)
+        le = np.einsum("i,iab->ab", c.idempotent, L)
         values = np.array([np.trace(L[i] @ le) for i in range(r)]) / c.degree
         assert abs(c.values_raw - values).max() <= 1e-10
     raw = indicator_report(rba, dm, table, TOL).raw
@@ -400,8 +403,7 @@ def test_multiplicity_routes_agree(s3_rba, rank7_rba):
         dm, table = _pipeline(rba)
         n = dm.n_float
         for char in table:
-            e = char.idempotent
-            assert abs(n * e.coeffs[0].real / char.degree - char.multiplicity_raw) < 1e-8
+            assert abs(n * char.idempotent[0].real / char.degree - char.multiplicity_raw) < 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +415,7 @@ def test_star_rep_degree_one(s3_rba):
     for char in table:
         if char.degree != 1:
             continue
-        rep = star_rep_extract(s3_rba, dm, char.idempotent, TOL)
+        rep = star_rep_extract(s3_rba, dm, char, TOL)
         assert rep.shape == (6, 1, 1)
         assert abs(rep.ravel() - char.values_raw.real).max() < 1e-9
 
@@ -423,7 +425,7 @@ def test_star_rep_degree_two(fixture, request):
     rba = request.getfixturevalue(fixture)
     dm, table = _pipeline(rba)
     chi = table.degree_two()[0]
-    rep = star_rep_extract(rba, dm, chi.idempotent, TOL)
+    rep = star_rep_extract(rba, dm, chi, TOL)
     assert rep.shape == (rba.rank, 2, 2)
     product, star = rep_residual(rba, rep)
     assert product < 1e-8
@@ -434,10 +436,11 @@ def test_star_rep_degree_two(fixture, request):
 def test_star_rep_rejects_complex_component(c3_rba):
     # the nonreal characters of C3 have complex idempotents: no real *-rep
     dm, table = _pipeline(c3_rba)
-    complex_chars = [c for c in table if abs(c.values_raw.imag).max() >= 1e-7]
-    assert complex_chars
+    complex_chars = [c for c in table if c.idempotent.imag.any()]
+    assert len(complex_chars) == 2
+    assert all(abs(c.values_raw.imag).max() > 0.5 for c in complex_chars)
     with pytest.raises(NumericalError, match="not split over the reals"):
-        star_rep_extract(c3_rba, dm, complex_chars[0].idempotent, TOL)
+        star_rep_extract(c3_rba, dm, complex_chars[0], TOL)
 
 
 def test_star_rep_quaternionic_detection(rank7_rba):
@@ -447,7 +450,7 @@ def test_star_rep_quaternionic_detection(rank7_rba):
     dm, table = _pipeline(rank7_rba)
     chi = table.degree_two()[0]
     with pytest.raises(NumericalError):
-        star_rep_extract(rank7_rba, dm, chi.idempotent, TOL)
+        star_rep_extract(rank7_rba, dm, chi, TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +509,7 @@ def test_symmetrize_rejects_non_rep(s3_rba):
 def test_charpoly_identity(s3_rba):
     dm, table = _pipeline(s3_rba)
     chi = table.degree_two()[0]
-    rep = star_rep_extract(s3_rba, dm, chi.idempotent, TOL)
+    rep = star_rep_extract(s3_rba, dm, chi, TOL)
     polys = charpoly_check(rep, TOL)
     assert None not in polys
     # X(b_0) has char poly (t - 1)^2
@@ -525,6 +528,6 @@ def test_charpoly_irrational_coefficients():
     dm = degree_map(rba, TOL)
     assert abs(dm.n_float - (1 + np.sqrt(2))) < 1e-9
     table = character_table(rba, dm, TOL)
-    rep = star_rep_extract(rba, dm, table.delta.idempotent, TOL)
+    rep = star_rep_extract(rba, dm, table.delta, TOL)
     polys = charpoly_check(rep, TOL)
     assert [i for i, p in enumerate(polys) if p is None] == [1]

@@ -42,7 +42,7 @@ def test_nu_zero_iff_nonreal_row(fixture, request):
     rba = request.getfixturevalue(fixture)
     _, table, report = _report(rba)
     for char, nu in zip(table, report.nu):
-        assert (nu == 0) == (abs(char.values_raw.imag).max() >= 1e-7)
+        assert (nu == 0) == char.values_raw.imag.any()
 
 
 @pytest.mark.parametrize("fixture", ALL_FIXTURES)

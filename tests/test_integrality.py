@@ -159,10 +159,14 @@ def test_integral_check_groups(s3_rba, d8_rba, c2_rba):
         assert integral_check(rba)
 
 
-def test_integral_check_rank7(rank7_rba):
+def test_integral_check_rank7(rank7_rba, exact_data):
     result = integral_check(rank7_rba)
     assert not result.integral
-    assert result.offenders
+    # every entry that is not an integer counts, not only the 8 listed: here
+    # they are the 120 entries that are not algebraic integers over Q(sqrt 5)
+    assert result.count == 120 == (~is_algebraic_integer(*exact_data["lam"])).sum()
+    assert len(result.offenders) == 8
+    assert [o[:3] for o in result.offenders] == sorted(o[:3] for o in result.offenders)
     i, j, k, v = result.offenders[0]
     assert abs(v - round(v)) > 0.2  # e.g. -1/4 or sqrt5/4
 

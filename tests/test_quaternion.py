@@ -30,7 +30,7 @@ def _deg2_rep(rba):
     dm = degree_map(rba, TOL)
     table = character_table(rba, dm, TOL)
     chi = table.degree_two()[0]
-    rep = star_rep_extract(rba, dm, chi.idempotent, TOL)
+    rep = star_rep_extract(rba, dm, chi, TOL)
     return dm, table, chi, rep
 
 

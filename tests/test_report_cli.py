@@ -78,6 +78,8 @@ def test_analyze_rank7(rank7_rba):
     assert d["classification"]["rank7_class"] == 1
     assert d["classification"]["rank7_consistent"]
     assert not d["integrality"]["integral"]
+    assert d["integrality"]["offender_count"] == 120  # every offender, not the 8 listed
+    assert len(d["integrality"]["offenders"]) == 8
     assert d["integrality"]["two_adic"]["verdict"] == "obstructed-non-integral"
     assert "quaternionic" in d["quaternion"]["status"]
     ct = d["character_table"]
@@ -391,7 +393,10 @@ def test_cli_check_integrality(tmp_path, capsys):
     assert main(["check-integrality", str(r7), "--json"]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert not payload["integral"]
+    assert payload["offender_count"] == 120 and len(payload["offenders"]) == 8
     assert payload["two_adic"]["verdict"] == "obstructed-non-integral"
+    assert main(["check-integrality", str(r7)]) == 1
+    assert capsys.readouterr().out.startswith("non-integral (120 offending entries, first (1, 1, 1))")
     # the verdict is on the basis as given: C7 with b_i' = b_i / 2 has lam = 1/2,
     # though analyze's standard basis is the group basis again
     from rbakit.ingest import from_group
@@ -591,6 +596,14 @@ def test_cli_exact_float_flags(tmp_path, capsys):
     r7.write_text(fixture_text("rank7_h"))
     assert main(["analyze", str(r7), "--exact"]) == 2  # decimals cannot be exact
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["analyze", "validate", "quaternion", "check-integrality"])
+def test_cli_exact_with_float_exits_2(command, tmp_path, capsys):
+    assert main([command, _write_s3(tmp_path), "--exact", "--float"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: --exact and --float exclude each other" in captured.err
 
 
 def test_cli_stdin(tmp_path, capsys, monkeypatch):
