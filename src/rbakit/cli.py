@@ -30,6 +30,8 @@ INPUT_ERRORS = (RBAError, ValueError, FileNotFoundError, IsADirectoryError)  # e
 
 
 def _tolerances(args) -> ToleranceConfig:
+    if args.exact and args.float:
+        raise StructuralError("--exact and --float exclude each other")
     seed = getattr(args, "seed", 0)  # validate has no --seed and reads no RBA_SEED
     if seed is None:
         env = os.environ.get("RBA_SEED", "0")
@@ -48,8 +50,6 @@ def _read_source(path: str) -> str:
 
 
 def _load_rba(path: str, args) -> RBA:
-    if args.exact and args.float:
-        raise StructuralError("--exact and --float exclude each other")
     rba = RBA.from_text(_read_source(path))
     if args.exact and not rba.exact:
         raise StructuralError(

@@ -488,6 +488,7 @@ class DegreeMap:
 
 @dataclass
 class CheckResult:
+    """One axiom check; the fields are the keys of its row in the validation section."""
     name: str
     passed: bool
     residual: float

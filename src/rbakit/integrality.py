@@ -108,6 +108,7 @@ def row_sum_relation_holds(phi1, phi2, phi3) -> bool:
 
 @dataclass
 class RowObstruction:
+    """One linear row's 2-adic evidence; the fields are the keys of its row in the report."""
     values: tuple                 # (phi_1, phi_2, phi_3) as Fractions
     relation_holds: bool
     phi3_formula_value: Fraction  # -(1 + 2 phi_1 + 2 phi_2) / 2

@@ -193,18 +193,18 @@ def hilbert_places(a, b) -> dict:
 
 @dataclass
 class QuaternionSymbol:
-    """The pair (a, beta) generating the degree-2 component, with split verdicts."""
+    """The pair (a, beta) generating the degree-2 component, with split verdicts. The
+    fields are the keys of the report's quaternion section besides status; a and beta
+    are Fractions when exact or snapped, else floats."""
 
-    a: float
-    beta: float
-    a_exact: object = None           # Fraction when snapped
-    beta_exact: object = None
-    field_mode: str = "real-numeric"  # "rational" | "real-numeric"
-    local_symbols: dict = None        # per-place verdicts when rational
-    verdict: str = "real-split-only"  # "split" | "division" | "real-split-only"
-    pair: tuple = None
-    y_label: str = ""
-    anticommute_residual: float = 0.0
+    a: Fraction | float
+    beta: Fraction | float
+    field_mode: str            # "rational" | "real-numeric"
+    local_symbols: dict        # per-place Hilbert symbols when rational, else None
+    verdict: str               # "split" | "division" | "real-split-only"
+    pair: tuple
+    y_label: str
+    anticommute_residual: float
 
 
 def symbol(rba: RBA, chi: Character, tol: ToleranceConfig = DEFAULT_TOL) -> QuaternionSymbol:
@@ -266,17 +266,14 @@ def symbol(rba: RBA, chi: Character, tol: ToleranceConfig = DEFAULT_TOL) -> Quat
     beta = y2[0] / e[0]
     check("y^2 = beta e", y2, beta * e)
     anti = check("x y = -y x", rba.mul(x, y), -rba.mul(y, x))
-    sym = QuaternionSymbol(
-        a=float(a), beta=float(beta),
-        a_exact=snap_rational(a, tol.eps_zero * max(1.0, abs(a))),
-        beta_exact=snap_rational(beta, tol.eps_zero * max(1.0, abs(beta))),
-        pair=(p, ps), y_label=label, anticommute_residual=anti,
-    )
     if rba.exact:
-        sym.field_mode = "rational"
-        sym.local_symbols = hilbert_places(a, beta)
-        sym.verdict = "split" if all(v == 1 for v in sym.local_symbols.values()) else "division"
+        local = hilbert_places(a, beta)
+        field_mode, verdict = "rational", "split" if all(v == 1 for v in local.values()) else "division"
     else:
-        sym.field_mode = "real-numeric"
-        sym.verdict = "real-split-only" if beta > 0 else "division"
-    return sym
+        local, field_mode, verdict = None, "real-numeric", "real-split-only" if beta > 0 else "division"
+
+    def snapped(v):  # the Fraction when exact or within the zero cut of one, else the float
+        q = snap_rational(v, tol.eps_zero * max(1.0, abs(v)))
+        return float(v) if q is None else q
+
+    return QuaternionSymbol(snapped(a), snapped(beta), field_mode, local, verdict, (p, ps), label, anti)

@@ -9,7 +9,6 @@ give byte-identical output.
 from __future__ import annotations
 
 import itertools
-import json
 import os
 import tempfile
 from dataclasses import dataclass
@@ -42,7 +41,6 @@ __all__ = [
     "validation_section",
     "integrality_section",
     "encode_value",
-    "decode_value",
     "write_atomic",
 ]
 
@@ -145,22 +143,6 @@ def _key(k) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
 
 
-def decode_value(v):
-    """Inverse of encode_value for scalar leaves ("p/q" strings back to Fraction)."""
-    if isinstance(v, str):
-        try:
-            return Fraction(v)
-        except ValueError:
-            return v
-    if isinstance(v, dict) and set(v) == {"re", "im"}:
-        return complex(v["re"], v["im"])
-    if isinstance(v, list):
-        return [decode_value(x) for x in v]
-    if isinstance(v, dict):
-        return {k: decode_value(x) for k, x in v.items()}
-    return v
-
-
 @dataclass
 class AnalysisReport:
     """Nested-dict report with canonical JSON rendering."""
@@ -177,10 +159,6 @@ class AnalysisReport:
 
     def to_json(self) -> str:
         return canonical_json(self.data)
-
-    @classmethod
-    def from_json(cls, text: str) -> "AnalysisReport":
-        return cls(json.loads(text))
 
     def render_text(self) -> str:
         def fmt(v):
@@ -250,13 +228,7 @@ class AnalysisReport:
 
 def validation_section(val) -> dict:
     """The verdict and per-check rows of a ValidationReport."""
-    return {
-        "passed": val.passed,
-        "checks": [
-            {"name": c.name, "passed": c.passed, "residual": c.residual, "detail": c.detail}
-            for c in val.checks
-        ],
-    }
+    return {"passed": val.passed, "checks": [dict(vars(c)) for c in val.checks]}
 
 
 def integrality_section(integ) -> dict:
@@ -372,17 +344,7 @@ def analyze(rba: RBA, tol: ToleranceConfig = DEFAULT_TOL, force_float: bool = Fa
     if one_pair.passed:
         try:
             sym = symbol(rba, one_pair.chi, tol)
-            data["quaternion"] = {  # (a, beta), exact where they snapped, and the verdicts
-                "status": "computed",
-                "a": encode_value(sym.a_exact if sym.a_exact is not None else sym.a),
-                "beta": encode_value(sym.beta_exact if sym.beta_exact is not None else sym.beta),
-                "field_mode": sym.field_mode,
-                "verdict": sym.verdict,
-                "local_symbols": encode_value(sym.local_symbols) if sym.local_symbols else None,
-                "pair": list(sym.pair),
-                "y_label": sym.y_label,
-                "anticommute_residual": sym.anticommute_residual,
-            }
+            data["quaternion"] = {"status": "computed", **encode_value(vars(sym))}
             verdicts.append(sym.verdict != "division")
         except NumericalError as exc:
             data["quaternion"] = {"status": f"failed: {exc}"}
@@ -403,14 +365,9 @@ def analyze(rba: RBA, tol: ToleranceConfig = DEFAULT_TOL, force_float: bool = Fa
         two = two_adic_obstruction(rba, table)
         data["integrality"]["two_adic"] = {
             "verdict": two.verdict,
-            "rows": [
-                {
-                    "values": encode_value(list(r.values)),
-                    "relation_holds": r.relation_holds,
-                    "phi3_formula_value": encode_value(r.phi3_formula_value),
-                    "valuations": [encode_value(v if v != float("inf") else "inf") for v in r.valuations],
-                    "witness": r.witness,
-                }
+            "rows": [  # v_2(0) = inf is not a JSON number
+                {**encode_value(vars(r)),
+                 "valuations": [v if v != float("inf") else "inf" for v in r.valuations]}
                 for r in two.rows
             ],
         }

@@ -106,8 +106,8 @@ def test_criterion_2_main_theorem(fixture, xd_square, a_expected, request, capsy
                 abs(xd @ xd - xd_square * np.eye(2)).max() < 1e-8,
             ),
             ("x^2 = a e with a = -n delta_p m_chi",
-             sym.a_exact == closed_form == a_expected),
-            ("beta > 0", sym.beta_exact > 0),
+             sym.a == closed_form == a_expected),
+            ("beta > 0", sym.beta > 0),
             ("x y = -y x exactly", sym.anticommute_residual == 0.0),
             ("Q-split verdict (all Hilbert symbols +1)",
              sym.verdict == "split" and all(v == 1 for v in sym.local_symbols.values())),

@@ -124,6 +124,8 @@ def test_text_parse_errors(tmp_path):
         RBA.from_text("rank 1\nstar 0\nlambda 0 0 2 1\n")  # index out of range
     with pytest.raises(StructuralError):
         RBA.from_text("rank 1\nstar 0\nlambda 0 0 0 x\n")  # bad token
+    with pytest.raises(StructuralError, match=r"^line 1: 'rank x'$"):
+        RBA.from_text("rank x\nstar 0\n")              # rank not an integer
     path = tmp_path / "t.rba"
     path.write_text("rank 1\nstar 0\nlambda 0 0 0 1\n")
     assert RBA.from_file(path).rank == 1

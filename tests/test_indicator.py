@@ -1,10 +1,12 @@
 """Frobenius-Schur indicators, the real-count identity, classifications."""
 
+import numpy as np
 import pytest
 
 from rbakit.core import degree_map
-from rbakit.decomp import character_table
+from rbakit.decomp import Character, CharacterTable, character_table
 from rbakit.indicator import (
+    IndicatorReport,
     classify_one_pair,
     indicator_report,
     rank7_trichotomy,
@@ -141,8 +143,6 @@ def test_trichotomy_rank7_example(rank7_rba):
 
 
 def test_trichotomy_patterns():
-    from rbakit.indicator import IndicatorReport
-
     def fake(nu, s):
         return IndicatorReport(nu=nu, raw=[complex(v) for v in nu],
                                s_predicted=s, s_actual=s, pattern="")
@@ -156,3 +156,16 @@ def test_trichotomy_patterns():
         rank7_trichotomy(fake([1, -1, -1, 1], 1))  # inadmissible pattern
     with pytest.raises(ValueError):
         rank7_trichotomy(fake([1, 1, 1], 3))       # wrong character count
+
+
+@pytest.mark.parametrize("degrees, nu, reason", [
+    ([1, 1, 2, 2], [1, 1, 1, 1], "2 characters of degree > 1 (contract requires exactly 1)"),
+    ([1, 1, 3], [1, 1, 1], "large character has degree 3, not 2"),
+    ([1, 1, 2], [1, 1, -1], "indicator pattern [1, 1, -1] is not all +1"),
+])
+def test_classify_one_pair_refusals(s3_rba, degrees, nu, reason):
+    # no valid one-pair RBA reaches these reasons: stand-in records with S3's one pair
+    table = CharacterTable([Character(d, np.zeros(6, complex), 1.0) for d in degrees], 6)
+    report = IndicatorReport(nu=nu, raw=[complex(v) for v in nu], s_predicted=4, s_actual=4, pattern="")
+    verdict = classify_one_pair(s3_rba, table, report)
+    assert (verdict.passed, verdict.reason, verdict.chi) == (False, reason, None)

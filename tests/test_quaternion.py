@@ -1,6 +1,7 @@
 """Quaternions as 4x4 matrices, the symbol's generators, Hilbert symbols."""
 
 import dataclasses
+import itertools
 import json
 import math
 import re
@@ -19,6 +20,7 @@ from rbakit.decomp import (
     rep_residual,
     star_rep_extract,
 )
+from rbakit.ingest import from_scheme
 from rbakit.quaternion import RHO_STEPS, hilbert_places, hilbert_symbol, symbol
 from rbakit.integrality import RANK7_IMAGES, _quaternion
 from rbakit.report import analyze
@@ -142,26 +144,26 @@ def test_x_generator_s3(s3_rba):
     xd = rep[1] - rep[2]
     assert abs(xd @ xd + 3.0 * np.eye(2)).max() < 1e-8  # X(d)^2 = -3 I
     # x = m_chi d in the algebra: x^2 = a e with a = -n delta_p m_chi = -6*1*2
-    assert symbol(s3_rba, chi, TOL).a_exact == -dm.n * dm.values[1] * chi.multiplicity == -12
+    assert symbol(s3_rba, chi, TOL).a == -dm.n * dm.values[1] * chi.multiplicity == -12
 
 
 def test_x_generator_d8(d8_rba):
     dm, table, chi, rep = _deg2_rep(d8_rba)
     xd = rep[1] - rep[3]
     assert abs(xd @ xd + 4.0 * np.eye(2)).max() < 1e-8  # X(d)^2 = -4 I
-    assert symbol(d8_rba, chi, TOL).a_exact == -dm.n * dm.values[1] * chi.multiplicity == -16
+    assert symbol(d8_rba, chi, TOL).a == -dm.n * dm.values[1] * chi.multiplicity == -16
 
 
 def test_y_generator(s3_rba, d8_rba):
     # y = z - x z x / a from the first real z = e b_l that x does not commute with
-    for rba, label in ((s3_rba, "3"), (d8_rba, "4")):
+    for rba, label, a in ((s3_rba, "3", -12), (d8_rba, "4", -16)):
         sym = _symbol(rba)
-        assert sym.beta_exact == 4  # reflections have eigenvalues +-1
+        assert sym.beta == 4  # reflections have eigenvalues +-1
         assert sym.y_label == label
         assert sym.anticommute_residual == 0.0  # x y = -y x, checked exactly
-        # the float route computes the same generators within eps_residual
+        # the float route computes the same generators within eps_residual, and they snap
         sym = _symbol(RBA(rba.lam_float, rba.star))
-        assert abs(sym.beta - 4.0) < 1e-8 and abs(sym.a - sym.a_exact) < 1e-8
+        assert (sym.a, sym.beta) == (a, 4) and type(sym.a) is type(sym.beta) is Fraction
         assert sym.y_label == label and sym.anticommute_residual < 1e-8
         assert (sym.field_mode, sym.verdict) == ("real-numeric", "real-split-only")
 
@@ -217,8 +219,8 @@ def test_traceless_symmetric_anticommutes_antisymmetric():
 def test_symbol_split(fixture, a_expected, request):
     rba = request.getfixturevalue(fixture)
     sym = _symbol(rba)
-    assert sym.a_exact == a_expected
-    assert sym.beta_exact == 4
+    assert sym.a == a_expected
+    assert sym.beta == 4
     assert sym.beta > 0
     assert sym.field_mode == "rational"
     assert sym.verdict == "split"
@@ -265,6 +267,61 @@ def test_rank5_one_pair_algebra_is_split(seed, tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert (payload["field_mode"], payload["verdict"]) == ("rational", "split")
     assert (payload["a"], payload["beta"]) == (q["a"], q["beta"])
+
+
+def _orbital_scheme(h_gens):
+    """The 0/1 relations of S4 acting on the left cosets gH of H = <h_gens>: the
+    diagonal first, then each orbit of S4 on pairs of cosets, in order of its
+    first pair. Permutations are tuples, composed as (p q)(i) = p(q(i))."""
+    group = list(itertools.permutations(range(4)))
+
+    def compose(p, q):
+        return tuple(p[i] for i in q)
+
+    h = {tuple(range(4))}
+    while (grown := h | {compose(x, g) for x in h for g in h_gens}) != h:
+        h = grown
+    cosets = sorted({frozenset(compose(g, x) for x in h) for g in group}, key=sorted)
+    index = {c: i for i, c in enumerate(cosets)}
+    moves = [[index[frozenset(compose(g, x) for x in c)] for c in cosets] for g in group]
+    n = len(cosets)
+    colour = np.where(np.eye(n, dtype=bool), 0, -1)
+    for x, y in itertools.product(range(n), repeat=2):
+        if colour[x, y] < 0:
+            colour[[g[x] for g in moves], [g[y] for g in moves]] = colour.max() + 1
+    return np.stack([colour == k for k in range(colour.max() + 1)]).astype(np.uint8)
+
+
+@pytest.mark.parametrize("h_gens, valencies, degrees, a", [
+    ([(1, 0, 2, 3)], [1] * 2 + [2] * 5, [1, 1, 1, 2], -72),     # H = <(12)>
+    ([(1, 0, 3, 2)], [1] * 4 + [2] * 4, [1, 1, 1, 1, 2], -48),  # H = <(12)(34)>
+], ids=["H=(12)", "H=(12)(34)"])
+def test_theorem_on_s4_orbital_schemes(h_gens, valencies, degrees, a):
+    # the main theorem on natural non-thin, noncommutative RBAs: S4 on the 12
+    # cosets of a subgroup of order 2 has one nonreal pair of orbitals, and its
+    # degree-2 component splits over Q
+    rels = _orbital_scheme(h_gens)
+    assert rels.shape[1:] == (12, 12)
+    assert sorted(rels.sum(axis=2)[:, 0]) == valencies
+    d = analyze(from_scheme(rels), TOL).data
+    assert (d["meta"]["mode"], d["rba"]["rank"], d["rba"]["nonreal_pairs"]) == ("exact", len(valencies), 1)
+    assert d["character_table"]["degrees"] == degrees
+    q = d["quaternion"]
+    assert (q["status"], q["a"], q["beta"], q["verdict"]) == ("computed", str(a), "4", "split")
+    assert d["overall_pass"]
+
+
+def test_theorem_on_the_rank7_orbital_scheme_of_s4():
+    # H = <(12)>: a = -n delta_p m_chi = -12 * 2 * 3, and the rank-7 class is
+    # 5 (five *-fixed relations), as the indicators predict
+    d = analyze(from_scheme(_orbital_scheme([(1, 0, 2, 3)])), TOL).data
+    ct = d["character_table"]
+    assert (ct["degrees"], ct["multiplicities"]) == ([1, 1, 1, 2], ["1", "3", "2", "3"])
+    assert d["indicators"]["nu"] == [1, 1, 1, 1]
+    p, _ = d["quaternion"]["pair"]
+    n, delta_p, m_chi = (Fraction(x) for x in (d["rba"]["order"], d["rba"]["degrees"][p], ct["multiplicities"][3]))
+    assert n * delta_p * m_chi == -Fraction(d["quaternion"]["a"]) == 72
+    assert (d["classification"]["rank7_class"], d["classification"]["rank7_consistent"]) == (5, True)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """AnalysisReport serialization and the command-line interface."""
 
 import collections
+import dataclasses
 import enum
 import json
 import os
@@ -17,17 +18,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rbakit.cli import main
-from rbakit.core import RBA
+from rbakit.core import RBA, CheckResult
 from rbakit.fixtures import fixture_text, load_fixture
 from rbakit.ingest import from_group
-from rbakit.integrality import integral_check
+from rbakit.integrality import RowObstruction, integral_check
+from rbakit.quaternion import QuaternionSymbol
 from rbakit.report import (
-    AnalysisReport,
     analyze,
     canonical_json,
-    decode_value,
     encode_value,
     integrality_section,
+    write_atomic,
 )
 
 from conftest import (
@@ -50,9 +51,10 @@ def s3_report(s3_rba):
 def test_encode_decode_round_trip():
     values = [Fraction(52, 45), 1.5, -3, "text", complex(1, -2), [Fraction(1, 2), 0.25]]
     encoded = encode_value(values)
-    assert encoded[0] == "52/45"
-    assert decode_value(encoded)[0] == Fraction(52, 45)
-    assert decode_value(encoded)[4] == complex(1, -2)
+    assert encoded == ["52/45", 1.5, -3, "text", {"re": 1.0, "im": -2.0}, ["1/2", 0.25]]
+    text = canonical_json(values)
+    assert json.loads(text) == encoded
+    assert canonical_json(json.loads(text)) == text
 
 
 def test_analyze_s3(s3_report):
@@ -108,8 +110,7 @@ def test_analyze_invalid_rba():
 
 def test_json_round_trip_and_determinism(s3_rba, s3_report):
     text = s3_report.to_json()
-    again = AnalysisReport.from_json(text)
-    assert again.to_json() == text
+    assert canonical_json(json.loads(text)) == text
     # identical runs give byte-identical reports
     rerun = analyze(s3_rba, TOL)
     assert rerun.to_json() == text
@@ -228,6 +229,22 @@ def test_canonical_json_takes_subclasses_without_recursing():
         canonical_json({(1, 2): 1})
 
 
+def _fields(record) -> set:
+    return {f.name for f in dataclasses.fields(record)}
+
+
+@pytest.mark.parametrize("force_float", [False, True], ids=["exact", "float"])
+def test_sections_are_written_from_their_records(s3_rba, rank7_rba, force_float):
+    # the quaternion section, each validation check and each 2-adic row hold
+    # exactly their record's fields
+    d = analyze(s3_rba, TOL, force_float=force_float).data
+    assert d["meta"]["mode"] == ("float" if force_float else "exact")
+    assert set(d["quaternion"]) == _fields(QuaternionSymbol) | {"status"}
+    assert d["validation"]["checks"] and all(set(c) == _fields(CheckResult) for c in d["validation"]["checks"])
+    rows = analyze(rank7_rba, TOL, force_float=force_float).data["integrality"]["two_adic"]["rows"]
+    assert rows and all(set(r) == _fields(RowObstruction) for r in rows)
+
+
 def test_render_text(s3_report):
     out = s3_report.render_text()
     assert "overall: PASS" in out
@@ -239,15 +256,14 @@ def test_analyze_c3_complex_values(c3_rba):
     rep = analyze(c3_rba, TOL)
     assert rep.data["overall_pass"]
     text = rep.to_json()
-    assert AnalysisReport.from_json(text).to_json() == text
+    assert canonical_json(json.loads(text)) == text
     rows = rep.data["character_table"]["characters"]
     complex_entries = [
         v for row in rows for v in row["values"] if isinstance(v, dict)
     ]
-    assert complex_entries
-    decoded = decode_value(json.loads(text))
-    vals = decoded["character_table"]["characters"][1]["values"]
-    assert any(isinstance(v, complex) for v in vals)
+    assert complex_entries and all(v.keys() == {"re", "im"} for v in complex_entries)
+    vals = json.loads(text)["character_table"]["characters"][1]["values"]
+    assert any(isinstance(v, dict) for v in vals)
 
 
 def test_analyze_standardizes(s3_rba):
@@ -472,6 +488,37 @@ def test_cli_batch_directory_survives_a_bad_file(tmp_path, capsys):
     assert code == 2  # worst of the batch
     assert captured.out == s3_text
     assert captured.err == f"error: {tmp_path / 'bad.rba'}: missing or wrong-length 'star' line\n"
+
+
+def test_cli_batch_directory_with_exact_and_float_is_refused_once(tmp_path, capsys):
+    for name in ("a.rba", "b.rba"):
+        (tmp_path / name).write_text(fixture_text("rank7_h"))
+    assert main(["analyze", str(tmp_path), "--exact", "--float"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --exact and --float exclude each other\n"
+
+
+def test_cli_empty_directory_exits_2(tmp_path, capsys):
+    (tmp_path / "notes.txt").write_text("not an .rba file\n")
+    assert main(["analyze", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: no .rba files in {tmp_path}\n"
+
+
+def test_write_atomic_failed_rename_leaves_the_target_and_no_temp_file(tmp_path, monkeypatch):
+    target = tmp_path / "report.json"
+    target.write_text("old\n")
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="rename refused"):
+        write_atomic(str(target), "new\n")
+    assert target.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
 
 def test_cli_out_flag(tmp_path, capsys):
