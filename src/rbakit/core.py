@@ -10,9 +10,10 @@ or on (1, lam_float) with the float tolerances. Exact element arithmetic
 frame, _frame: lam = N / D and each rational operand
 x = X / E, in int64 while m^2 max(D, |N|) prod max(E, |X|)^2 < 2^62 (m the
 largest axis length), else in Python ints. Associativity, the one r^5 check,
-runs in float64 wherever that is exact (integer entries, r max|N|^2 < 2^52):
-as a sort-join over the nonzeros, read at the keys its products touch, when
-their count makes it cheaper, else as BLAS gemm; einsum runs elsewhere. The
+has two kernels: a float64 tensor runs as a sort-join over its nonzeros, read
+at the keys its products touch, when their count makes it cheaper, else as
+BLAS gemm; int64 or Python-int N runs as exact gemm in its own dtype, except
+that N with r max|N|^2 < 2^52 is cast to float64, where it is still exact. The
 degree map of an exact RBA in its standard basis is delta_i = lam[i,i*,0],
 proved by one integer product; any other is sought among the real all-positive
 eigenvectors of one random element, tested by one product with the tensor.
@@ -594,38 +595,35 @@ def _associativity(lam, d, eps_res) -> CheckResult:
     (D = 1 for a float tensor), over blocks of i so that memory stays at
     ASSOC_BLOCK entries (one i when r^3 is larger), not r^4.
 
-    When every entry is an integer and r * max|lam|^2 < 2^52, both sides are
-    integers below 2^52 in magnitude, so float64 computes them and their
-    difference exactly, in any summation order: the residual and the worst
-    quadruple are those of exact arithmetic. Such a tensor runs in the
-    sort-join over its nonzeros (_join_kernel) when its work count says the
-    join is cheaper, else in gemm. Any other tensor (Python-int N, larger
-    entries, decimals, NaN) runs in einsum, in the arithmetic of lam's dtype.
+    Two kernels: the sort-join over the nonzeros of a float64 tensor
+    (_join_kernel) when its work count says the join is cheaper, else gemm in
+    lam's own dtype (BLAS for float64, numpy's exact matmul for int64 and
+    Python-int N). Integer N with r * max|N|^2 < 2^52 is cast to float64
+    first: both sides are then integers below 2^52 in magnitude, so float64
+    computes them and their difference exactly, in any summation order, and
+    the residual and worst quadruple are those of exact arithmetic.
     """
     r = lam.shape[0]
-    top = float(abs(lam).max()) if lam.dtype != object else math.inf
-    exact = r * top * top < 2**52 and (lam.dtype.kind == "i" or bool((lam == np.trunc(lam)).all()))
-    terms = lam.astype(float, copy=False) if exact else lam
-    join = _join_kernel(terms) if exact else None
+    cast = lam.dtype.kind == "i" and r * float(abs(lam).max()) ** 2 < 2**52
+    terms = lam.astype(float) if cast else lam
+    join = _join_kernel(terms) if terms.dtype == float else None
     step = max(1, ASSOC_BLOCK // r**3)
     res_assoc, worst, keys = 0, None, None  # keys: the flat indices diff holds, if not all
     for i0 in range(0, r, step):
         block = terms[i0:i0 + step]
         if join is not None:
             keys, diff = join(i0, i0 + block.shape[0])
-        elif exact:
+        else:
             b = block.shape[0]
             left = block.reshape(b * r, r) @ terms.reshape(r, r * r)
             right = terms.reshape(r * r, r) @ block.transpose(1, 0, 2).reshape(r, b * r)
             diff = abs(left.reshape(b, r, r, r) - right.reshape(r, r, b, r).transpose(2, 0, 1, 3))
-        else:
-            diff = abs(np.einsum("ijm,mkl->ijkl", block, lam) - np.einsum("jkm,iml->ijkl", lam, block))
         res = diff.max(initial=0)
         if res > res_assoc or res != res:  # a NaN is kept, never passed over
             res_assoc = res  # the first worst quadruple: the smallest key at the maximum
             at = int(diff.argmax()) if keys is None else int(keys[diff == res].min())
             worst = np.unravel_index(at + i0 * r**3, (r, r, r, r))
-    if exact:  # _div then rounds N / D^2 as it does einsum's int64 residual
+    if cast:  # _div then rounds N / D^2 as it does an integer residual
         res_assoc = lam.dtype.type(res_assoc)
     detail = f"worst quadruple ({','.join(map(str, worst))})" if res_assoc > eps_res else ""
     return CheckResult("associativity", res_assoc <= eps_res, _div(res_assoc, d * d), detail)
@@ -639,8 +637,8 @@ def _expand(starts, counts):
 
 
 def _join_kernel(terms):
-    """The sort-join for associativity on the nonzeros of an integer-valued
-    float64 tensor, or None when gemm does less work.
+    """The sort-join for associativity on the nonzeros of a float64 tensor, or
+    None when gemm does less work.
 
     Left (i,j,k,l) pairs each nonzero (i,j,m) with the nonzeros (m,k,l) of
     first index m, right pairs each (i,m,l) with the nonzeros (j,k,m) of last
@@ -648,11 +646,12 @@ def _join_kernel(terms):
     index, that is T = c3 . (c1 + c2) products against gemm's 2 r^5
     multiply-adds; the join runs when JOIN_FACTOR * T < 2 r^5. The returned
     function maps a block [i0, i1) of i to the flat keys its products touch
-    and |left - right| at those keys, summed by np.bincount as exactly as gemm
-    sums them; every other entry of the block is 0.
+    and |left - right| at those keys, summed by np.bincount; every other entry
+    of the block is 0. On integer entries under _associativity's 2^52 bound
+    the sums are exact, as gemm's are; on others they round in their own order.
     """
     r = terms.shape[0]
-    if r * r <= JOIN_FACTOR:  # T >= 2 r^3 once a positive degree map exists; both kernels are exact
+    if r * r <= JOIN_FACTOR:  # T >= 2 r^3 once a positive degree map exists: gemm does less
         return None
     first, mid, last = np.nonzero(terms)  # ordered by first index
     c1, c2, c3 = (np.bincount(x, minlength=r) for x in (first, mid, last))
@@ -675,8 +674,8 @@ def _join_kernel(terms):
         a, b = by_last[a], b + lo
         key_right, w_right = first[b] * r**3 + ij[a] * r + last[b], value[a] * value[b]
         keys = np.concatenate([key_left, key_right]) - i0 * r**3
-        # each key sums at most r products per side, each below 2^52 / r in
-        # magnitude: every partial sum, in any order, is an integer below 2^53
+        # under the 2^52 bound each key sums at most r integer products per
+        # side, each below 2^52 / r: every partial sum, in any order, is exact
         full = np.bincount(keys, np.concatenate([w_left, -w_right]), minlength=(i1 - i0) * r**3)
         return keys, abs(full[keys])
 

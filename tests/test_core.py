@@ -4,6 +4,7 @@ import itertools
 import math
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -440,6 +441,31 @@ def _assoc_reference(rba):
     return float(res), detail if res > TOL.eps_residual else ""
 
 
+def _assert_within_rounding_of_exact(rba, assoc):
+    """A float tensor's residual and named quadruple against exact arithmetic on
+    the same float64 values: each is a dyadic rational, so |left - right| and
+    |left| + |right| (the magnitudes of the 2r products) at every quadruple are
+    Python-int numerators over D^2, D a power of two. Either kernel rounds each
+    product and sums at most 2r of them per quadruple (the join in one
+    bincount, gemm in two dot products and their difference), so a computed
+    difference is within gamma(2r) (|left| + |right|) of the exact one
+    (gamma(n) = n u / (1 - n u), u = 2^-53); bound is the largest such error.
+    The residual is then within bound of the exact maximum, and the named
+    quadruple's exact difference within 2 bound of it."""
+    lam = rba.lam_float
+    d, n = core.over_common_denominator(np.array([Fraction(x) for x in lam.flat], dtype=object).reshape(lam.shape))
+    left, right, left_abs, right_abs = (
+        np.einsum(spec, x, x) for x in (n, abs(n)) for spec in ("ijm,mkl->ijkl", "jkm,iml->ijkl"))
+    diff = abs(left - right)
+    u = Fraction(1, 2**53)
+    bound = 2 * rba.rank * u / (1 - 2 * rba.rank * u) * Fraction(int((left_abs + right_abs).max()), d * d)
+    top = Fraction(int(diff.max()), d * d)
+    assert abs(Fraction(assoc.residual) - top) <= bound
+    if assoc.detail:
+        quad = tuple(map(int, assoc.detail.removeprefix("worst quadruple (").removesuffix(")").split(",")))
+        assert top - Fraction(int(diff[quad]), d * d) <= 2 * bound
+
+
 def _perturbed(rba, entry, delta):
     lam = rba.lam.copy()
     lam[entry] += delta
@@ -448,7 +474,9 @@ def _perturbed(rba, entry, delta):
 
 def _assoc_cases():
     """Exact and float tensors on both sides of the bound r max|N|^2 < 2^52 under
-    which float64 gemm is exact, with and without a perturbed entry."""
+    which float64 gemm is exact, with and without a perturbed entry, each with
+    the flag `rounded`: a float tensor whose sums gemm rounds otherwise than
+    einsum does."""
     one = Fraction(1)
     s3, s4 = from_group(s3_table()), from_group(s4_table())
     h33 = np.array([[sum(a != b for a, b in zip(x, y)) for y in itertools.product(range(3), repeat=3)]
@@ -478,15 +506,19 @@ def _assoc_cases():
         "rank7_h perturbed": _perturbed(rank7, (3, 4, 0), 1e-6),
     }
     floats = {f"{name}, float": RBA(rba.lam_float, rba.star) for name, rba in cases.items() if rba.exact}
-    return [pytest.param(rba, id=name) for name, rba in {**cases, **floats}.items()]
+    rounded = {"random int64, r max|N|^2 near 2^61, float", "rank5 exact, int64 past 2^52, float"}
+    return [pytest.param(rba, name in rounded, id=name) for name, rba in {**cases, **floats}.items()]
 
 
 @pytest.mark.parametrize("block", [1, core.ASSOC_BLOCK])   # one i per block, and the default
-@pytest.mark.parametrize("rba", _assoc_cases())
-def test_validate_associativity_matches_einsum_reference(rba, block, monkeypatch):
+@pytest.mark.parametrize("rba, rounded", _assoc_cases())
+def test_validate_associativity_matches_einsum_reference(rba, rounded, block, monkeypatch):
     monkeypatch.setattr(core, "ASSOC_BLOCK", block)
     assoc = validate(rba, TOL)["associativity"]
-    assert (assoc.residual, assoc.detail) == _assoc_reference(rba)
+    if rounded:  # the reference is exact arithmetic, not einsum's summation order
+        _assert_within_rounding_of_exact(rba, assoc)
+    else:
+        assert (assoc.residual, assoc.detail) == _assoc_reference(rba)
 
 
 def _exact_assoc_reference(rba):
@@ -526,18 +558,40 @@ def _dense_scheme():
     return RBA(lam, np.arange(16))
 
 
+def _rescaled_float(rba, seed):
+    """rba over floats, its basis rescaled by seeded t_i = t_{i*} in [0.5, 2] (t_0 = 1)."""
+    t = np.random.default_rng(seed).uniform(0.5, 2, rba.rank)
+    t = t[np.minimum(np.arange(rba.rank), rba.star)]
+    t[0] = 1
+    return RBA(rba.lam_float * t[:, None, None] * t[None, :, None] / t[None, None, :], rba.star)
+
+
 @pytest.mark.parametrize("build, kernel", [
     (lambda: from_group(c_n_table(24)), "join"),
     (lambda: from_group(c_n_table(48)), "join"),
     (_dense_scheme, "gemm"),
-], ids=["C24", "C48", "H(3,3)xH(3,2)"])
-def test_associativity_kernel_matches_exact_reference(build, kernel):
+    (lambda: _rescaled_float(from_group(c_n_table(48)), 48), "join"),
+], ids=["C24", "C48", "H(3,3)xH(3,2)", "C48 rescaled, float"])
+def test_associativity_kernel_matches_exact_reference(build, kernel, monkeypatch):
     rba = build()
     r = rba.rank
     # the work count picks the kernel: the join for the sparse group tensors
     # (2 r^5 / T = r^2), gemm for the dense scheme tensor
     assert ("join" if core.JOIN_FACTOR * _join_work(rba.lam_float) < 2 * r**5 else "gemm") == kernel
     assert ("join" if core._join_kernel(rba.lam_float) is not None else "gemm") == kernel
+    if not rba.exact:
+        # decimal entries have no exact reference: the tensor passes, and with
+        # one entry bumped fails alike with one i per block and with the default
+        lam = rba.lam_float.copy()
+        lam[5, 7, 3] += 1
+        found = []
+        for block in (1, core.ASSOC_BLOCK):
+            monkeypatch.setattr(core, "ASSOC_BLOCK", block)
+            assert validate(rba, TOL)["associativity"].passed
+            assoc = validate(RBA(lam, rba.star), TOL)["associativity"]
+            found.append((assoc.passed, assoc.residual, assoc.detail))
+        assert found[0] == found[1] and not found[0][0]
+        return
     # two entries off the identity row and column, one of them a new nonzero
     lam = rba.lam_int[1].copy()
     lam[5, 7, 3] += 2
@@ -553,12 +607,14 @@ def test_associativity_kernel_matches_exact_reference(build, kernel):
 
 def test_validate_exact_s5_is_bounded():
     # the rank-120 group tensor has 120^2 nonzeros: the sort-join does ~2 r^3
-    # products where gemm does 2 r^5 multiply-adds
+    # products where gemm does 2 r^5 multiply-adds, on integer and on decimal entries
     rba = from_group(s_n_table(5))
-    start = time.process_time()
-    rep = validate(rba, TOL)
-    assert time.process_time() - start <= 3.0
-    assert rba.exact and rep.passed
+    for tensor, seconds in ((rba, 3.0), (_rescaled_float(rba, 120), 2.0)):
+        start = time.process_time()
+        rep = validate(tensor, TOL)
+        assert time.process_time() - start <= seconds
+        assert rep.passed
+    assert rba.exact
 
 
 def test_validate_associativity_nan_matches_einsum_reference():
@@ -755,6 +811,15 @@ def test_degree_map_exact_s5_is_bounded():
         seconds.append(time.process_time() - start)
     assert min(seconds) <= 0.25
     assert dm.exact and dm.n == 120 and set(dm.values) == {1}
+
+
+@pytest.mark.xfail(strict=True, reason="float degree map off by ~7e-10 relative: a = -16.000000034, 7 offenders")
+def test_rescaled_d8_517_is_analysed_as_d8():
+    # a relabelled D8 rescaled by t_i = t_{i*} in [0.5, 2], written by the
+    # rank7_screen workload (seed 901, pass 4, input d8#517)
+    report = analyze(RBA.from_file(Path(__file__).parent / "regress" / "d8_517.rba"), TOL).data
+    assert report["overall_pass"]
+    assert report["quaternion"]["a"] == -16
 
 
 # ---------------------------------------------------------------------------
