@@ -6,22 +6,21 @@ and a mode flag. An exact RBA is stored as its integer view lam = N / D
 (``lam_int``), a float one as ``lam_float``; every RBA also keeps ``lam_float``.
 The axiom checks and the integrality test run on (D, N) with zero tolerances,
 or on (1, lam_float) with the float tolerances. Exact element arithmetic
-(RBA.mul, degree map, standardize, rep_residual, symbol) has one integer
-frame, _frame: lam = N / D and each rational operand
-x = X / E, in int64 while m^2 max(D, |N|) prod max(E, |X|)^2 < 2^62 (m the
-largest axis length), else in Python ints. Associativity, the one r^5 check,
-has two kernels: a float64 tensor runs as a sort-join over its nonzeros, read
-at the keys its products touch, when their count makes it cheaper, else as
-BLAS gemm; int64 or Python-int N runs as exact gemm in its own dtype, except
-that N with r max|N|^2 < 2^52 is cast to float64, where it is still exact. The
-degree map of an exact RBA in its standard basis is delta_i = lam[i,i*,0],
-proved by one integer product; any other is sought among the real all-positive
-eigenvectors of one random element, tested by one product with the tensor.
-Well-formed text is read a column at a time, other text line by line.
-Eigen-computations run in doubles; exact mode changes how identities are
-checked and how derived values are snapped back. One tolerance,
-ToleranceConfig.eps_residual, sets the residual bound, the is-zero cut and the
-cluster gap; bounds on the tensor are relative to ``RBA.scale`` = max(1, max|lam|).
+(RBA.mul, standardize, rep_residual, symbol) has one integer frame, _frame:
+lam = N / D and each rational operand x = X / E, in int64 while m^2 max(D, |N|)
+prod max(E, |X|)^2 < 2^62 (m the largest axis length), else in Python ints.
+Associativity, the one r^5 check, has two kernels: a float64 tensor runs as a
+sort-join over its nonzeros, read at the keys its products touch, when their
+count makes it cheaper, else as BLAS gemm; int64 or Python-int N runs as exact
+gemm in its own dtype, except that N with r max|N|^2 < 2^52 is cast to float64,
+where it is still exact. An exact RBA's degree map c / D is proved by one
+integer product, N c = c c^T, for c = N[i,i*,0] (a standard basis) or the
+Newton-refined round(D v) of the real all-positive eigenvector v of one random
+element; no tolerance decides it. Well-formed text is read a column at a time,
+other text line by line. Eigen-computations run in doubles; exact mode checks
+identities exactly and snaps derived values back. One tolerance,
+ToleranceConfig.eps_residual, sets the float residual bound, the is-zero cut and
+the cluster gap; bounds on the tensor are relative to ``RBA.scale`` = max(1, max|lam|).
 """
 
 from __future__ import annotations
@@ -689,23 +688,18 @@ def _join_kernel(terms):
 def degree_map(rba: RBA, tol: ToleranceConfig = DEFAULT_TOL) -> DegreeMap:
     """The unique all-positive one-dimensional representation, plus the order n.
 
-    An exact RBA in its standard basis has delta_i = lam[i,i*,0]: c_i = N[i,i*,0]
-    all positive and N c = c c^T prove it in integers, with no eig and no random
-    draw; that no other positive one exists rests on the axioms, which analyze
-    validates first. Otherwise a one-dimensional representation (v_0 = 1) is a
-    common eigenvector of the transposed left regular matrices: a column of the
-    eigenvectors of a seeded random combination of them. The real all-positive
-    columns are tested together by one matrix product; the search reseeds until
-    one passes, and an exact input's values are then snapped and checked exactly.
+    An exact RBA's degrees are proved in integers (_proved), first c_i = N[i,i*,0]
+    (a standard basis) with no eig and no random draw; that no other positive one
+    exists rests on the axioms, which analyze validates first. Otherwise a degree
+    map (v_0 = 1) is a common eigenvector of the transposed left regular matrices:
+    a column of the eigenvectors of a seeded random combination of them, tested with
+    the other real all-positive columns by one product, reseeding until one passes.
+    An exact input then proves round(D v), refined; irrational degrees stay floats.
     """
     r = rba.rank
-    if rba.exact:  # N c < r max(D, |N|)^2: within int64 wherever _store keeps N int64
-        d, n = rba.lam_int
-        c = n[np.arange(r), rba.star, 0]
-        if c.min() > 0 and np.array_equal(n.reshape(r * r, r) @ c, np.outer(c, c).ravel()):
-            return DegreeMap(_FRACTIONS(c.astype(object), d), exact=True)
-    lam = rba.lam_float
-    scale = rba.scale
+    if rba.exact and (dm := _proved(rba, rba.lam_int[1][np.arange(r), rba.star, 0])):
+        return dm
+    lam, scale = rba.lam_float, rba.scale
     for attempt in range(8):
         c = tol.rng(attempt).uniform(-1.0, 1.0, r)
         _, vecs = np.linalg.eig(np.einsum("i,ijk->jk", c, lam))  # (Mw)_j = sum_k c.lam[.,j,k] w_k
@@ -723,17 +717,33 @@ def degree_map(rba: RBA, tol: ToleranceConfig = DEFAULT_TOL) -> DegreeMap:
     if not positive:
         raise NumericalError("no positive degree map")
     if len(positive) > 1:
-        raise NumericalError(
-            f"{len(positive)} all-positive one-dimensional representations found; "
-            "input is not a valid RBA"
-        )
-    vals = positive[0]
-    if rba.exact:  # sum_k lam[i,j,k] v_k = v_i v_j, times D E^2, for v = V / E once every value snaps
-        snapped = np.array(snap_value(vals, tol.eps_zero), dtype=object)
-        d, lam, ((e, v),) = _frame(rba, snapped)  # a float is not rational: the float frame
-        if lam is not rba.lam_float and np.array_equal(e * np.einsum("ijk,k->ij", lam, v), d * np.outer(v, v)):
-            return DegreeMap(snapped, exact=True)
-    return DegreeMap(vals, exact=False)
+        raise NumericalError(f"{len(positive)} all-positive one-dimensional representations found; "
+                             "input is not a valid RBA")
+    return rba.exact and _proved(rba, positive[0]) or DegreeMap(positive[0], exact=False)
+
+
+def _proved(rba: RBA, c):
+    """The degree map c / D of lam = N / D when c > 0 and N c = c c^T prove it, else None:
+    in int64 while r max(D, |N|, |c|)^2 < 2^62, else in Python ints. Float degrees v give
+    c = round(D v), then Newton on c_i^2 = sum_k N[i,i*,k] c_k until its residual R, exact, is
+    0. A float64 solve of (lam[i,i*,k] - 2 diag(c / D)) s = -R / D, which only has to round
+    right, gains 53 bits a step, so 8 + bits(D) / 53 steps suffice; a singular or inf one stops."""
+    (d, n), r, i = rba.lam_int, rba.rank, np.arange(rba.rank)
+    steps = 8 + d.bit_length() // 53 if c.dtype == float else 0
+    c = np.array([round(Fraction(x) * d) for x in c], object) if steps else c
+    for _ in range(steps):
+        if not (res := n[i, rba.star].astype(object) @ c - c * c).any():
+            break
+        try:
+            jac = rba.lam_float[i, rba.star] - 2 * np.diag([x / d for x in c])
+            c = c + np.array([round(x) for x in np.linalg.solve(jac, [-x / d for x in res])], object)
+        except (np.linalg.LinAlgError, OverflowError, ValueError):
+            break
+    big = max(rba._magnitude, *map(abs, c.tolist()))
+    n, x = (rba._lam_int64, c.astype(np.int64)) if r * big * big < 2**62 else (n.astype(object), c.astype(object))
+    if x.min() > 0 and np.array_equal(n.reshape(r * r, r) @ x, np.outer(x, x).ravel()):
+        return DegreeMap(_FRACTIONS(c.astype(object), d), exact=True)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -743,9 +753,9 @@ def degree_map(rba: RBA, tol: ToleranceConfig = DEFAULT_TOL) -> DegreeMap:
 def standardize(rba: RBA, dm: DegreeMap) -> RBA:
     """Rescale the basis so the b_0-coefficient of b_i b_i* equals the degree of b_i.
 
-    b_i' = t_i b_i with t_i = delta_i / lam[i,i*,0]; idempotent. With exact
-    degrees an exact RBA is rescaled in _frame's integers: for t = X / E and
-    1 / t = Y / F, lam' = N X_i X_j Y_k / (D E^2 F).
+    b_i' = t_i b_i with t_i = delta_i / lam[i,i*,0]; idempotent. With exact degrees
+    an exact RBA comes back as itself when every t_i = 1, else is rescaled in _frame's
+    integers: for t = X / E and 1 / t = Y / F, lam' = N X_i X_j Y_k / (D E^2 F).
     """
     r = rba.rank
     star = rba.star
@@ -757,6 +767,8 @@ def standardize(rba: RBA, dm: DegreeMap) -> RBA:
     if not exact:
         t = dm.values_float / diag
         return RBA(lam * t[:, None, None] * t[None, :, None] / t[None, None, :], star)
+    if all(v * d == x for v, x in zip(dm.values, diag.tolist())):  # every group and scheme RBA
+        return rba
     t = np.array([v * d / x for v, x in zip(dm.values, diag.tolist())], dtype=object)
     d, n, ((e, x), (f, y)) = _frame(rba, t, 1 / t)
     return RBA._from_numerators(d * e * e * f, n * x[:, None, None] * x[None, :, None] * y, star)
@@ -765,17 +777,14 @@ def standardize(rba: RBA, dm: DegreeMap) -> RBA:
 def to_standard_basis(rba: RBA, dm: DegreeMap, tol: ToleranceConfig = DEFAULT_TOL):
     """(rba', dm', was_standard): the RBA in the standard basis and its degree map.
 
-    An input within tol.eps_residual of its rescaling, relative to its largest
-    entry when that is above 1, counts as already standard and comes back
-    unchanged, with the dm it came with; an exact one with exact degrees
-    delta_i = lam[i,i*,0] (every group and scheme RBA) is not rescaled at all.
+    An exact input with exact degrees is standard when delta_i = lam[i,i*,0] for every
+    i (every group and scheme RBA), and then standardize hands it back unchanged. A
+    float input within tol.eps_residual of its rescaling, relative to its largest
+    entry when that is above 1, counts as standard too; exact input has no tolerance.
     """
-    if rba.exact and dm.exact:
-        d, lam = rba.lam_int
-        if all(x * d == y for x, y in zip(dm.values, lam[np.arange(rba.rank), rba.star, 0].tolist())):
-            return rba, dm, True
     standard = standardize(rba, dm)
-    if float(abs(standard.lam_float - rba.lam_float).max()) <= tol.eps_residual * rba.scale:
+    if standard is rba or not rba.exact and float(
+            abs(standard.lam_float - rba.lam_float).max()) <= tol.eps_residual * rba.scale:
         return rba, dm, True
     return standard, degree_map(standard, tol), False
 

@@ -304,13 +304,12 @@ def analyze(rba: RBA, tol: ToleranceConfig = DEFAULT_TOL, force_float: bool = Fa
         return AnalysisReport(data)
 
     dm = degree_map(rba, tol)
-    if dm.exact:
-        degrees, order = list(dm.values), dm.n
-    else:
-        *degrees, order = snap_value(np.append(dm.values_float, dm.n_float), tol.eps_zero)
+    *degrees, order = [*dm.values, dm.n] if dm.exact else snap_value(
+        np.append(dm.values_float, dm.n_float), tol.eps_zero)
     data["rba"]["order"], data["rba"]["degrees"] = encode_value(order), encode_value(degrees)
 
     rba, dm, was_standard = to_standard_basis(rba, dm, tol)
+    data["meta"]["mode"] = "exact" if rba.exact else "float"  # exact input with unproved degrees runs in floats
     data["rba"]["standard_basis"] = was_standard
 
     gram_matrix(rba, dm)  # raises if the trace form degenerates

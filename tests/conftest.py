@@ -63,6 +63,15 @@ def c_n_table(n):
     return np.array([[(i + j) % n for j in range(n)] for i in range(n)])
 
 
+def dihedral_table(n):
+    """D_n of order 2n; element t*n + k is s^t r^k."""
+    def mul(a, b):
+        (ta, ka), (tb, kb) = divmod(a, n), divmod(b, n)
+        return ((ta + tb) % 2) * n + ((-ka if tb else ka) + kb) % n
+
+    return np.array([[mul(a, b) for b in range(2 * n)] for a in range(2 * n)])
+
+
 def relations(color):
     """The 0/1 relation matrices of a colouring, one per colour."""
     arr = np.array(color)

@@ -35,6 +35,7 @@ from conftest import (
     TOL,
     c_n_table,
     d8_table,
+    dihedral_table,
     hamming,
     johnson,
     overflow_rba_text,
@@ -782,6 +783,47 @@ def test_exact_degree_map_of_a_rescaled_pair(s3_rba, monkeypatch):
     assert np.array_equal(std.lam, s3_rba.lam)
 
 
+def _rescaled_by_fractions(table, seed, bound=1000):
+    """The group RBA of table with b_i' = t_i b_i, t_i = t_{i*} = p/q for seeded
+    p, q < bound, and t, its degree map."""
+    rba, rng = from_group(table), np.random.default_rng(seed)
+    t = [Fraction(1)] * rba.rank
+    for i in range(1, rba.rank):
+        if i <= rba.star[i]:
+            t[i] = t[rba.star[i]] = Fraction(int(rng.integers(1, bound)), int(rng.integers(1, bound)))
+    return rescale(rba, t), t
+
+
+@pytest.mark.parametrize("build", [
+    lambda: _rescaled_by_fractions(s4_table(), 0),
+    lambda: _rescaled_by_fractions(s4_table(), 1),
+    lambda: _rescaled_by_fractions(dihedral_table(12), 0),
+    lambda: _rescaled_by_fractions(dihedral_table(12), 3),
+    lambda: _rescaled_by_fractions(s4_table(), 0, 10**6),
+], ids=["S4 p/q seed 0", "S4 p/q seed 1", "D24 p/q seed 0", "D24 p/q seed 3", "S4 p/q < 10^6"])
+def test_exact_degree_map_of_a_rescaled_basis(build, monkeypatch):
+    # D up to ~10^99 (10^221 for p, q < 10^6, which takes 14 Newton steps):
+    # c = round(D v) from the float eigenvector is refined by Newton and proved
+    # by N c = c c^T, with no snapping and no _frame (S3 scaled by 1 + 10^-k:
+    # test_quaternion.py::test_symbol_off_standard_by_1e_k)
+    rba, degrees = build()
+    monkeypatch.setattr(core, "snap_value", _refuse)
+    monkeypatch.setattr(core, "_frame", _refuse)
+    dm = degree_map(rba, TOL)
+    assert dm.exact and list(dm.values) == degrees
+
+
+def test_exact_input_with_an_irrational_degree_runs_in_floats():
+    # b_1^2 = b_0 + b_1: delta_1 = (1 + sqrt 5) / 2 fails the integer proof, so
+    # the degrees stay floats and the report says the analysis ran in floats
+    lam = np.zeros((2, 2, 2), dtype=np.int64)
+    lam[0, 0, 0] = lam[0, 1, 1] = lam[1, 0, 1] = lam[1, 1, 0] = lam[1, 1, 1] = 1
+    rba = RBA(lam, [0, 1])
+    dm = degree_map(rba, TOL)
+    assert not dm.exact and abs(dm.values - [1, (1 + math.sqrt(5)) / 2]).max() < 1e-12
+    assert analyze(rba, TOL).data["meta"]["mode"] == "float"
+
+
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)
 @given(st.data())
 def test_degree_map_relabelled_and_rescaled(data):
@@ -798,6 +840,24 @@ def test_degree_map_relabelled_and_rescaled(data):
     got = degree_map(RBA(lam, star), TOL)
     assert not got.exact
     assert abs(got.values / expected - 1).max() <= 1e-10
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(st.data())
+def test_exact_degree_map_relabelled_and_rescaled(data):
+    # the same with t_a = p/q: the degrees are proved, and are t_a delta_{p[a]} exactly
+    rba = load_fixture(data.draw(st.sampled_from(["s3", "d8"])))
+    r = rba.rank
+    p = np.array([0] + data.draw(st.permutations(range(1, r))))
+    star = np.argsort(p)[rba.star[p]]
+    ratio = st.builds(Fraction, st.integers(1, 999), st.integers(1, 999))
+    draws = data.draw(st.lists(ratio, min_size=r, max_size=r))
+    t = np.array([Fraction(1)] + [draws[min(a, star[a])] for a in range(1, r)], dtype=object)
+    lam = rba.lam[np.ix_(p, p, p)] * t[:, None, None] * t[None, :, None] / t[None, None, :]
+    expected = t * degree_map(rba, TOL).values[p]
+    got = degree_map(RBA(lam, star), TOL)
+    assert got.exact
+    assert list(got.values) == list(expected)
 
 
 def test_degree_map_exact_s5_is_bounded():
@@ -893,12 +953,17 @@ def test_to_standard_basis(s3_rba):
 def test_to_standard_basis_tolerance_is_relative(dtype):
     # K_201 as a rank-2 scheme: lam[1,1,0] = 200, already standard. A float
     # degree map off by 1e-10 relative moves the rescaled entries by ~4e-8,
-    # which is noise at this scale, not a change of basis.
+    # which is noise at this scale, not a change of basis. Exact input has no
+    # tolerance: its degrees are proved, and they make it standard.
     lam = np.zeros((2, 2, 2), dtype=dtype)
     lam[0, 0, 0] = lam[0, 1, 1] = lam[1, 0, 1] = 1
     lam[1, 1] = [200, 199]
     rba = RBA(lam, [0, 1])
-    dm = DegreeMap(np.array([1.0, 200 * (1 + 1e-10)]), exact=False)
+    if rba.exact:
+        dm = degree_map(rba, TOL)
+        assert dm.exact and list(dm.values) == [1, 200]
+    else:
+        dm = DegreeMap(np.array([1.0, 200 * (1 + 1e-10)]), exact=False)
     assert to_standard_basis(rba, dm, TOL) == (rba, dm, True)
 
 

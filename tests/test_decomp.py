@@ -36,6 +36,7 @@ from conftest import (
     S3_CLASSICAL,
     TOL,
     c_n_table,
+    dihedral_table,
     hamming,
     rank5_split_rba,
     relations,
@@ -264,17 +265,8 @@ def _float_group(table):
     return RBA(lam, np.argmin(table, axis=1))
 
 
-def _dihedral_table(n):
-    """D_n of order 2n; element t*n + k is s^t r^k."""
-    def mul(a, b):
-        (ta, ka), (tb, kb) = divmod(a, n), divmod(b, n)
-        return ((ta + tb) % 2) * n + ((-ka if tb else ka) + kb) % n
-
-    return np.array([[mul(a, b) for b in range(2 * n)] for a in range(2 * n)])
-
-
 FLOAT_LADDER = [("C", n, c_n_table(n)) for n in (12, 16, 24, 32, 48, 64)] + [
-    ("D", n, _dihedral_table(n)) for n in (7, 9, 12, 14, 16, 18, 20, 24, 32)
+    ("D", n, dihedral_table(n)) for n in (7, 9, 12, 14, 16, 18, 20, 24, 32)
 ]
 LADDER_IDS = [f"{f}{n}" for f, n, _ in FLOAT_LADDER]
 

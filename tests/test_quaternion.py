@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rbakit import quaternion
+from rbakit import core, quaternion
 from rbakit.cli import main
 from rbakit.core import RBA, NumericalError, degree_map
 from rbakit.decomp import (
@@ -386,25 +386,21 @@ def test_hilbert_places_large_primes():
     assert time.process_time() - start < 5.0
 
 
-def test_symbol_off_standard_by_1e_10(s3_rba):
-    # the pair scaled by 1 + 10^-10 stays within eps_residual of standard, so
-    # the symbol's a has a 61-digit numerator with the factor 2723957777^2
-    s = 1 + Fraction(1, 10**10)
+@pytest.mark.parametrize("k", range(1, 31))
+def test_symbol_off_standard_by_1e_k(s3_rba, k, monkeypatch):
+    # the pair scaled by 1 + 10^-k is an exact S3 in a basis that is not standard:
+    # its degrees are proved in integers, not snapped (snap_value is never called),
+    # and the symbol is S3's at every k
+    s = 1 + Fraction(1, 10**k)
+    rba = rescale(s3_rba, [1, s, s, 1, 1, 1])
+    monkeypatch.setattr(core, "snap_value", lambda *args: pytest.fail("snap_value called"))
     start = time.process_time()
-    quaternion = analyze(rescale(s3_rba, [1, s, s, 1, 1, 1]), TOL).data["quaternion"]
-    assert (quaternion["verdict"], quaternion["field_mode"]) == ("split", "rational")
-    assert quaternion["local_symbols"]["2723957777"] == 1
-    assert time.process_time() - start < 5.0
-
-
-def test_symbol_off_standard_by_1e_9_is_refused_within_the_rho_budget(s3_rba):
-    # a's cofactor is a product of two primes that RHO_STEPS cannot separate
-    s = 1 + Fraction(1, 10**9)
-    start = time.process_time()
-    quaternion = analyze(rescale(s3_rba, [1, s, s, 1, 1, 1]), TOL).data["quaternion"]
-    assert quaternion["status"].startswith("failed: no factor of a ")
-    assert quaternion["status"].endswith(f"-digit cofactor in {RHO_STEPS} rho steps")
-    assert time.process_time() - start < 10.0
+    d = analyze(rba, TOL).data
+    assert time.process_time() - start <= 0.05
+    assert (d["meta"]["mode"], d["rba"]["standard_basis"], d["overall_pass"]) == ("exact", False, True)
+    assert d["rba"]["degrees"] == ["1", str(s), str(s), "1", "1", "1"]
+    quaternion = d["quaternion"]
+    assert (quaternion["field_mode"], quaternion["verdict"], quaternion["a"]) == ("rational", "split", "-12")
 
 
 def test_factoring_spends_one_rho_budget_over_all_its_cofactors(monkeypatch):
