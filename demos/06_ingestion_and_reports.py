@@ -2,7 +2,8 @@
 
 A group Cayley table and the relation matrices of its regular action
 produce the same RBA. The analyze() pipeline bundles every check into one
-canonical-JSON report (sorted keys, exact rationals as "p/q" strings).
+canonical-JSON report: one line with sorted keys and no whitespace, exact
+rationals as "p/q" strings, written by one call of json's C encoder.
 """
 
 import json

@@ -727,16 +727,18 @@ def _proved(rba: RBA, c):
     in int64 while r max(D, |N|, |c|)^2 < 2^62, else in Python ints. Float degrees v give
     c = round(D v), then Newton on c_i^2 = sum_k N[i,i*,k] c_k until its residual R, exact, is
     0. A float64 solve of (lam[i,i*,k] - 2 diag(c / D)) s = -R / D, which only has to round
-    right, gains 53 bits a step, so 8 + bits(D) / 53 steps suffice; a singular or inf one stops."""
+    right, gains 53 bits a step, so 8 + bits(D) / 53 steps suffice; a singular or inf one stops.
+    R / D past 2^64 is solved as R / (2^e D) and the step shifted by e, so D need not fit a float."""
     (d, n), r, i = rba.lam_int, rba.rank, np.arange(rba.rank)
     steps = 8 + d.bit_length() // 53 if c.dtype == float else 0
     c = np.array([round(Fraction(x) * d) for x in c], object) if steps else c
     for _ in range(steps):
         if not (res := n[i, rba.star].astype(object) @ c - c * c).any():
             break
+        e = max(0, max(map(abs, res.tolist())).bit_length() - d.bit_length() - 64)
         try:
             jac = rba.lam_float[i, rba.star] - 2 * np.diag([x / d for x in c])
-            c = c + np.array([round(x) for x in np.linalg.solve(jac, [-x / d for x in res])], object)
+            c = c + np.array([round(x) << e for x in np.linalg.solve(jac, [-x / (d << e) for x in res])], object)
         except (np.linalg.LinAlgError, OverflowError, ValueError):
             break
     big = max(rba._magnitude, *map(abs, c.tolist()))

@@ -1,19 +1,19 @@
 """Orchestration of the full analysis pipeline and machine-readable reports.
 
-Reports serialize to canonical JSON: sorted keys, exact rationals as "p/q"
-strings, floats as plain JSON numbers (shortest round-trip form), complex
-values as {"im": ..., "re": ...}. Identical inputs, seed and tolerances
-give byte-identical output.
+Reports serialize to canonical JSON: one line with sorted keys and no
+whitespace, then a newline, written by one call of json's C encoder. Exact
+rationals are "p/q" strings, floats plain JSON numbers (shortest round-trip
+form), complex values {"im": ..., "re": ...}; nan and inf raise ValueError.
+Identical inputs, seed and tolerances give byte-identical output.
 """
 
 from __future__ import annotations
 
-import itertools
+import json
 import os
 import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
-from json.encoder import c_make_encoder, encode_basestring_ascii
 
 import numpy as np
 
@@ -73,74 +73,9 @@ def encode_value(v):
 
 
 def canonical_json(obj) -> str:
-    """Sorted, indented JSON, with encode_value for every leaf json cannot encode;
-    nan and inf raise ValueError. The bytes are json.dumps(obj, default=encode_value,
-    sort_keys=True, indent=2, allow_nan=False) + "\\n", whose pure-Python encoder
-    yields a piece per item. Here json's C encoder writes each list or dict of
-    scalars, and each list of scalars and complexes {"im": .., "re": ..} (a
-    character's values), in one call, and string replacements indent it; a nan or
-    inf is found again item by item, in json's order."""
-    return _encode(obj, "\n") + "\n"
-
-
-def _float(x) -> str:
-    text = float.__repr__(x)
-    if "n" in text:  # nan, inf, -inf
-        raise ValueError("Out of range float values are not JSON compliant: " + repr(x))
-    return text
-
-
-# the text of a scalar of exactly these types; a subclass is tested in json's order
-_TEXT = {str: encode_basestring_ascii, int: int.__repr__, float: _float,
-         bool: {True: "true", False: "false"}.__getitem__, type(None): lambda _: "null"}
-_SCALARS = frozenset(_TEXT)
-_FLAT = _SCALARS | {dict}
-_COMPLEX = frozenset(("im", "re"))  # the keys of encode_value's complex
-# json's C encoder, keys sorted and items separated by \x00, which no string holds
-_compact = c_make_encoder(None, None, encode_basestring_ascii, None, ": ", "\x00", True, False, False)
-
-
-def _encode(o, newline: str) -> str:
-    """The JSON text of o, whose nested lines start with newline plus two spaces."""
-    text = _TEXT.get(type(o))
-    if text is not None:
-        return text(o)
-    kind, inner = type(o), newline + "  "
-    if (kind is dict or kind is list or kind is tuple) and o and _SCALARS.issuperset(
-            map(type, o.values() if kind is dict else o)):  # one item a line
-        try:
-            text = "".join(_compact(o, 0))
-            return text[0] + inner + text[1:-1].replace("\x00", "," + inner) + newline + text[-1]
-        except ValueError:  # a nan or inf: raised below
-            pass
-    elif (kind is list or kind is tuple) and dict in (kinds := set(map(type, o))) and kinds <= _FLAT and all(
-            x.keys() == _COMPLEX and _SCALARS.issuperset(map(type, x.values())) for x in o if type(x) is dict):
-        try:  # a character's values; no string holds \x00: \x00"re": is within a complex, \x00{ opens one
-            text, deeper = "\x00" + "".join(_compact(o, 0))[1:-1] + "\x00", inner + "  "
-            text = text.replace('\x00"re": ', "," + deeper + '"re": ')
-            text = text.replace("\x00{", "\x00{" + deeper).replace("}\x00", inner + "}\x00")
-            return "[" + inner + text[1:-1].replace("\x00", "," + inner) + newline + "]"
-        except ValueError:
-            pass
-    for base in (str, int, float):
-        if isinstance(o, base):
-            return _TEXT[base](o)
-    if isinstance(o, (list, tuple)):
-        items = map(_encode, o, itertools.repeat(inner))
-    elif isinstance(o, dict):
-        items = [encode_basestring_ascii(k if isinstance(k, str) else _key(k)) + ": " + _encode(v, inner)
-                 for k, v in sorted(o.items())]
-    else:
-        return _encode(encode_value(o), newline)
-    brackets = "{}" if isinstance(o, dict) else "[]"
-    return brackets[0] + inner + ("," + inner).join(items) + newline + brackets[1] if o else brackets
-
-
-def _key(k) -> str:
-    """json's text for a dict key that is not a str."""
-    if isinstance(k, (float, int)) or k is None:  # bool is an int
-        return _encode(k, "")
-    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
+    """Sorted, compact JSON on one line, then "\\n", with encode_value for every leaf
+    json cannot encode; nan and inf raise ValueError. One call of json's C encoder."""
+    return json.dumps(obj, default=encode_value, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
 
 @dataclass

@@ -800,9 +800,11 @@ def _rescaled_by_fractions(table, seed, bound=1000):
     lambda: _rescaled_by_fractions(dihedral_table(12), 0),
     lambda: _rescaled_by_fractions(dihedral_table(12), 3),
     lambda: _rescaled_by_fractions(s4_table(), 0, 10**6),
-], ids=["S4 p/q seed 0", "S4 p/q seed 1", "D24 p/q seed 0", "D24 p/q seed 3", "S4 p/q < 10^6"])
+    lambda: _rescaled_by_fractions(s4_table(), 0, 10**12),
+], ids=["S4 p/q seed 0", "S4 p/q seed 1", "D24 p/q seed 0", "D24 p/q seed 3", "S4 p/q < 10^6", "S4 p/q < 10^12"])
 def test_exact_degree_map_of_a_rescaled_basis(build, monkeypatch):
-    # D up to ~10^99 (10^221 for p, q < 10^6, which takes 14 Newton steps):
+    # D up to ~10^99 (10^221 for p, q < 10^6, which takes 14 Newton steps; 10^521
+    # for p, q < 10^12, where R / D is past the float range and is scaled by 2^-e):
     # c = round(D v) from the float eigenvector is refined by Newton and proved
     # by N c = c c^T, with no snapping and no _frame (S3 scaled by 1 + 10^-k:
     # test_quaternion.py::test_symbol_off_standard_by_1e_k)

@@ -120,33 +120,27 @@ def test_json_round_trip_and_determinism(s3_rba, s3_report):
 
 
 # ---------------------------------------------------------------------------
-# canonical JSON: the bytes of json.dumps
+# canonical JSON: sorted keys, no whitespace, one line
 # ---------------------------------------------------------------------------
 
 GOLDEN = Path(__file__).parent / "golden"
 
 
-def _dumps(obj):
-    return json.dumps(obj, default=encode_value, sort_keys=True, indent=2, allow_nan=False) + "\n"
-
-
-def _outcome(write, obj):
-    try:
-        return write(obj)
-    except Exception as exc:  # compared, not swallowed
-        return type(exc), str(exc)
+def _is_canonical(text) -> bool:
+    """text is one line of JSON, then "\\n", that canonical_json writes back unchanged."""
+    return text.count("\n") == 1 and text.endswith("\n") and canonical_json(json.loads(text)) == text
 
 
 @pytest.mark.parametrize("golden", sorted(p.name for p in GOLDEN.glob("*.json")))
 def test_canonical_json_writes_each_golden(golden):
-    text = (GOLDEN / golden).read_text(encoding="utf-8")
-    assert canonical_json(json.loads(text)) == _dumps(json.loads(text)) == text
+    assert _is_canonical((GOLDEN / golden).read_text(encoding="utf-8"))
 
 
 @pytest.mark.parametrize("table", [c_n_table(8), s4_table()], ids=["C8", "S4"])
 def test_canonical_json_writes_complex_float_reports(table):
     data = analyze(from_group(table), TOL, force_float=True).data
-    assert canonical_json(data) == _dumps(data)
+    text = canonical_json(data)
+    assert _is_canonical(text) and json.loads(text) == data
 
 
 class Level(enum.IntEnum):
@@ -183,14 +177,30 @@ _JSONISH = st.recursive(
 @settings(max_examples=300, deadline=None)
 @given(_JSONISH)
 def test_canonical_json_is_json_dumps(obj):
-    assert canonical_json(obj) == _dumps(obj)
+    # the value json reads back is encode_value's, and writing it again gives the same line
+    text = canonical_json(obj)
+    assert _is_canonical(text) and json.loads(text) == encode_value(obj)
+
+
+def _key_text(k) -> str:
+    return k if isinstance(k, str) else json.dumps(k)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.dictionaries(st.one_of(st.integers(-5, 5), st.floats(-2, 2), st.booleans(), st.none(), st.text(max_size=2)),
                        st.one_of(_SCALARS, st.lists(_SCALARS, max_size=2)), max_size=4))
 def test_canonical_json_converts_keys_as_json_does(obj):
-    assert _outcome(canonical_json, obj) == _outcome(_dumps, obj)
+    # a key that is not a str becomes its JSON text, in the order of the keys
+    # themselves; keys that do not compare raise json's TypeError
+    try:
+        keys = sorted(obj)
+    except TypeError:
+        with pytest.raises(TypeError):
+            canonical_json(obj)
+        return
+    parsed = json.loads(canonical_json(obj))
+    assert list(parsed) == [_key_text(k) for k in keys]
+    assert list(parsed.values()) == [json.loads(json.dumps(obj[k])) for k in keys]
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), np.float64("nan")])
@@ -199,8 +209,8 @@ def test_canonical_json_converts_keys_as_json_does(obj):
     lambda x: [{"re": 1.0, "im": x}, {"re": float("nan"), "im": 0.0}], lambda x: {"a": [{"b": [x]}]},
     lambda x: {x: 1}, lambda x: [[0.5, x], {"k": x}]])
 def test_canonical_json_refuses_nan_and_inf_as_json_does(bad, where):
-    obj = where(bad)
-    assert isinstance(_outcome(_dumps, obj)[0], type) and _outcome(canonical_json, obj) == _outcome(_dumps, obj)
+    with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+        canonical_json(where(bad))
 
 
 @pytest.mark.parametrize("obj", [
@@ -212,19 +222,18 @@ def test_canonical_json_refuses_nan_and_inf_as_json_does(bad, where):
     [{"im": 1, "re": []}, "1"],
 ], ids=["one", "mixed", "key-like", "flat", "empty", "nested"])
 def test_canonical_json_writes_lists_of_flat_dicts_as_json_does(obj):
-    assert canonical_json(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
-
-
-def test_canonical_json_writes_long_runs_of_scalars():
-    # json's C encoder returns its text in chunks past 100,000 pieces
-    obj = {"ints": list(range(60_000)), "floats": {f"k{i}": i / 7 for i in range(30_000)}}
-    assert canonical_json(obj) == _dumps(obj)
+    # strings that look like the JSON around them stay inside their quotes
+    text = canonical_json(obj)
+    assert _is_canonical(text) and json.loads(text) == obj
+    assert text == json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def test_canonical_json_takes_subclasses_without_recursing():
+    # an IntEnum, np.float64 or str subclass is written as its base type
     obj = {"level": Level.LOW, "x": np.float64(0.1), "s": Text("t"), "mixed": [Level.LOW, np.float64(2.5)],
            "sub": collections.OrderedDict(b=1, a=[Text("u")]), "keys": {Level.LOW: 1, 2.5: None, 3: True}, "none": {None: 0}}
-    assert canonical_json(obj) == _dumps(obj)
+    assert canonical_json(obj) == ('{"keys":{"1":1,"2.5":null,"3":true},"level":1,"mixed":[1,2.5],'
+                                   '"none":{"null":0},"s":"t","sub":{"a":["u"],"b":1},"x":0.1}\n')
     with pytest.raises(TypeError, match="keys must be str, int, float, bool or None, not tuple"):
         canonical_json({(1, 2): 1})
 
@@ -723,7 +732,8 @@ def test_cli_rejects_duplicate_lambda(command, tmp_path, capsys):
 
 def test_cli_json_output_is_strict(tmp_path, capsys):
     # 1e308 is finite, but the associativity residual of this rank-3 tensor is
-    # inf - inf: --json must fail (exit 2) rather than print bare NaN
+    # inf - inf: --json must fail (exit 2) rather than print bare NaN. Every
+    # --json output, the directory's array too, is canonical: one line, then "\n"
     overflow = tmp_path / "overflow.rba"
     overflow.write_text(overflow_rba_text("1e308"))
     rank1 = tmp_path / "rank1.rba"   # not an identity: associativity is not run
@@ -732,13 +742,14 @@ def test_cli_json_output_is_strict(tmp_path, capsys):
     variant.write_text(s3_associativity_variant().to_text())
     inputs = [_write_s3(tmp_path), str(overflow), str(rank1), str(variant)]
     runs = [[command, path, "--json"] for command in RBA_COMMANDS for path in inputs]
-    runs += [["hilbert", "-1", "-1", "--json"], ["hilbert", "2", "3", "--json"]]
+    runs += [["analyze", str(tmp_path), "--json"], ["hilbert", "-1", "-1", "--json"], ["hilbert", "2", "3", "--json"]]
     for argv in runs:
         code = main(argv)
         out = capsys.readouterr().out
         assert "NaN" not in out and "Infinity" not in out, argv
         if out:
-            json.loads(out, parse_constant=lambda c: pytest.fail(f"{argv}: {c}"))
+            parsed = json.loads(out, parse_constant=lambda c: pytest.fail(f"{argv}: {c}"))
+            assert out == canonical_json(parsed) and out.count("\n") == 1, argv
         else:
             assert code == 2, argv
 
