@@ -9,14 +9,17 @@ or on (1, lam_float) with the float tolerances. Exact element arithmetic
 (RBA.mul, standardize, rep_residual, symbol) has one integer frame, _frame:
 lam = N / D and each rational operand x = X / E, in int64 while m^2 max(D, |N|)
 prod max(E, |X|)^2 < 2^62 (m the largest axis length), else in Python ints.
-Associativity, the one r^5 check, has two kernels: a float64 tensor runs as a
-sort-join over its nonzeros, read at the keys its products touch, when their
-count makes it cheaper, else as BLAS gemm; int64 or Python-int N runs as exact
-gemm in its own dtype, except that N with r max|N|^2 < 2^52 is cast to float64,
-where it is still exact. An exact RBA's degree map c / D is proved by one
-integer product, N c = c c^T, for c = N[i,i*,0] (a standard basis) or the
-Newton-refined round(D v) of the real all-positive eigenvector v of one random
-element; no tolerance decides it. Well-formed text is read a column at a time,
+Associativity, the one r^5 check, has three kernels past rank 17: a thin
+tensor (one nonzero per row lam[i,j,:], as every group algebra, rescaled or
+not) forms one product per side of each triple (i,j,k) in its own dtype; another
+float64 tensor runs as a sort-join over its nonzeros, read at the keys its
+products touch, when their count makes it cheaper; else, and at every rank up
+to 17, gemm in lam's own dtype (BLAS for float64, exact for int64 or Python-int
+N). N with r max|N|^2 < 2^52 is first cast to float64, where it is still
+exact. An exact RBA's degree map c / D is proved by one integer product,
+N c = c c^T, for c = N[i,i*,0] (a standard basis) or the Newton-refined
+round(D v) of the real all-positive eigenvector v of one random element; no
+tolerance decides it. Well-formed text is read a column at a time,
 other text line by line. Eigen-computations run in doubles; exact mode checks
 identities exactly and snaps derived values back. One tolerance,
 ToleranceConfig.eps_residual, sets the float residual bound, the is-zero cut and
@@ -591,22 +594,26 @@ def validate(rba: RBA, tol: ToleranceConfig = DEFAULT_TOL) -> ValidationReport:
 @np.errstate(invalid="ignore", over="ignore")  # inf - inf: the NaN residual is the report
 def _associativity(lam, d, eps_res) -> CheckResult:
     """sum_m lam[i,j,m] lam[m,k,l] = sum_m lam[j,k,m] lam[i,m,l] on lam = N / D
-    (D = 1 for a float tensor), over blocks of i so that memory stays at
-    ASSOC_BLOCK entries (one i when r^3 is larger), not r^4.
+    (D = 1 for a float tensor), over blocks of i of at most ASSOC_BLOCK
+    entries, r^3 per i (r^2 for a thin tensor), or one i when that is more:
+    memory stays flat, not r^4.
 
-    Two kernels: the sort-join over the nonzeros of a float64 tensor
-    (_join_kernel) when its work count says the join is cheaper, else gemm in
-    lam's own dtype (BLAS for float64, numpy's exact matmul for int64 and
-    Python-int N). Integer N with r * max|N|^2 < 2^52 is cast to float64
-    first: both sides are then integers below 2^52 in magnitude, so float64
-    computes them and their difference exactly, in any summation order, and
-    the residual and worst quadruple are those of exact arithmetic.
+    Three kernels, picked by _join_kernel from the input past rank 17: the
+    thin block for a tensor with one nonzero per row lam[i,j,:] (every group
+    algebra, rescaled or not), in lam's own dtype; the sort-join over the
+    nonzeros of another float64 tensor when its work count says the join is
+    cheaper; else, and at every rank up to 17, gemm in lam's own dtype (BLAS
+    for float64, numpy's exact matmul for int64 and Python-int N). Integer N
+    with r * max|N|^2 < 2^52 is cast to float64 first: both sides are then
+    integers below 2^52 in magnitude, so float64 computes them and their
+    difference exactly, in any summation order, and the residual and worst
+    quadruple are those of exact arithmetic.
     """
     r = lam.shape[0]
     cast = lam.dtype.kind == "i" and r * float(abs(lam).max()) ** 2 < 2**52
     terms = lam.astype(float) if cast else lam
-    join = _join_kernel(terms) if terms.dtype == float else None
-    step = max(1, ASSOC_BLOCK // r**3)
+    join, width = _join_kernel(terms) or (None, r**3)  # width: the entries a block holds per i
+    step = max(1, ASSOC_BLOCK // width)
     res_assoc, worst, keys = 0, None, None  # keys: the flat indices diff holds, if not all
     for i0 in range(0, r, step):
         block = terms[i0:i0 + step]
@@ -618,7 +625,9 @@ def _associativity(lam, d, eps_res) -> CheckResult:
             right = terms.reshape(r * r, r) @ block.transpose(1, 0, 2).reshape(r, b * r)
             diff = abs(left.reshape(b, r, r, r) - right.reshape(r, r, b, r).transpose(2, 0, 1, 3))
         res = diff.max(initial=0)
-        if res > res_assoc or res != res:  # a NaN is kept, never passed over
+        if res != res:  # inf - inf: validate raises on the NaN residual, naming no quadruple
+            return CheckResult("associativity", False, res)
+        if res > res_assoc:
             res_assoc = res  # the first worst quadruple: the smallest key at the maximum
             at = int(diff.argmax()) if keys is None else int(keys[diff == res].min())
             worst = np.unravel_index(at + i0 * r**3, (r, r, r, r))
@@ -636,23 +645,52 @@ def _expand(starts, counts):
 
 
 def _join_kernel(terms):
-    """The sort-join for associativity on the nonzeros of a float64 tensor, or
-    None when gemm does less work.
+    """(block, width): the thin block or the sort-join for associativity, and
+    the entries a block holds per i, or None when gemm does less work.
+
+    A thin tensor, one nonzero per row terms[i,j,:] so that b_i b_j = v_ij
+    b_m(i,j), takes the thin block in its own dtype: each side of each triple
+    (i,j,k) is one product, v_ij v_m(i,j),k at l = m(m(i,j),k) on the left and
+    v_jk v_i,m(j,k) at l = m(i,m(j,k)) on the right, and the residual is their
+    difference where the two l agree, else each product alone: bit for bit the
+    sums 0 + left - right that the join forms. An int64 N past the 2^52 bound
+    cannot overflow: each product is below 2^62 / r. Any other tensor takes
+    the join when it is float64 and cheaper than gemm.
 
     Left (i,j,k,l) pairs each nonzero (i,j,m) with the nonzeros (m,k,l) of
     first index m, right pairs each (i,m,l) with the nonzeros (j,k,m) of last
     index m. With c1, c2, c3 the counts of nonzeros by first, middle and last
     index, that is T = c3 . (c1 + c2) products against gemm's 2 r^5
-    multiply-adds; the join runs when JOIN_FACTOR * T < 2 r^5. The returned
+    multiply-adds; the join runs when JOIN_FACTOR * T < 2 r^5. Either returned
     function maps a block [i0, i1) of i to the flat keys its products touch
-    and |left - right| at those keys, summed by np.bincount; every other entry
-    of the block is 0. On integer entries under _associativity's 2^52 bound
-    the sums are exact, as gemm's are; on others they round in their own order.
+    and |left - right| at those keys, the join's summed by np.bincount; every
+    other entry of the block is 0. On integer entries under _associativity's
+    2^52 bound the sums are exact, as gemm's are; on others they round in
+    their own order.
     """
     r = terms.shape[0]
     if r * r <= JOIN_FACTOR:  # T >= 2 r^3 once a positive degree map exists: gemm does less
         return None
-    first, mid, last = np.nonzero(terms)  # ordered by first index
+    nz = terms != 0
+    m = nz.argmax(axis=2)  # the first nonzero of each row terms[i,j,:] (0 in a zero row)
+    v = np.take_along_axis(terms, m[:, :, None], 2)[:, :, 0]
+    if np.count_nonzero(nz) == r * r == np.count_nonzero(v):  # no zero row, so one nonzero per row
+
+        def thin(i0, i1):
+            mij = m[i0:i1]
+            l1, w1 = m[mij], v[i0:i1, :, None] * v[mij]  # left: v_ij v_m(i,j),k at m(m(i,j),k)
+            l2, w2 = m[i0:i1][:, m], v * v[i0:i1][:, m]  # right: v_jk v_i,m(j,k) at m(i,m(j,k))
+            at = np.arange(0, l1.size * r, r).reshape(l1.shape)  # key - l: (flat index of (i - i0, j, k)) r
+            if np.array_equal(l1, l2):  # one key per triple
+                return (at + l1).ravel(), abs(w1 - w2).ravel()
+            same = l1 == l2
+            return (np.concatenate([(at + l1).ravel(), (at + l2)[~same]]),
+                    np.concatenate([abs(w1 - np.where(same, w2, 0)).ravel(), abs(w2[~same])]))
+
+        return thin, r * r
+    if terms.dtype != float:
+        return None
+    first, mid, last = np.nonzero(nz)  # ordered by first index
     c1, c2, c3 = (np.bincount(x, minlength=r) for x in (first, mid, last))
     if JOIN_FACTOR * int(c3 @ (c1 + c2)) >= 2 * r**5:
         return None
@@ -662,7 +700,7 @@ def _join_kernel(terms):
     start3 = np.cumsum(c3) - c3                     # of last index m: by_last[start3[m] + range(c3[m])]
     ij, ml = first * r + mid, mid * r + last
 
-    def block(i0, i1):
+    def join(i0, i1):
         lo, hi = start1[i0], start1[i1]  # the nonzeros with first index in [i0, i1)
         m = last[lo:hi]  # left: (i,j,m) (m,k,l) at ((i r + j) r + k) r + l
         a, b = _expand(start1[m], c1[m])
@@ -678,7 +716,7 @@ def _join_kernel(terms):
         full = np.bincount(keys, np.concatenate([w_left, -w_right]), minlength=(i1 - i0) * r**3)
         return keys, abs(full[keys])
 
-    return block
+    return join, r**3
 
 
 # ---------------------------------------------------------------------------

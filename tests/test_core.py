@@ -548,6 +548,12 @@ def _join_work(lam):
     return int(c3 @ (c1 + c2))
 
 
+def _kernel(lam):
+    """The associativity kernel core._join_kernel picks for lam: thin, join or gemm."""
+    kernel = core._join_kernel(lam)
+    return "gemm" if kernel is None else kernel[0].__name__
+
+
 def _dense_scheme():
     """The adjacency algebra of H(3,3) x H(3,2), rank 16, as an integer tensor."""
     def scheme(d, q):
@@ -567,48 +573,110 @@ def _rescaled_float(rba, seed):
     return RBA(rba.lam_float * t[:, None, None] * t[None, :, None] / t[None, None, :], rba.star)
 
 
+def _bumped(lam, entries):
+    """A copy of lam with each (index, value) of entries added."""
+    lam = lam.copy()
+    for at, value in entries:
+        lam[at] += value
+    return lam
+
+
+def _perturbations(lam, kernel):
+    """(kernel, lam broken) pairs for an exact tensor lam that takes kernel: two
+    entries off the identity row and column bumped, one of them a new nonzero,
+    which a group tensor takes to the join; for a thin tensor also the value of
+    row (5, 7) doubled and the nonzero of row (r - 1, 2) moved to the next k,
+    both still thin."""
+    r = lam.shape[0]
+    two = _bumped(lam, [((5, 7, 3), 2), ((r - 1, 2, r - 2), -1)])
+    if kernel != "thin":
+        return [(kernel, two)]
+    doubled, moved = lam.copy(), lam.copy()
+    doubled[5, 7] *= 2
+    moved[r - 1, 2] = np.roll(lam[r - 1, 2], 1)
+    return [("join", two), ("thin", doubled), ("thin", moved)]
+
+
 @pytest.mark.parametrize("build, kernel", [
-    (lambda: from_group(c_n_table(24)), "join"),
-    (lambda: from_group(c_n_table(48)), "join"),
+    (lambda: from_group(c_n_table(24)), "thin"),
+    (lambda: from_group(c_n_table(48)), "thin"),
     (_dense_scheme, "gemm"),
-    (lambda: _rescaled_float(from_group(c_n_table(48)), 48), "join"),
+    (lambda: _rescaled_float(from_group(c_n_table(48)), 48), "thin"),
 ], ids=["C24", "C48", "H(3,3)xH(3,2)", "C48 rescaled, float"])
 def test_associativity_kernel_matches_exact_reference(build, kernel, monkeypatch):
     rba = build()
     r = rba.rank
-    # the work count picks the kernel: the join for the sparse group tensors
-    # (2 r^5 / T = r^2), gemm for the dense scheme tensor
-    assert ("join" if core.JOIN_FACTOR * _join_work(rba.lam_float) < 2 * r**5 else "gemm") == kernel
-    assert ("join" if core._join_kernel(rba.lam_float) is not None else "gemm") == kernel
+    # a group tensor is thin, one nonzero per row lam[i,j,:]; the work count
+    # picks between the join and gemm for any other: the join for a group
+    # tensor with one nonzero more (2 r^5 / T ~ r^2), gemm for the dense scheme
+    assert _kernel(rba.lam_float) == kernel
+    assert ("join" if core.JOIN_FACTOR * _join_work(rba.lam_float) < 2 * r**5 else "gemm") == (
+        "join" if kernel == "thin" else kernel)
     if not rba.exact:
         # decimal entries have no exact reference: the tensor passes, and with
-        # one entry bumped fails alike with one i per block and with the default
-        lam = rba.lam_float.copy()
-        lam[5, 7, 3] += 1
-        found = []
-        for block in (1, core.ASSOC_BLOCK):
-            monkeypatch.setattr(core, "ASSOC_BLOCK", block)
-            assert validate(rba, TOL)["associativity"].passed
-            assoc = validate(RBA(lam, rba.star), TOL)["associativity"]
-            found.append((assoc.passed, assoc.residual, assoc.detail))
-        assert found[0] == found[1] and not found[0][0]
+        # one entry bumped, to a new nonzero (the join) or on its nonzero (thin),
+        # fails alike with one i per block and with the default
+        lam = rba.lam_float
+        for broken_kernel, at in (("join", (5, 7, 3)), ("thin", (5, 7, int(np.flatnonzero(lam[5, 7])[0])))):
+            broken = RBA(_bumped(lam, [(at, 1)]), rba.star)
+            assert _kernel(broken.lam_float) == broken_kernel
+            found = []
+            for block in (1, core.ASSOC_BLOCK):
+                monkeypatch.setattr(core, "ASSOC_BLOCK", block)
+                assert validate(rba, TOL)["associativity"].passed
+                assoc = validate(broken, TOL)["associativity"]
+                found.append((assoc.passed, assoc.residual, assoc.detail))
+            assert found[0] == found[1] and not found[0][0]
         return
-    # two entries off the identity row and column, one of them a new nonzero
-    lam = rba.lam_int[1].copy()
-    lam[5, 7, 3] += 2
-    lam[r - 1, 2, r - 2] -= 1
-    perturbed = RBA(lam, rba.star)
-    reference = _exact_assoc_reference(perturbed)
-    assert reference[0] > 0
-    for valid, broken in ((rba, perturbed), (RBA(rba.lam_float, rba.star), RBA(perturbed.lam_float, rba.star))):
+    for valid in (rba, RBA(rba.lam_float, rba.star)):
         assert validate(valid, TOL)["associativity"].passed
-        assoc = validate(broken, TOL)["associativity"]
-        assert (assoc.residual, assoc.detail) == reference
+    for broken_kernel, n in _perturbations(rba.lam_int[1], kernel):
+        perturbed = RBA(n, rba.star)
+        assert _kernel(perturbed.lam_float) == broken_kernel
+        reference = _exact_assoc_reference(perturbed)
+        assert reference[0] > 0
+        for tensor in (perturbed, RBA(perturbed.lam_float, rba.star)):
+            assoc = validate(tensor, TOL)["associativity"]
+            assert (assoc.residual, assoc.detail) == reference
+
+
+def _rescaled_exact(rba, t):
+    """rba rescaled by t_i = t_{i*} = t[min(i, i*)] off b_0 (t_0 = 1)."""
+    return rescale(rba, [Fraction(1)] + [t[min(i, int(rba.star[i]))] for i in range(1, rba.rank)])
+
+
+@pytest.mark.parametrize("build, dtype", [
+    # p / q with p, q < 1000: D of 73 digits, N up to 75
+    (lambda: _rescaled_exact(from_group(s4_table()), [Fraction(int(p), int(q)) for p, q in
+                                                       np.random.default_rng(24).integers(1, 1000, (24, 2))]),
+     object),
+    # t = 2^13 off b_0: N up to 2^26, past r max|N|^2 < 2^52 but within int64's bound
+    (lambda: _rescaled_exact(from_group(c_n_table(24)), [Fraction(2**13)] * 24), np.int64),
+], ids=["S4 rescaled by p/q (Python ints)", "C24 rescaled by 2^13 (int64)"])
+def test_thin_kernel_in_own_dtype_matches_gemm(build, dtype, monkeypatch):
+    # integer N past the 2^52 bound: the thin block runs in N's own dtype,
+    # where gemm does r^5 exact multiply-adds
+    rba = build()
+    d, n = rba.lam_int
+    assert n.dtype == dtype and rba.rank * int(abs(n).max()) ** 2 >= 2**52 and _kernel(n) == "thin"
+    start = time.process_time()
+    assert validate(rba, TOL).passed
+    assert time.process_time() - start <= 0.1
+    lam = rba.lam.copy()
+    lam[5, 7] *= 2   # one row's value doubled: still thin
+    broken = RBA(lam, rba.star)
+    assert broken.lam_int[1].dtype == dtype and _kernel(broken.lam_int[1]) == "thin"
+    found = []
+    for factor in (core.JOIN_FACTOR, rba.rank**2):   # the thin block, then gemm
+        monkeypatch.setattr(core, "JOIN_FACTOR", factor)
+        found.append([(c.passed, c.residual, c.detail) for c in (
+            validate(rba, TOL)["associativity"], validate(broken, TOL)["associativity"])])
+    assert found[0] == found[1] and found[0][0][0] and not found[0][1][0]
 
 
 def test_validate_exact_s5_is_bounded():
-    # the rank-120 group tensor has 120^2 nonzeros: the sort-join does ~2 r^3
-    # products where gemm does 2 r^5 multiply-adds, on integer and on decimal entries
+    # the rank-120 group tensor is thin: the thin block forms 2 r^3 products
+    # where gemm does 2 r^5 multiply-adds, on integer and on decimal entries
     rba = from_group(s_n_table(5))
     for tensor, seconds in ((rba, 3.0), (_rescaled_float(rba, 120), 2.0)):
         start = time.process_time()
@@ -618,11 +686,23 @@ def test_validate_exact_s5_is_bounded():
     assert rba.exact
 
 
+def _c24_overflowing(extra):
+    """C24 over floats with lam[1:, 1:] scaled by 1e200: finite entries whose
+    products overflow, inf - inf; with extra, one more nonzero off the identity."""
+    c24 = from_group(c_n_table(24))
+    lam = c24.lam_float.copy()
+    lam[1:, 1:] *= 1e200
+    lam[5, 7, 3] += extra
+    return RBA(lam, c24.star)
+
+
 def test_validate_associativity_nan_matches_einsum_reference():
-    rba = RBA.from_text(overflow_rba_text("1e308"))
-    assert math.isnan(_assoc_reference(rba)[0])
-    with pytest.raises(NumericalError, match=r"associativity residual is not finite \(nan\)"):
-        validate(rba, TOL)
+    for rba, kernel in ((RBA.from_text(overflow_rba_text("1e308")), "gemm"),
+                        (_c24_overflowing(0), "thin"), (_c24_overflowing(1), "join")):
+        assert _kernel(rba.lam_float) == kernel
+        assert math.isnan(_assoc_reference(rba)[0])
+        with pytest.raises(NumericalError, match=r"associativity residual is not finite \(nan\)"):
+            validate(rba, TOL)
 
 
 def test_tolerance_config_invariants():

@@ -793,15 +793,20 @@ def test_cli_validate_without_identity_is_bounded(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["validate", "analyze"])
 def test_cli_non_finite_residual_exits_2(command, fmt, tmp_path, capsys):
     # text and --json agree: the NaN residual is an error, not a report, and
-    # the inf - inf that makes it raises no numpy warning on the way
-    overflow = tmp_path / "overflow.rba"
-    overflow.write_text(overflow_rba_text("1e308"))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert main([command, str(overflow), *fmt]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: associativity residual is not finite (nan)\n"
+    # the inf - inf that makes it raises no numpy warning on the way, from
+    # gemm at rank 3 and from the thin block on C24 with entries of 1e200
+    c24 = from_group(c_n_table(24))
+    lam = c24.lam_float.copy()
+    lam[1:, 1:] *= 1e200
+    for text in (overflow_rba_text("1e308"), RBA(lam, c24.star).to_text()):
+        overflow = tmp_path / "overflow.rba"
+        overflow.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, str(overflow), *fmt]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: associativity residual is not finite (nan)\n"
 
 
 @pytest.mark.parametrize("fmt", [[], ["--json"]])
