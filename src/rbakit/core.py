@@ -9,14 +9,12 @@ or on (1, lam_float) with the float tolerances. Exact element arithmetic
 (RBA.mul, standardize, rep_residual, symbol) has one integer frame, _frame:
 lam = N / D and each rational operand x = X / E, in int64 while m^2 max(D, |N|)
 prod max(E, |X|)^2 < 2^62 (m the largest axis length), else in Python ints.
-Associativity, the one r^5 check, has three kernels past rank 17: a thin
-tensor (one nonzero per row lam[i,j,:], as every group algebra, rescaled or
-not) forms one product per side of each triple (i,j,k) in its own dtype; another
-float64 tensor runs as a sort-join over its nonzeros, read at the keys its
-products touch, when their count makes it cheaper; else, and at every rank up
-to 17, gemm in lam's own dtype (BLAS for float64, exact for int64 or Python-int
-N). N with r max|N|^2 < 2^52 is first cast to float64, where it is still
-exact. An exact RBA's degree map c / D is proved by one integer product,
+Associativity, the one r^5 check, has two kernels: a thin tensor of rank at
+least THIN_RANK (one nonzero per row lam[i,j,:], as every group algebra,
+rescaled or not) takes the thin block of _thin_kernel in its own dtype; every
+other tensor takes gemm in its own dtype (BLAS for float64, exact for int64 or
+Python-int N). N with r max|N|^2 < 2^52 is first cast to float64, where it is
+still exact. An exact RBA's degree map c / D is proved by one integer product,
 N c = c c^T, for c = N[i,i*,0] (a standard basis) or the Newton-refined
 round(D v) of the real all-positive eigenvector v of one random element; no
 tolerance decides it. Well-formed text is read a column at a time,
@@ -57,7 +55,7 @@ __all__ = [
 
 SNAP_MAX_DENOMINATOR = 10**6
 ASSOC_BLOCK = 2**16  # entries per block of the associativity check: memory r^3, not r^4
-JOIN_FACTOR = 300     # measured gemm/join crossover of 2 r^5 / T in associativity (_join_kernel)
+THIN_RANK = 12        # measured: from this rank on the thin block beats gemm on a thin tensor
 _FIELDS = {"rank": 2, "lambda": 5}  # fields on a line of these .rba directives
 _FRACTIONS = np.frompyfunc(Fraction, 2, 1)  # elementwise Fraction(N, D), for Python-int N
 
@@ -595,30 +593,26 @@ def validate(rba: RBA, tol: ToleranceConfig = DEFAULT_TOL) -> ValidationReport:
 def _associativity(lam, d, eps_res) -> CheckResult:
     """sum_m lam[i,j,m] lam[m,k,l] = sum_m lam[j,k,m] lam[i,m,l] on lam = N / D
     (D = 1 for a float tensor), over blocks of i of at most ASSOC_BLOCK
-    entries, r^3 per i (r^2 for a thin tensor), or one i when that is more:
+    entries, r^3 per i (r^2 for the thin block), or one i when that is more:
     memory stays flat, not r^4.
 
-    Three kernels, picked by _join_kernel from the input past rank 17: the
-    thin block for a tensor with one nonzero per row lam[i,j,:] (every group
-    algebra, rescaled or not), in lam's own dtype; the sort-join over the
-    nonzeros of another float64 tensor when its work count says the join is
-    cheaper; else, and at every rank up to 17, gemm in lam's own dtype (BLAS
-    for float64, numpy's exact matmul for int64 and Python-int N). Integer N
-    with r * max|N|^2 < 2^52 is cast to float64 first: both sides are then
-    integers below 2^52 in magnitude, so float64 computes them and their
-    difference exactly, in any summation order, and the residual and worst
-    quadruple are those of exact arithmetic.
+    A thin tensor takes the thin block (_thin_kernel), any other gemm in lam's
+    own dtype (BLAS for float64, numpy's exact matmul for int64 and Python-int
+    N). Integer N with r * max|N|^2 < 2^52 is cast to float64 first: both
+    sides are then integers below 2^52 in magnitude, so float64 computes them
+    and their difference exactly, in any summation order, and the residual and
+    worst quadruple are those of exact arithmetic.
     """
     r = lam.shape[0]
     cast = lam.dtype.kind == "i" and r * float(abs(lam).max()) ** 2 < 2**52
     terms = lam.astype(float) if cast else lam
-    join, width = _join_kernel(terms) or (None, r**3)  # width: the entries a block holds per i
-    step = max(1, ASSOC_BLOCK // width)
+    thin = _thin_kernel(terms)
+    step = max(1, ASSOC_BLOCK // (r**3 if thin is None else r * r))
     res_assoc, worst, keys = 0, None, None  # keys: the flat indices diff holds, if not all
     for i0 in range(0, r, step):
         block = terms[i0:i0 + step]
-        if join is not None:
-            keys, diff = join(i0, i0 + block.shape[0])
+        if thin is not None:
+            keys, diff = thin(i0, i0 + block.shape[0])
         else:
             b = block.shape[0]
             left = block.reshape(b * r, r) @ terms.reshape(r, r * r)
@@ -637,86 +631,47 @@ def _associativity(lam, d, eps_res) -> CheckResult:
     return CheckResult("associativity", res_assoc <= eps_res, _div(res_assoc, d * d), detail)
 
 
-def _expand(starts, counts):
-    """(owner, index) of every member of the runs starts[t] + range(counts[t]),
-    runs concatenated in the order of t."""
-    owner = np.repeat(np.arange(len(counts)), counts)
-    return owner, np.arange(len(owner)) + np.repeat(starts - np.cumsum(counts) + counts, counts)
+def _thin_kernel(terms):
+    """The thin block for associativity, or None when terms is not thin or
+    its rank is below THIN_RANK, where gemm is faster.
 
-
-def _join_kernel(terms):
-    """(block, width): the thin block or the sort-join for associativity, and
-    the entries a block holds per i, or None when gemm does less work.
-
-    A thin tensor, one nonzero per row terms[i,j,:] so that b_i b_j = v_ij
-    b_m(i,j), takes the thin block in its own dtype: each side of each triple
-    (i,j,k) is one product, v_ij v_m(i,j),k at l = m(m(i,j),k) on the left and
-    v_jk v_i,m(j,k) at l = m(i,m(j,k)) on the right, and the residual is their
-    difference where the two l agree, else each product alone: bit for bit the
-    sums 0 + left - right that the join forms. An int64 N past the 2^52 bound
-    cannot overflow: each product is below 2^62 / r. Any other tensor takes
-    the join when it is float64 and cheaper than gemm.
-
-    Left (i,j,k,l) pairs each nonzero (i,j,m) with the nonzeros (m,k,l) of
-    first index m, right pairs each (i,m,l) with the nonzeros (j,k,m) of last
-    index m. With c1, c2, c3 the counts of nonzeros by first, middle and last
-    index, that is T = c3 . (c1 + c2) products against gemm's 2 r^5
-    multiply-adds; the join runs when JOIN_FACTOR * T < 2 r^5. Either returned
-    function maps a block [i0, i1) of i to the flat keys its products touch
-    and |left - right| at those keys, the join's summed by np.bincount; every
-    other entry of the block is 0. On integer entries under _associativity's
-    2^52 bound the sums are exact, as gemm's are; on others they round in
-    their own order.
+    A tensor is thin when each row terms[i,j,:] has exactly one nonzero, so
+    that b_i b_j = v_ij b_m(i,j): every group algebra, rescaled or not (the
+    thin schemes of Zieschang, Theory of Association Schemes, 2005). Each side
+    of each triple (i,j,k) is then one product, v_ij v_m(i,j),k at
+    l = m(m(i,j),k) on the left and v_jk v_i,m(j,k) at l = m(i,m(j,k)) on the
+    right: 2 r^3 products in all against gemm's 2 r^5 multiply-adds, and no
+    sums. The returned function maps a block [i0, i1) of i to the flat keys
+    (((i - i0) r + j) r + k) r + l its products touch and |left - right| at
+    those keys: their difference where the two l agree, else each product
+    alone; every other entry of the block is 0. Gemm's sum at each (i,j,k,l)
+    has at most one nonzero product per side, so these are gemm's values bit
+    for bit, and the residual and worst quadruple are gemm's, on decimal
+    entries too. The products are formed in terms' own dtype, where an int64
+    N past _associativity's 2^52 bound cannot overflow (each is below
+    2^62 / r) and a Python-int N costs 2 r^3 exact products, not 2 r^5.
     """
     r = terms.shape[0]
-    if r * r <= JOIN_FACTOR:  # T >= 2 r^3 once a positive degree map exists: gemm does less
+    if r < THIN_RANK:
         return None
     nz = terms != 0
     m = nz.argmax(axis=2)  # the first nonzero of each row terms[i,j,:] (0 in a zero row)
     v = np.take_along_axis(terms, m[:, :, None], 2)[:, :, 0]
-    if np.count_nonzero(nz) == r * r == np.count_nonzero(v):  # no zero row, so one nonzero per row
-
-        def thin(i0, i1):
-            mij = m[i0:i1]
-            l1, w1 = m[mij], v[i0:i1, :, None] * v[mij]  # left: v_ij v_m(i,j),k at m(m(i,j),k)
-            l2, w2 = m[i0:i1][:, m], v * v[i0:i1][:, m]  # right: v_jk v_i,m(j,k) at m(i,m(j,k))
-            at = np.arange(0, l1.size * r, r).reshape(l1.shape)  # key - l: (flat index of (i - i0, j, k)) r
-            if np.array_equal(l1, l2):  # one key per triple
-                return (at + l1).ravel(), abs(w1 - w2).ravel()
-            same = l1 == l2
-            return (np.concatenate([(at + l1).ravel(), (at + l2)[~same]]),
-                    np.concatenate([abs(w1 - np.where(same, w2, 0)).ravel(), abs(w2[~same])]))
-
-        return thin, r * r
-    if terms.dtype != float:
+    if not np.count_nonzero(nz) == r * r == np.count_nonzero(v):  # thin: no zero row, r^2 nonzeros
         return None
-    first, mid, last = np.nonzero(nz)  # ordered by first index
-    c1, c2, c3 = (np.bincount(x, minlength=r) for x in (first, mid, last))
-    if JOIN_FACTOR * int(c3 @ (c1 + c2)) >= 2 * r**5:
-        return None
-    value = terms[first, mid, last]
-    start1 = np.concatenate([[0], np.cumsum(c1)])  # nonzeros of first index m: start1[m] + range(c1[m])
-    by_last = np.argsort(last, kind="stable")
-    start3 = np.cumsum(c3) - c3                     # of last index m: by_last[start3[m] + range(c3[m])]
-    ij, ml = first * r + mid, mid * r + last
 
-    def join(i0, i1):
-        lo, hi = start1[i0], start1[i1]  # the nonzeros with first index in [i0, i1)
-        m = last[lo:hi]  # left: (i,j,m) (m,k,l) at ((i r + j) r + k) r + l
-        a, b = _expand(start1[m], c1[m])
-        a += lo
-        key_left, w_left = ij[a] * r**2 + ml[b], value[a] * value[b]
-        m = mid[lo:hi]   # right: (j,k,m) (i,m,l) at ((i r + j) r + k) r + l
-        b, a = _expand(start3[m], c3[m])
-        a, b = by_last[a], b + lo
-        key_right, w_right = first[b] * r**3 + ij[a] * r + last[b], value[a] * value[b]
-        keys = np.concatenate([key_left, key_right]) - i0 * r**3
-        # under the 2^52 bound each key sums at most r integer products per
-        # side, each below 2^52 / r: every partial sum, in any order, is exact
-        full = np.bincount(keys, np.concatenate([w_left, -w_right]), minlength=(i1 - i0) * r**3)
-        return keys, abs(full[keys])
+    def thin(i0, i1):
+        mij = m[i0:i1]
+        l1, w1 = m[mij], v[i0:i1, :, None] * v[mij]  # left: v_ij v_m(i,j),k at m(m(i,j),k)
+        l2, w2 = m[i0:i1][:, m], v * v[i0:i1][:, m]  # right: v_jk v_i,m(j,k) at m(i,m(j,k))
+        at = np.arange(0, l1.size * r, r).reshape(l1.shape)  # key - l: (flat index of (i - i0, j, k)) r
+        if np.array_equal(l1, l2):  # one key per triple
+            return (at + l1).ravel(), abs(w1 - w2).ravel()
+        same = l1 == l2
+        return (np.concatenate([(at + l1).ravel(), (at + l2)[~same]]),
+                np.concatenate([abs(w1 - np.where(same, w2, 0)).ravel(), abs(w2[~same])]))
 
-    return join, r**3
+    return thin
 
 
 # ---------------------------------------------------------------------------

@@ -446,9 +446,9 @@ def _assert_within_rounding_of_exact(rba, assoc):
     """A float tensor's residual and named quadruple against exact arithmetic on
     the same float64 values: each is a dyadic rational, so |left - right| and
     |left| + |right| (the magnitudes of the 2r products) at every quadruple are
-    Python-int numerators over D^2, D a power of two. Either kernel rounds each
-    product and sums at most 2r of them per quadruple (the join in one
-    bincount, gemm in two dot products and their difference), so a computed
+    Python-int numerators over D^2, D a power of two. Gemm rounds each
+    product and sums at most 2r of them per quadruple, in two dot products
+    and their difference (the thin block's values are gemm's), so a computed
     difference is within gamma(2r) (|left| + |right|) of the exact one
     (gamma(n) = n u / (1 - n u), u = 2^-53); bound is the largest such error.
     The residual is then within bound of the exact maximum, and the named
@@ -540,18 +540,9 @@ def _exact_assoc_reference(rba):
     return float(Fraction(int(res), d * d)), f"worst quadruple ({','.join(map(str, worst))})"
 
 
-def _join_work(lam):
-    """T = c3 . (c1 + c2): the products of the sort-join, c1, c2, c3 the counts
-    of nonzeros by first, middle and last index."""
-    nz = np.asarray(lam) != 0
-    c1, c2, c3 = nz.sum(axis=(1, 2)), nz.sum(axis=(0, 2)), nz.sum(axis=(0, 1))
-    return int(c3 @ (c1 + c2))
-
-
 def _kernel(lam):
-    """The associativity kernel core._join_kernel picks for lam: thin, join or gemm."""
-    kernel = core._join_kernel(lam)
-    return "gemm" if kernel is None else kernel[0].__name__
+    """The associativity kernel lam takes: thin or gemm."""
+    return "gemm" if core._thin_kernel(lam) is None else "thin"
 
 
 def _dense_scheme():
@@ -584,7 +575,7 @@ def _bumped(lam, entries):
 def _perturbations(lam, kernel):
     """(kernel, lam broken) pairs for an exact tensor lam that takes kernel: two
     entries off the identity row and column bumped, one of them a new nonzero,
-    which a group tensor takes to the join; for a thin tensor also the value of
+    which takes a group tensor to gemm; for a thin tensor also the value of
     row (5, 7) doubled and the nonzero of row (r - 1, 2) moved to the next k,
     both still thin."""
     r = lam.shape[0]
@@ -594,7 +585,7 @@ def _perturbations(lam, kernel):
     doubled, moved = lam.copy(), lam.copy()
     doubled[5, 7] *= 2
     moved[r - 1, 2] = np.roll(lam[r - 1, 2], 1)
-    return [("join", two), ("thin", doubled), ("thin", moved)]
+    return [("gemm", two), ("thin", doubled), ("thin", moved)]
 
 
 @pytest.mark.parametrize("build, kernel", [
@@ -606,27 +597,25 @@ def _perturbations(lam, kernel):
 def test_associativity_kernel_matches_exact_reference(build, kernel, monkeypatch):
     rba = build()
     r = rba.rank
-    # a group tensor is thin, one nonzero per row lam[i,j,:]; the work count
-    # picks between the join and gemm for any other: the join for a group
-    # tensor with one nonzero more (2 r^5 / T ~ r^2), gemm for the dense scheme
+    # a group tensor is thin, one nonzero per row lam[i,j,:]; any other
+    # tensor, such as the dense scheme, takes gemm
     assert _kernel(rba.lam_float) == kernel
-    assert ("join" if core.JOIN_FACTOR * _join_work(rba.lam_float) < 2 * r**5 else "gemm") == (
-        "join" if kernel == "thin" else kernel)
     if not rba.exact:
         # decimal entries have no exact reference: the tensor passes, and with
-        # one entry bumped, to a new nonzero (the join) or on its nonzero (thin),
-        # fails alike with one i per block and with the default
+        # one entry bumped, to a new nonzero (gemm) or on its nonzero (thin),
+        # fails alike in gemm, and with one i per block and with the default
         lam = rba.lam_float
-        for broken_kernel, at in (("join", (5, 7, 3)), ("thin", (5, 7, int(np.flatnonzero(lam[5, 7])[0])))):
+        for broken_kernel, at in (("gemm", (5, 7, 3)), ("thin", (5, 7, int(np.flatnonzero(lam[5, 7])[0])))):
             broken = RBA(_bumped(lam, [(at, 1)]), rba.star)
             assert _kernel(broken.lam_float) == broken_kernel
             found = []
-            for block in (1, core.ASSOC_BLOCK):
+            for block, rank in ((1, r + 1), (1, core.THIN_RANK), (core.ASSOC_BLOCK, core.THIN_RANK)):
                 monkeypatch.setattr(core, "ASSOC_BLOCK", block)
+                monkeypatch.setattr(core, "THIN_RANK", rank)
                 assert validate(rba, TOL)["associativity"].passed
                 assoc = validate(broken, TOL)["associativity"]
                 found.append((assoc.passed, assoc.residual, assoc.detail))
-            assert found[0] == found[1] and not found[0][0]
+            assert found[0] == found[1] == found[2] and not found[0][0]
         return
     for valid in (rba, RBA(rba.lam_float, rba.star)):
         assert validate(valid, TOL)["associativity"].passed
@@ -667,8 +656,8 @@ def test_thin_kernel_in_own_dtype_matches_gemm(build, dtype, monkeypatch):
     broken = RBA(lam, rba.star)
     assert broken.lam_int[1].dtype == dtype and _kernel(broken.lam_int[1]) == "thin"
     found = []
-    for factor in (core.JOIN_FACTOR, rba.rank**2):   # the thin block, then gemm
-        monkeypatch.setattr(core, "JOIN_FACTOR", factor)
+    for rank in (core.THIN_RANK, rba.rank + 1):   # the thin block, then gemm
+        monkeypatch.setattr(core, "THIN_RANK", rank)
         found.append([(c.passed, c.residual, c.detail) for c in (
             validate(rba, TOL)["associativity"], validate(broken, TOL)["associativity"])])
     assert found[0] == found[1] and found[0][0][0] and not found[0][1][0]
@@ -686,19 +675,17 @@ def test_validate_exact_s5_is_bounded():
     assert rba.exact
 
 
-def _c24_overflowing(extra):
+def _c24_overflowing():
     """C24 over floats with lam[1:, 1:] scaled by 1e200: finite entries whose
-    products overflow, inf - inf; with extra, one more nonzero off the identity."""
+    products overflow, inf - inf."""
     c24 = from_group(c_n_table(24))
     lam = c24.lam_float.copy()
     lam[1:, 1:] *= 1e200
-    lam[5, 7, 3] += extra
     return RBA(lam, c24.star)
 
 
 def test_validate_associativity_nan_matches_einsum_reference():
-    for rba, kernel in ((RBA.from_text(overflow_rba_text("1e308")), "gemm"),
-                        (_c24_overflowing(0), "thin"), (_c24_overflowing(1), "join")):
+    for rba, kernel in ((RBA.from_text(overflow_rba_text("1e308")), "gemm"), (_c24_overflowing(), "thin")):
         assert _kernel(rba.lam_float) == kernel
         assert math.isnan(_assoc_reference(rba)[0])
         with pytest.raises(NumericalError, match=r"associativity residual is not finite \(nan\)"):
