@@ -17,11 +17,11 @@ Python-int N). N with r max|N|^2 < 2^52 is first cast to float64, where it is
 still exact. An exact RBA's degree map c / D is proved by one integer product,
 N c = c c^T, for c = N[i,i*,0] (a standard basis) or the Newton-refined
 round(D v) of the real all-positive eigenvector v of one random element; no
-tolerance decides it. Well-formed text is read a column at a time,
-other text line by line. Eigen-computations run in doubles; exact mode checks
-identities exactly and snaps derived values back. One tolerance,
-ToleranceConfig.eps_residual, sets the float residual bound, the is-zero cut and
-the cluster gap; bounds on the tensor are relative to ``RBA.scale`` = max(1, max|lam|).
+tolerance decides it (a float c = lam[i,i*,0] takes eig's bound). Well-formed text
+is read a column at a time, other text line by line. Eigen-computations run in
+doubles; exact mode checks identities exactly and snaps derived values back. One
+tolerance, ToleranceConfig.eps_residual, sets the float residual bound, the is-zero
+cut and the cluster gap; bounds on the tensor are relative to ``RBA.scale``.
 """
 
 from __future__ import annotations
@@ -682,28 +682,25 @@ def degree_map(rba: RBA, tol: ToleranceConfig = DEFAULT_TOL) -> DegreeMap:
     """The unique all-positive one-dimensional representation, plus the order n.
 
     An exact RBA's degrees are proved in integers (_proved), first c_i = N[i,i*,0]
-    (a standard basis) with no eig and no random draw; that no other positive one
-    exists rests on the axioms, which analyze validates first. Otherwise a degree
-    map (v_0 = 1) is a common eigenvector of the transposed left regular matrices:
-    a column of the eigenvectors of a seeded random combination of them, tested with
-    the other real all-positive columns by one product, reseeding until one passes.
-    An exact input then proves round(D v), refined; irrational degrees stay floats.
+    (_standard_degrees), no eig and no draw; no other positive one exists by the axioms
+    (Arad and Blau 1991), which analyze validates first. Else v (v_0 = 1) is an
+    eigenvector of a seeded random combination of the transposed left regular matrices
+    that passes _degree_columns, reseeding until one does; exact input then proves
+    round(D v), refined, and irrational degrees stay floats. Float input always takes
+    eig: analyze tries its diagonal first, as the bench pins eig here (ROADMAP 1, 2(b)).
     """
     r = rba.rank
-    if rba.exact and (dm := _proved(rba, rba.lam_int[1][np.arange(r), rba.star, 0])):
+    if rba.exact and (dm := _standard_degrees(rba, tol)):
         return dm
-    lam, scale = rba.lam_float, rba.scale
     for attempt in range(8):
         c = tol.rng(attempt).uniform(-1.0, 1.0, r)
-        _, vecs = np.linalg.eig(np.einsum("i,ijk->jk", c, lam))  # (Mw)_j = sum_k c.lam[.,j,k] w_k
+        _, vecs = np.linalg.eig(np.einsum("i,ijk->jk", c, rba.lam_float))  # (Mw)_j = sum_k c.lam[.,j,k] w_k
         vecs = vecs[:, abs(vecs[0]) >= tol.eps_zero]
         vecs = vecs / vecs[0]
         vecs = vecs[:, abs(vecs.imag).max(axis=0) < tol.eps_zero].real
-        vecs = vecs[:, vecs.min(axis=0) > tol.eps_zero]
-        res = abs(lam.reshape(r * r, r) @ vecs - (vecs[:, None] * vecs[None]).reshape(r * r, -1))
         positive = []
-        for v in vecs[:, res.max(axis=0) <= tol.eps_residual * scale * r].T:
-            if not any(abs(v - u).max() < tol.eps_cluster * scale for u in positive):
+        for v in _degree_columns(rba, vecs, tol).T:
+            if not any(abs(v - u).max() < tol.eps_cluster * rba.scale for u in positive):
                 positive.append(v)
         if positive:
             break
@@ -713,6 +710,24 @@ def degree_map(rba: RBA, tol: ToleranceConfig = DEFAULT_TOL) -> DegreeMap:
         raise NumericalError(f"{len(positive)} all-positive one-dimensional representations found; "
                              "input is not a valid RBA")
     return rba.exact and _proved(rba, positive[0]) or DegreeMap(positive[0], exact=False)
+
+
+def _degree_columns(rba: RBA, vecs, tol: ToleranceConfig):
+    """The columns v of vecs with min v > eps_zero and |lam v - v v^T| <= eps_residual scale r."""
+    r = rba.rank
+    vecs = vecs[:, vecs.min(axis=0) > tol.eps_zero]
+    res = abs(rba.lam_float.reshape(r * r, r) @ vecs - (vecs[:, None] * vecs[None]).reshape(r * r, -1))
+    return vecs[:, res.max(axis=0) <= tol.eps_residual * rba.scale * r]
+
+
+def _standard_degrees(rba: RBA, tol: ToleranceConfig):
+    """c = lam[i,i*,0], the degrees of a standard basis, or None: proved (_proved) for exact
+    input; for float input a _degree_columns pass, which analyze tries before degree_map."""
+    i = np.arange(rba.rank)
+    if rba.exact:
+        return _proved(rba, rba.lam_int[1][i, rba.star, 0])
+    c = _degree_columns(rba, rba.lam_float[i, rba.star, 0][:, None], tol)
+    return DegreeMap(c[:, 0], exact=False) if c.size else None
 
 
 def _proved(rba: RBA, c):
@@ -748,9 +763,9 @@ def _proved(rba: RBA, c):
 def standardize(rba: RBA, dm: DegreeMap) -> RBA:
     """Rescale the basis so the b_0-coefficient of b_i b_i* equals the degree of b_i.
 
-    b_i' = t_i b_i with t_i = delta_i / lam[i,i*,0]; idempotent. With exact degrees
-    an exact RBA comes back as itself when every t_i = 1, else is rescaled in _frame's
-    integers: for t = X / E and 1 / t = Y / F, lam' = N X_i X_j Y_k / (D E^2 F).
+    b_i' = t_i b_i with t_i = delta_i / lam[i,i*,0]; idempotent. An RBA comes back as
+    itself when every t_i == 1 (exact only with exact degrees), else is rescaled in
+    floats or in _frame's integers: t = X / E, 1 / t = Y / F, lam' = N X_i X_j Y_k / (D E^2 F).
     """
     r = rba.rank
     star = rba.star
@@ -761,6 +776,8 @@ def standardize(rba: RBA, dm: DegreeMap) -> RBA:
         raise AxiomError("lam[i,i*,0] must be positive (pseudo-inverse violation)")
     if not exact:
         t = dm.values_float / diag
+        if not rba.exact and (t == 1).all():  # a float RBA with _standard_degrees
+            return rba
         return RBA(lam * t[:, None, None] * t[None, :, None] / t[None, None, :], star)
     if all(v * d == x for v, x in zip(dm.values, diag.tolist())):  # every group and scheme RBA
         return rba
@@ -772,10 +789,10 @@ def standardize(rba: RBA, dm: DegreeMap) -> RBA:
 def to_standard_basis(rba: RBA, dm: DegreeMap, tol: ToleranceConfig = DEFAULT_TOL):
     """(rba', dm', was_standard): the RBA in the standard basis and its degree map.
 
-    An exact input with exact degrees is standard when delta_i = lam[i,i*,0] for every
-    i (every group and scheme RBA), and then standardize hands it back unchanged. A
-    float input within tol.eps_residual of its rescaling, relative to its largest
-    entry when that is above 1, counts as standard too; exact input has no tolerance.
+    An input is standard when delta_i = lam[i,i*,0] for every i (every group and
+    scheme RBA), and then standardize hands it back unchanged. A float input within
+    tol.eps_residual of its rescaling, relative to its largest entry above 1, counts
+    as standard too; exact input has no tolerance. Any other calls degree_map again.
     """
     standard = standardize(rba, dm)
     if standard is rba or not rba.exact and float(

@@ -23,6 +23,7 @@ from .core import (
     NumericalError,
     RBA,
     ToleranceConfig,
+    _standard_degrees,
     degree_map,
     gram_matrix,
     snap_value,
@@ -45,26 +46,29 @@ __all__ = [
 ]
 
 
+_AS_IS = frozenset((float, int, str, bool, type(None)))  # the JSON scalars
+
+
 def encode_value(v):
-    """JSON-encodable form of a scalar; exact values become strings."""
-    if isinstance(v, Fraction):
-        return str(v)
-    if isinstance(v, (bool, np.bool_)):
-        return bool(v)
-    if isinstance(v, (int, str)) or v is None:
+    """JSON-encodable form of a value; exact values become strings. A snapped value's
+    exact type is tested first (a float table has ~10^4), numpy scalars and subclasses after."""
+    t = type(v)
+    if t in _AS_IS:
         return v
-    if isinstance(v, (np.integer,)):
-        return int(v)
-    if isinstance(v, complex) or isinstance(v, np.complexfloating):
-        z = complex(v)
-        if z.imag == 0.0:
-            return float(z.real)
-        return {"re": z.real, "im": z.imag}
-    if isinstance(v, (float, np.floating)):
-        f = float(v)
-        return f
+    if t is Fraction:  # a subclass falls through to str(v) too
+        return str(v)
+    if t is complex:
+        return v.real if v.imag == 0.0 else {"re": v.real, "im": v.imag}
     if isinstance(v, (list, tuple)):
         return [encode_value(x) for x in v]
+    if isinstance(v, (np.bool_, np.integer)):
+        return v.item()
+    if isinstance(v, (int, str)):
+        return v
+    if isinstance(v, (complex, np.complexfloating)):
+        return encode_value(complex(v))
+    if isinstance(v, (float, np.floating)):
+        return float(v)
     if isinstance(v, dict):
         return {str(k): encode_value(x) for k, x in v.items()}
     if isinstance(v, np.ndarray):
@@ -74,7 +78,8 @@ def encode_value(v):
 
 def canonical_json(obj) -> str:
     """Sorted, compact JSON on one line, then "\\n", with encode_value for every leaf
-    json cannot encode; nan and inf raise ValueError. One call of json's C encoder."""
+    json cannot encode; nan and inf raise ValueError. One call of json's C encoder.
+    Canonical for str keys, which every report has: json sorts int keys by value."""
     return json.dumps(obj, default=encode_value, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
 
@@ -178,17 +183,8 @@ def integrality_section(integ) -> dict:
 
 
 def _table_section(table, nus):
-    rows = []
-    for c, nu in zip(table, nus):
-        rows.append(
-            {
-                "degree": c.degree,
-                "values": encode_value(c.values),
-                "multiplicity": encode_value(c.multiplicity),
-                "nu": nu,
-                "exact": c.is_exact,
-            }
-        )
+    rows = [{"degree": c.degree, "values": encode_value(c.values), "multiplicity": encode_value(c.multiplicity),
+             "nu": nu, "exact": c.is_exact} for c, nu in zip(table, nus)]
     return {
         "degrees": table.degrees(),
         "multiplicities": encode_value(table.multiplicities()),
@@ -205,6 +201,8 @@ def analyze(rba: RBA, tol: ToleranceConfig = DEFAULT_TOL, force_float: bool = Fa
     all consistency cross-checks, and integrality (when the tensor is
     integral nothing is flagged; a non-integral tensor is a negative
     mathematical verdict, mirroring the 2-adic theorem's subject).
+    Standard float input reads its degrees off the diagonal (_standard_degrees) here,
+    not in degree_map, which the bench pins to eig (ROADMAP items 1, 2(b) move it).
     """
     if force_float and rba.exact:  # the float RBA over the same lam_float array
         rba = RBA._from_numerators(None, rba.lam_float, rba.star)
@@ -238,7 +236,7 @@ def analyze(rba: RBA, tol: ToleranceConfig = DEFAULT_TOL, force_float: bool = Fa
         data["overall_pass"] = False
         return AnalysisReport(data)
 
-    dm = degree_map(rba, tol)
+    dm = not rba.exact and _standard_degrees(rba, tol) or degree_map(rba, tol)
     *degrees, order = [*dm.values, dm.n] if dm.exact else snap_value(
         np.append(dm.values_float, dm.n_float), tol.eps_zero)
     data["rba"]["order"], data["rba"]["degrees"] = encode_value(order), encode_value(degrees)

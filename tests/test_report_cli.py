@@ -17,10 +17,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rbakit import core, report
 from rbakit.cli import main
 from rbakit.core import RBA, CheckResult
-from rbakit.fixtures import fixture_text, load_fixture
-from rbakit.ingest import from_group
+from rbakit.fixtures import FIXTURES, fixture_text, load_fixture
+from rbakit.ingest import from_group, from_scheme
 from rbakit.integrality import RowObstruction, integral_check
 from rbakit.quaternion import QuaternionSymbol
 from rbakit.report import (
@@ -34,9 +35,14 @@ from rbakit.report import (
 from conftest import (
     TOL,
     c_n_table,
+    d8_table,
+    hamming,
+    johnson,
     overflow_rba_text,
+    relations,
     rescale,
     s3_associativity_variant,
+    s3_table,
     s4_table,
 )
 
@@ -238,6 +244,22 @@ def test_canonical_json_takes_subclasses_without_recursing():
         canonical_json({(1, 2): 1})
 
 
+class Half(Fraction):
+    pass
+
+
+@pytest.mark.parametrize("value, encoded", [
+    (Fraction(-1, 2), "-1/2"), (Half(1, 2), "1/2"), (complex(2, -0.0), 2.0), (complex(0, 1), {"re": 0.0, "im": 1.0}),
+    (np.complex128(1, -1), {"re": 1.0, "im": -1.0}), (np.complex64(3), 3.0), (np.bool_(True), True),
+    (np.int8(-3), -3), (np.float32(0.5), 0.5), (Level.LOW, 1), (Text("t"), "t"), (None, None),
+    ((1, [Fraction(3), 0.25]), [1, ["3", 0.25]]), (np.array([1.5, -2.0]), [1.5, -2.0]), ({3: Half(3)}, {"3": "3"}),
+], ids=repr)
+def test_encode_value_of_each_type(value, encoded):
+    # exact types take the tests by type, numpy scalars and subclasses the isinstance chain
+    got = encode_value(value)
+    assert got == encoded and json.dumps(got) == json.dumps(encoded)
+
+
 def _fields(record) -> set:
     return {f.name for f in dataclasses.fields(record)}
 
@@ -287,6 +309,98 @@ def test_analyze_standardizes(s3_rba):
     rep = analyze(RBA(lam, s3_rba.star), TOL)
     assert not rep.data["rba"]["standard_basis"]
     assert rep.data["quaternion"]["verdict"] == "split"
+
+
+def _float_copy(rba):
+    return RBA(rba.lam_float, rba.star)
+
+
+_STANDARD_FLOAT = {
+    "S3": lambda: from_group(s3_table()),
+    "D8": lambda: from_group(d8_table()),
+    "C24": lambda: from_group(c_n_table(24)),
+    "H(3,3)": lambda: from_scheme(relations(hamming(3, 3))),
+    "J(6,3)": lambda: from_scheme(relations(johnson(6, 3))),
+    "rank7_h": lambda: load_fixture("rank7_h"),
+}
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("called")
+
+
+@pytest.mark.parametrize("build", _STANDARD_FLOAT.values(), ids=_STANDARD_FLOAT.keys())
+def test_float_input_in_its_standard_basis_needs_no_degree_map(build, monkeypatch):
+    # delta_i = lam[i,i*,0], checked by one product: no eig, and the same report
+    # as the eig path, which it takes when the diagonal is refused
+    rba = _float_copy(build())
+    with monkeypatch.context() as m:
+        m.setattr(report, "degree_map", _refuse)
+        m.setattr(core, "degree_map", _refuse)
+        fast = analyze(rba, TOL)
+    monkeypatch.setattr(report, "_standard_degrees", lambda rba, tol: None)
+    slow = analyze(rba, TOL)
+    assert fast.data["meta"]["mode"] == "float" and fast.data["rba"]["standard_basis"]
+    assert fast.to_json() == slow.to_json()
+
+
+def test_float_input_off_its_standard_basis_calls_degree_map_twice(s3_rba, monkeypatch):
+    # a rescaled float S3 finds its degrees by eig, then again on the standardized RBA
+    degree_map, calls = core.degree_map, []
+
+    def counted(rba, tol):
+        calls.append(rba)
+        return degree_map(rba, tol)
+
+    monkeypatch.setattr(report, "degree_map", counted)
+    monkeypatch.setattr(core, "degree_map", counted)
+    rba = _float_copy(rescale(s3_rba, [1.0, 3.0, 3.0, 1.0, 1.0, 1.0]))
+    data = analyze(rba, TOL).data
+    assert len(calls) == 2 and not data["rba"]["standard_basis"]
+    assert data["overall_pass"] and data["quaternion"]["a"] == "-12"
+
+
+def test_standardize_hands_back_a_float_input_in_its_standard_basis(s3_rba):
+    rba = _float_copy(s3_rba)
+    dm = core._standard_degrees(rba, TOL)
+    assert not dm.exact and list(dm.values) == [1.0] * 6
+    assert core.standardize(rba, dm) is rba
+    assert core.to_standard_basis(rba, dm, TOL) == (rba, dm, True)
+
+
+@pytest.mark.parametrize("seed", [2, 31])
+def test_float_order_of_a_relabelled_scheme_product_is_exact(seed):
+    # J(8,4) x H(4,3) with b_i relabelled b_p[i]: eig's degrees were off by ~2e-13
+    # relative, past eps_zero at n = 5670, so the order read 5670.000000001252 at
+    # seed 2 and 5670.0000000023665 at seed 31; the diagonal is exact
+    a = from_scheme(relations(johnson(8, 4)))
+    b = from_scheme(relations(hamming(4, 3)))
+    lam = np.einsum("ijk,abc->iajbkc", a.lam_float, b.lam_float).reshape(25, 25, 25)
+    star = (a.star[:, None] * 5 + b.star).ravel()
+    p = np.array([0, *(1 + np.random.default_rng(seed).permutation(24))])
+    q = np.argsort(p)
+    rba = RBA(lam[np.ix_(q, q, q)], p[star[q]])
+    data = analyze(rba, TOL, force_float=True).data
+    assert data["meta"]["mode"] == "float" and data["rba"]["standard_basis"]
+    assert data["rba"]["order"] == data["character_table"]["order"] == "5670"
+
+
+def _keys(obj):
+    """Every dict key in a nest of dicts, lists and tuples."""
+    if isinstance(obj, dict):
+        yield from obj
+        obj = list(obj.values())
+    if isinstance(obj, (list, tuple)):
+        for x in obj:
+            yield from _keys(x)
+
+
+@pytest.mark.parametrize("force_float", [False, True], ids=["exact", "float"])
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_report_keys_are_str(name, force_float):
+    # canonical_json sorts int keys by value, not by their text: a report has none
+    keys = list(_keys(analyze(load_fixture(name), TOL, force_float=force_float).data))
+    assert keys and all(type(k) is str for k in keys)
 
 
 # ---------------------------------------------------------------------------
