@@ -681,16 +681,16 @@ def _thin_kernel(terms):
 def degree_map(rba: RBA, tol: ToleranceConfig = DEFAULT_TOL) -> DegreeMap:
     """The unique all-positive one-dimensional representation, plus the order n.
 
-    An exact RBA's degrees are proved in integers (_proved), first c_i = N[i,i*,0]
-    (_standard_degrees), no eig and no draw; no other positive one exists by the axioms
-    (Arad and Blau 1991), which analyze validates first. Else v (v_0 = 1) is an
-    eigenvector of a seeded random combination of the transposed left regular matrices
-    that passes _degree_columns, reseeding until one does; exact input then proves
-    round(D v), refined, and irrational degrees stay floats. Float input always takes
-    eig: analyze tries its diagonal first, as the bench pins eig here (ROADMAP 1, 2(b)).
+    An exact RBA's degrees are proved in integers (_proved), first c_i = N[i,i*,0]: no
+    eig and no draw; no other positive one exists by the axioms (Arad and Blau 1991),
+    which analyze validates first. Else v (v_0 = 1) is an eigenvector of a seeded random
+    combination of the transposed left regular matrices that passes _degree_columns,
+    reseeding until one does; exact input then proves round(D v), refined, and irrational
+    degrees stay floats. Float input always takes eig: to_standard_basis tries its
+    diagonal first, as the bench pins eig here (ROADMAP items 1, 2(b)).
     """
     r = rba.rank
-    if rba.exact and (dm := _standard_degrees(rba, tol)):
+    if rba.exact and (dm := _proved(rba, rba.lam_int[1][np.arange(r), rba.star, 0])):
         return dm
     for attempt in range(8):
         c = tol.rng(attempt).uniform(-1.0, 1.0, r)
@@ -718,16 +718,6 @@ def _degree_columns(rba: RBA, vecs, tol: ToleranceConfig):
     vecs = vecs[:, vecs.min(axis=0) > tol.eps_zero]
     res = abs(rba.lam_float.reshape(r * r, r) @ vecs - (vecs[:, None] * vecs[None]).reshape(r * r, -1))
     return vecs[:, res.max(axis=0) <= tol.eps_residual * rba.scale * r]
-
-
-def _standard_degrees(rba: RBA, tol: ToleranceConfig):
-    """c = lam[i,i*,0], the degrees of a standard basis, or None: proved (_proved) for exact
-    input; for float input a _degree_columns pass, which analyze tries before degree_map."""
-    i = np.arange(rba.rank)
-    if rba.exact:
-        return _proved(rba, rba.lam_int[1][i, rba.star, 0])
-    c = _degree_columns(rba, rba.lam_float[i, rba.star, 0][:, None], tol)
-    return DegreeMap(c[:, 0], exact=False) if c.size else None
 
 
 def _proved(rba: RBA, c):
@@ -763,9 +753,10 @@ def _proved(rba: RBA, c):
 def standardize(rba: RBA, dm: DegreeMap) -> RBA:
     """Rescale the basis so the b_0-coefficient of b_i b_i* equals the degree of b_i.
 
-    b_i' = t_i b_i with t_i = delta_i / lam[i,i*,0]; idempotent. An RBA comes back as
-    itself when every t_i == 1 (exact only with exact degrees), else is rescaled in
-    floats or in _frame's integers: t = X / E, 1 / t = Y / F, lam' = N X_i X_j Y_k / (D E^2 F).
+    b_i' = t_i b_i with t_i = delta_i / lam[i,i*,0]; idempotent. An RBA comes back as itself
+    when every t_i == 1 (exact only with exact degrees, float with to_standard_basis' diagonal
+    ones), else is rescaled in floats or in _frame's integers: t = X / E, 1 / t = Y / F,
+    lam' = N X_i X_j Y_k / (D E^2 F). to_standard_basis owns the call in analyze.
     """
     r = rba.rank
     star = rba.star
@@ -776,7 +767,7 @@ def standardize(rba: RBA, dm: DegreeMap) -> RBA:
         raise AxiomError("lam[i,i*,0] must be positive (pseudo-inverse violation)")
     if not exact:
         t = dm.values_float / diag
-        if not rba.exact and (t == 1).all():  # a float RBA with _standard_degrees
+        if not rba.exact and (t == 1).all():  # a float RBA with its diagonal degrees
             return rba
         return RBA(lam * t[:, None, None] * t[None, :, None] / t[None, None, :], star)
     if all(v * d == x for v, x in zip(dm.values, diag.tolist())):  # every group and scheme RBA
@@ -786,19 +777,27 @@ def standardize(rba: RBA, dm: DegreeMap) -> RBA:
     return RBA._from_numerators(d * e * e * f, n * x[:, None, None] * x[None, :, None] * y, star)
 
 
-def to_standard_basis(rba: RBA, dm: DegreeMap, tol: ToleranceConfig = DEFAULT_TOL):
-    """(rba', dm', was_standard): the RBA in the standard basis and its degree map.
+def to_standard_basis(rba: RBA, tol: ToleranceConfig = DEFAULT_TOL):
+    """(dm, rba', dm'): the degree map of rba, rba in the standard basis, and its degree map.
 
-    An input is standard when delta_i = lam[i,i*,0] for every i (every group and
-    scheme RBA), and then standardize hands it back unchanged. A float input within
-    tol.eps_residual of its rescaling, relative to its largest entry above 1, counts
-    as standard too; exact input has no tolerance. Any other calls degree_map again.
+    Float input first tries delta_i = lam[i,i*,0], checked by one _degree_columns pass;
+    any other input, or a float one that fails it, takes degree_map. An input is standard
+    when delta_i = lam[i,i*,0] for every i (every group and scheme RBA), and then rba' is
+    rba and dm' is dm. A float input within tol.eps_residual of its rescaling, relative to
+    its largest entry above 1, counts as standard too; exact input has no tolerance. Any
+    other is rescaled (standardize), and degree_map runs again on rba'. Raises AxiomError
+    when the trace form of rba' is not positive definite (gram_matrix).
     """
-    standard = standardize(rba, dm)
-    if standard is rba or not rba.exact and float(
-            abs(standard.lam_float - rba.lam_float).max()) <= tol.eps_residual * rba.scale:
-        return rba, dm, True
-    return standard, degree_map(standard, tol), False
+    c = None if rba.exact else _degree_columns(rba, rba.lam_float[np.arange(rba.rank), rba.star, 0][:, None], tol)
+    dm = DegreeMap(c[:, 0], exact=False) if c is not None and c.size else degree_map(rba, tol)
+    std, std_dm = standardize(rba, dm), dm
+    if std is rba or not rba.exact and float(
+            abs(std.lam_float - rba.lam_float).max()) <= tol.eps_residual * rba.scale:
+        std = rba
+    else:
+        std_dm = degree_map(std, tol)
+    gram_matrix(std, std_dm)  # raises if the trace form degenerates
+    return dm, std, std_dm
 
 
 def gram_matrix(rba: RBA, dm: DegreeMap) -> np.ndarray:

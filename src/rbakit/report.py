@@ -23,9 +23,6 @@ from .core import (
     NumericalError,
     RBA,
     ToleranceConfig,
-    _standard_degrees,
-    degree_map,
-    gram_matrix,
     snap_value,
     to_standard_basis,
     validate,
@@ -50,8 +47,8 @@ _AS_IS = frozenset((float, int, str, bool, type(None)))  # the JSON scalars
 
 
 def encode_value(v):
-    """JSON-encodable form of a value; exact values become strings. A snapped value's
-    exact type is tested first (a float table has ~10^4), numpy scalars and subclasses after."""
+    """JSON-encodable form of a value; exact values and dict keys become str, as every report
+    key must be (json sorts int keys by value). Exact types first, numpy and subclasses after."""
     t = type(v)
     if t in _AS_IS:
         return v
@@ -201,8 +198,7 @@ def analyze(rba: RBA, tol: ToleranceConfig = DEFAULT_TOL, force_float: bool = Fa
     all consistency cross-checks, and integrality (when the tensor is
     integral nothing is flagged; a non-integral tensor is a negative
     mathematical verdict, mirroring the 2-adic theorem's subject).
-    Standard float input reads its degrees off the diagonal (_standard_degrees) here,
-    not in degree_map, which the bench pins to eig (ROADMAP items 1, 2(b) move it).
+    The degrees and the standard basis come from one to_standard_basis call.
     """
     if force_float and rba.exact:  # the float RBA over the same lam_float array
         rba = RBA._from_numerators(None, rba.lam_float, rba.star)
@@ -236,16 +232,13 @@ def analyze(rba: RBA, tol: ToleranceConfig = DEFAULT_TOL, force_float: bool = Fa
         data["overall_pass"] = False
         return AnalysisReport(data)
 
-    dm = not rba.exact and _standard_degrees(rba, tol) or degree_map(rba, tol)
+    dm, std, std_dm = to_standard_basis(rba, tol)
     *degrees, order = [*dm.values, dm.n] if dm.exact else snap_value(
         np.append(dm.values_float, dm.n_float), tol.eps_zero)
     data["rba"]["order"], data["rba"]["degrees"] = encode_value(order), encode_value(degrees)
-
-    rba, dm, was_standard = to_standard_basis(rba, dm, tol)
-    data["meta"]["mode"] = "exact" if rba.exact else "float"  # exact input with unproved degrees runs in floats
-    data["rba"]["standard_basis"] = was_standard
-
-    gram_matrix(rba, dm)  # raises if the trace form degenerates
+    data["meta"]["mode"] = "exact" if std.exact else "float"  # exact input with unproved degrees runs in floats
+    data["rba"]["standard_basis"] = std is rba
+    rba, dm = std, std_dm
 
     table = character_table(rba, dm, tol=tol)
     ind = indicator_report(rba, dm, table, tol)

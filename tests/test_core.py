@@ -15,7 +15,6 @@ from rbakit import core
 from rbakit.core import (
     RBA,
     AxiomError,
-    DegreeMap,
     NumericalError,
     StructuralError,
     ToleranceConfig,
@@ -844,9 +843,10 @@ def test_exact_degree_map_of_a_rescaled_pair(s3_rba, monkeypatch):
     rescaled = rescale(s3_rba, [Fraction(v) for v in (1, 3, 3, 1, 1, 1)])
     eig, calls = np.linalg.eig, []
     monkeypatch.setattr(np.linalg, "eig", lambda m: calls.append(1) or eig(m))
-    std, dm, was_standard = to_standard_basis(rescaled, degree_map(rescaled, TOL), TOL)
-    assert len(calls) == 1 and not was_standard
-    assert dm.exact and list(dm.values) == [1] * 6
+    dm, std, std_dm = to_standard_basis(rescaled, TOL)
+    assert len(calls) == 1 and std is not rescaled
+    assert dm.exact and list(dm.values) == [1, 3, 3, 1, 1, 1]
+    assert std_dm.exact and list(std_dm.values) == [1] * 6
     assert np.array_equal(std.lam, s3_rba.lam)
 
 
@@ -1008,32 +1008,50 @@ def test_standardize_idempotent(s3_rba):
 
 
 def test_to_standard_basis(s3_rba):
-    dm = degree_map(s3_rba, TOL)
-    assert to_standard_basis(s3_rba, dm, TOL) == (s3_rba, dm, True)
+    dm, std, std_dm = to_standard_basis(s3_rba, TOL)
+    assert std is s3_rba and std_dm is dm
+    assert dm.exact and list(dm.values) == [1] * 6
     scale = [Fraction(1), Fraction(3), Fraction(3), Fraction(2), Fraction(1), Fraction(1)]
     rescaled = rescale(s3_rba, scale)
-    std, dm2, was_standard = to_standard_basis(rescaled, degree_map(rescaled, TOL), TOL)
-    assert not was_standard
+    dm2, std, std_dm = to_standard_basis(rescaled, TOL)
+    assert std is not rescaled and std.exact
+    assert list(dm2.values) == scale
     assert np.array_equal(std.lam, s3_rba.lam)
-    assert list(dm2.values) == list(dm.values)
+    assert list(std_dm.values) == list(dm.values)
 
 
 @pytest.mark.parametrize("dtype", [np.int64, float])
-def test_to_standard_basis_tolerance_is_relative(dtype):
-    # K_201 as a rank-2 scheme: lam[1,1,0] = 200, already standard. A float
-    # degree map off by 1e-10 relative moves the rescaled entries by ~4e-8,
-    # which is noise at this scale, not a change of basis. Exact input has no
-    # tolerance: its degrees are proved, and they make it standard.
-    lam = np.zeros((2, 2, 2), dtype=dtype)
-    lam[0, 0, 0] = lam[0, 1, 1] = lam[1, 0, 1] = 1
-    lam[1, 1] = [200, 199]
-    rba = RBA(lam, [0, 1])
-    if rba.exact:
-        dm = degree_map(rba, TOL)
+def test_to_standard_basis_tolerance_is_relative(dtype, monkeypatch):
+    # K_201 as a rank-2 scheme, b_1^2 = 200 (1 + eps) b_0 + 199 b_1. Exact input
+    # has no tolerance: at eps = 0 its degrees are proved, and they make it
+    # standard. A float lam[1,1,0] off by eps relative fails the diagonal check
+    # (residual ~4e4 eps), and eig's delta_1 ~ 200 (1 + eps / 201) moves the
+    # rescaled entries by ~4e-3 eps, noise at this scale, not a change of basis:
+    # the input comes back as itself, up to eps = 3e-9, and is rescaled at 1e-8.
+    def k201(eps):
+        lam = np.zeros((2, 2, 2), dtype=dtype)
+        lam[0, 0, 0] = lam[0, 1, 1] = lam[1, 0, 1] = 1
+        lam[1, 1] = [200 * (1 + eps), 199]
+        return RBA(lam, [0, 1])
+
+    if dtype is np.int64:
+        rba = k201(0)
+        dm, std, std_dm = to_standard_basis(rba, TOL)
+        assert std is rba and std_dm is dm
         assert dm.exact and list(dm.values) == [1, 200]
-    else:
-        dm = DegreeMap(np.array([1.0, 200 * (1 + 1e-10)]), exact=False)
-    assert to_standard_basis(rba, dm, TOL) == (rba, dm, True)
+        return
+    degree_map, calls = core.degree_map, []
+    monkeypatch.setattr(core, "degree_map", lambda rba, tol: calls.append(rba) or degree_map(rba, tol))
+    for eps in (1e-10, 1e-9, 3e-9):
+        rba, calls[:] = k201(eps), []
+        dm, std, std_dm = to_standard_basis(rba, TOL)
+        assert calls == [rba] and std is rba and std_dm is dm and not dm.exact
+        assert abs(dm.values_float - [1, 200]).max() < 1e-6
+        assert standardize(rba, dm) is not rba  # standardize alone rescales it
+    rba, calls[:] = k201(1e-8), []
+    dm, std, std_dm = to_standard_basis(rba, TOL)
+    assert calls == [rba, std] and std is not rba and std_dm is not dm
+    assert std.lam_float[1, 1, 0] == pytest.approx(std_dm.values_float[1], rel=1e-12)
 
 
 def test_standardize_rejects_bad_diagonal(s3_rba):

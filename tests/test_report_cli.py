@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from rbakit import core, report
 from rbakit.cli import main
-from rbakit.core import RBA, CheckResult
+from rbakit.core import RBA, CheckResult, NumericalError
 from rbakit.fixtures import FIXTURES, fixture_text, load_fixture
 from rbakit.ingest import from_group, from_scheme
 from rbakit.integrality import RowObstruction, integral_check
@@ -331,41 +331,53 @@ def _refuse(*args, **kwargs):
 
 @pytest.mark.parametrize("build", _STANDARD_FLOAT.values(), ids=_STANDARD_FLOAT.keys())
 def test_float_input_in_its_standard_basis_needs_no_degree_map(build, monkeypatch):
-    # delta_i = lam[i,i*,0], checked by one product: no eig, and the same report
-    # as the eig path, which it takes when the diagonal is refused
+    # delta_i = lam[i,i*,0], checked by one product: no degree_map call, so no eig.
+    # eig's degree map of the same input snaps to the same degrees and order, and
+    # rescaling by it stays within the near-standard tolerance, so the eig path,
+    # taken when the diagonal is refused, keeps the input and gives the same report
     rba = _float_copy(build())
     with monkeypatch.context() as m:
-        m.setattr(report, "degree_map", _refuse)
         m.setattr(core, "degree_map", _refuse)
         fast = analyze(rba, TOL)
-    monkeypatch.setattr(report, "_standard_degrees", lambda rba, tol: None)
+    data = fast.data["rba"]
+    assert fast.data["meta"]["mode"] == "float" and data["standard_basis"]
+    eig = core.degree_map(rba, TOL)
+    snapped = core.snap_value(np.append(eig.values_float, eig.n_float), TOL.eps_zero)
+    assert encode_value(snapped) == [*data["degrees"], data["order"]]
+    moved = abs(core.standardize(rba, eig).lam_float - rba.lam_float).max()
+    assert moved <= TOL.eps_residual * rba.scale
+    columns, first = core._degree_columns, iter([True])
+    monkeypatch.setattr(core, "_degree_columns",
+                        lambda rba, vecs, tol: vecs[:, :0] if next(first, False) else columns(rba, vecs, tol))
     slow = analyze(rba, TOL)
-    assert fast.data["meta"]["mode"] == "float" and fast.data["rba"]["standard_basis"]
+    assert next(first, None) is None and slow.data["rba"]["standard_basis"]
     assert fast.to_json() == slow.to_json()
 
 
 def test_float_input_off_its_standard_basis_calls_degree_map_twice(s3_rba, monkeypatch):
-    # a rescaled float S3 finds its degrees by eig, then again on the standardized RBA
+    # a rescaled float S3 finds its degrees by eig, then again on the standardized
+    # RBA: two core.degree_map calls, as the bench's tracer test pins for rank7_h
     degree_map, calls = core.degree_map, []
 
     def counted(rba, tol):
         calls.append(rba)
         return degree_map(rba, tol)
 
-    monkeypatch.setattr(report, "degree_map", counted)
     monkeypatch.setattr(core, "degree_map", counted)
     rba = _float_copy(rescale(s3_rba, [1.0, 3.0, 3.0, 1.0, 1.0, 1.0]))
     data = analyze(rba, TOL).data
-    assert len(calls) == 2 and not data["rba"]["standard_basis"]
+    assert len(calls) == 2 and calls[0] is rba and calls[1] is not rba
+    assert not data["rba"]["standard_basis"]
     assert data["overall_pass"] and data["quaternion"]["a"] == "-12"
 
 
-def test_standardize_hands_back_a_float_input_in_its_standard_basis(s3_rba):
+def test_standardize_hands_back_a_float_input_in_its_standard_basis(s3_rba, monkeypatch):
     rba = _float_copy(s3_rba)
-    dm = core._standard_degrees(rba, TOL)
+    monkeypatch.setattr(core, "degree_map", _refuse)
+    dm, std, std_dm = core.to_standard_basis(rba, TOL)
     assert not dm.exact and list(dm.values) == [1.0] * 6
     assert core.standardize(rba, dm) is rba
-    assert core.to_standard_basis(rba, dm, TOL) == (rba, dm, True)
+    assert std is rba and std_dm is dm
 
 
 @pytest.mark.parametrize("seed", [2, 31])
@@ -468,6 +480,41 @@ def test_cli_quaternion(tmp_path, capsys):
     variant.write_text(s3_associativity_variant().to_text())
     assert main(["quaternion", str(variant)]) == 1
     assert capsys.readouterr().out == "axioms fail: associativity\n"
+
+
+def test_cli_quaternion_text(tmp_path, capsys):
+    path = _write_s3(tmp_path)
+    assert main(["quaternion", path]) == 0
+    assert capsys.readouterr().out == ("(a, beta) = (-12, 4)  verdict: split\n"
+                                       "local symbols: {'2': 1, '3': 1, 'inf': 1}\n")
+    assert main(["quaternion", path, "--float"]) == 0  # no local symbols in float mode
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1 and out.endswith("verdict: real-split-only\n")
+
+
+def test_analyze_reports_a_refused_rank7_trichotomy(rank7_rba, monkeypatch):
+    def refuse(ind):
+        raise ValueError("inadmissible indicator pattern")
+
+    monkeypatch.setattr(report, "rank7_trichotomy", refuse)
+    d = analyze(rank7_rba, TOL).data
+    cls_ = d["classification"]
+    assert cls_["rank7_class"] is None and '"rank7_class":null' in canonical_json(d)
+    assert cls_["rank7_error"] == "inadmissible indicator pattern"
+    assert "rank7_consistent" not in cls_ and "two_adic" not in d["integrality"]
+
+
+def test_analyze_reports_a_failed_symbol(s3_rba, tmp_path, monkeypatch, capsys):
+    def fail(rba, chi, tol):
+        raise NumericalError("no y generator")
+
+    monkeypatch.setattr(report, "symbol", fail)
+    rep = analyze(s3_rba, TOL)
+    assert rep.data["quaternion"] == {"status": "failed: no y generator"}
+    assert rep.data["validation"]["passed"] and rep.data["indicators"]["consistent"]
+    assert not rep.overall_pass and rep.exit_code == 1
+    assert main(["analyze", _write_s3(tmp_path)]) == 1
+    assert "quaternion symbol: failed: no y generator\n" in capsys.readouterr().out
 
 
 def test_cli_hilbert(capsys):
