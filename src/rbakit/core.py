@@ -238,16 +238,21 @@ def _parse_scalar(token: str, lineno: int):
     return value
 
 
+def _content_lines(text: str):
+    """(line number, content) of each non-blank line of .rba, .cayley or .scheme text, cut at "#"."""
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
 def _read_lines(text: str):
     """(rank, star, (i, j, k) index, D, values) of .rba text, line by line:
     values are N / D over one D when every entry is exact, else floats."""
     rank = None
     star = None
     entries = {}  # (i, j, k) -> (line number, value)
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _content_lines(text):
         fields = line.split()
         if len(fields) != _FIELDS.get(fields[0], len(fields)):
             raise StructuralError(f"line {lineno}: a '{fields[0]}' line has "
@@ -268,7 +273,7 @@ def _read_lines(text: str):
             else:
                 raise StructuralError(f"line {lineno}: unknown directive {fields[0]!r}")
         except ValueError as exc:
-            raise StructuralError(f"line {lineno}: {raw!r}") from exc
+            raise StructuralError(f"line {lineno}: {line!r}") from exc
     if rank is None or rank < 1:
         raise StructuralError("missing or invalid 'rank' line")
     if star is None or len(star) != rank:

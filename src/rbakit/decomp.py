@@ -118,7 +118,7 @@ def central_idempotents(rba: RBA, tol: ToleranceConfig = DEFAULT_TOL):
     """Central primitive idempotents from the eigenvectors of a central element.
 
     Returns (e, ranks): e[a] is the complex coefficient vector of one
-    idempotent, shape (m, r), and ranks[a] = rank L(e[a]) = n_chi^2.
+    idempotent, shape (m, r), and ranks[a] = rank L(e[a]), n_chi^2 over C.
 
     A seeded random central element z whose action on the center has all
     eigenvalues distinct separates the components (up to 8 reseeds); each
@@ -182,7 +182,6 @@ class CharacterTable:
 
     characters: list
     order: object                    # n (Fraction | float)
-    warnings: list = field(default_factory=list)
 
     def __iter__(self):
         return iter(self.characters)
@@ -217,17 +216,17 @@ def character_table(rba: RBA, dm: DegreeMap, tol: ToleranceConfig = DEFAULT_TOL)
     Multiplicities come from two independent routes that must agree:
     (a) m = n * e[0] / n_chi from the idempotent expansion, and
     (b) the linear solve sum_psi m_psi psi(b_i) = n * [i = 0].
+    The degree is sqrt(rank L(e)); a rank that is not a square raises NumericalError.
     """
     r = rba.rank
     trace_products = _trace_products(rba)
     n = dm.n_float
-    warnings = []
     chars = []
     e, ranks = central_idempotents(rba, tol)
     for coeffs, rank in zip(e, ranks.tolist()):
         deg = round(rank ** 0.5)
-        if deg * deg != rank:
-            warnings.append(f"non-split component detected (rank L(e) = {deg}^2 fails)")
+        if deg * deg != rank:  # over C each simple component is M_n(C), of rank n^2
+            raise NumericalError(f"idempotent rank {rank} is not a square")
         vals = trace_products @ coeffs / deg
         mult_a = n * coeffs[0] / deg
         chars.append(
@@ -273,7 +272,7 @@ def character_table(rba: RBA, dm: DegreeMap, tol: ToleranceConfig = DEFAULT_TOL)
     chars[delta_idx].multiplicity = Fraction(1)
     rounded = np.round(vmat, 6).view(np.float64).tolist()  # sort by degree, then rounded (re, im) values
     rest = sorted((i for i in range(m) if i != delta_idx), key=lambda i: (chars[i].degree, rounded[i]))
-    return CharacterTable([chars[i] for i in [delta_idx, *rest]], order=snapped[-1], warnings=warnings)
+    return CharacterTable([chars[i] for i in [delta_idx, *rest]], order=snapped[-1])
 
 
 # ---------------------------------------------------------------------------

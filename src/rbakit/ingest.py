@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import RBA, StructuralError
+from .core import RBA, StructuralError, _content_lines
 
 __all__ = [
     "parse_cayley",
@@ -20,14 +20,6 @@ __all__ = [
     "from_scheme",
     "thin_scheme",
 ]
-
-
-def _content_lines(text: str):
-    """(line number, content) of each line that is not blank or a comment."""
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line
 
 
 def _digit_rows(data: bytes, start: int, blocks: int, m: int):

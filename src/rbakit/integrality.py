@@ -28,6 +28,7 @@ import numpy as np
 
 from .core import DEFAULT_TOL, RBA, ToleranceConfig
 from .decomp import CharacterTable
+from .quaternion import _split_valuation
 
 __all__ = [
     "IntegralityResult",
@@ -90,15 +91,7 @@ def two_adic_valuation(q) -> float:
     q = Fraction(q)
     if q == 0:
         return math.inf
-    v = 0
-    num, den = q.numerator, q.denominator
-    while num % 2 == 0:
-        num //= 2
-        v += 1
-    while den % 2 == 0:
-        den //= 2
-        v -= 1
-    return v
+    return _split_valuation(q.numerator, 2)[0] - _split_valuation(q.denominator, 2)[0]
 
 
 def row_sum_relation_holds(phi1, phi2, phi3) -> bool:
@@ -134,10 +127,10 @@ def two_adic_obstruction(rba: RBA, table: CharacterTable) -> TwoAdicReport:
     {b_i, b_i*}. phi_1, phi_2, phi_3 are the values of a linear row phi !=
     delta on the pairs of rba.nonreal_pairs(), in that order for every row;
     a linear character is real there, so it takes one value on each pair.
-    Each row must satisfy the row-sum relation; the forced phi_3 = -(1 +
-    2 phi_1 + 2 phi_2)/2 has v_2 = -1 whenever phi_1, phi_2 are 2-integral,
-    so integer structure constants are impossible. Rows whose printed values
-    are already non-2-integral witness the same conclusion directly.
+    The verdict is obstructed when every row satisfies the row-sum relation:
+    the forced phi_3 = -(1 + 2 phi_1 + 2 phi_2)/2 has v_2 = -1 whenever phi_1,
+    phi_2 are 2-integral, so integer structure constants are impossible. Rows
+    whose values are already non-2-integral witness the same directly.
     """
     if sorted(table.degrees()) != [1, 1, 1, 2]:
         raise ValueError(f"expected degrees (1,1,1,2), got {table.degrees()}")
@@ -171,8 +164,6 @@ def two_adic_obstruction(rba: RBA, table: CharacterTable) -> TwoAdicReport:
                 witness=witness,
             )
         )
-    if not rows:
-        raise ValueError("no linear characters besides the degree map")
     obstructed = all(r.relation_holds for r in rows)
     return TwoAdicReport(
         rows=rows,

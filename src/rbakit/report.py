@@ -102,7 +102,7 @@ class AnalysisReport:
             if isinstance(v, list):
                 return "(" + ", ".join(fmt(x) for x in v) + ")"
             if isinstance(v, dict) and set(v) == {"re", "im"}:
-                return f"{v['re']}+{v['im']}i"
+                return f"{v['re']}{v['im']:+}i"
             return str(v)
 
         d = self.data
@@ -187,7 +187,6 @@ def _table_section(table, nus):
         "multiplicities": encode_value(table.multiplicities()),
         "order": encode_value(table.order),
         "characters": rows,
-        "warnings": list(table.warnings),
     }
 
 

@@ -247,6 +247,11 @@ def c3_rba():
 
 
 @pytest.fixture(scope="session")
+def petersen_rba():
+    return load_fixture("petersen")
+
+
+@pytest.fixture(scope="session")
 def rank1_rba():
     return RBA(np.full((1, 1, 1), Fraction(1), dtype=object), [0])
 

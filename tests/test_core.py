@@ -15,6 +15,7 @@ from rbakit import core
 from rbakit.core import (
     RBA,
     AxiomError,
+    DegreeMap,
     NumericalError,
     StructuralError,
     ToleranceConfig,
@@ -1090,6 +1091,16 @@ def test_gram_rank7(rank7_rba):
     g = gram_matrix(rank7_rba, dm)
     assert abs(g - np.diag([13, 26, 26, 26, 26, 26, 26.0])).max() < 1e-8
     assert np.linalg.eigvalsh(g).min() > 0
+
+
+def test_gram_refuses_a_trace_form_that_is_not_positive_definite():
+    # b_1^2 = -b_0 with degrees (1, 1): tau(b_1 b_1*) = -2
+    lam = np.zeros((2, 2, 2), dtype=int)
+    lam[0, 0, 0] = lam[0, 1, 1] = lam[1, 0, 1] = 1
+    lam[1, 1, 0] = -1
+    dm = DegreeMap(np.array([Fraction(1), Fraction(1)], dtype=object), exact=True)
+    with pytest.raises(AxiomError, match="trace form is not positive definite"):
+        gram_matrix(RBA(lam, [0, 1]), dm)
 
 
 def test_feasible_trace(s3_rba):

@@ -8,6 +8,7 @@ import pytest
 
 from rbakit.core import (
     RBA,
+    DegreeMap,
     NumericalError,
     ToleranceConfig,
     degree_map,
@@ -178,6 +179,12 @@ def test_central_idempotents_refuse_a_trace_that_rounds_to_rank_0():
             central_idempotents(s3_associativity_variant(), TOL)
 
 
+def test_central_idempotents_refuse_eigenvalues_that_never_separate(s3_rba):
+    # a cluster gap of 10 merges every pair of eigenvalues, whatever the seed
+    with pytest.raises(NumericalError, match="idempotent separation failed after 8 reseeds"):
+        central_idempotents(s3_rba, ToleranceConfig(eps_residual=10))
+
+
 def _with_noise(rba, size, seed):
     """Float copy of rba with +-size added to every nonzero structure constant."""
     rng = np.random.default_rng(seed)
@@ -214,7 +221,8 @@ def test_idempotents_rank1(rank1_rba):
 
 @pytest.mark.parametrize(
     "fixture,dims",
-    [("s3_rba", [1, 1, 2]), ("d8_rba", [1, 1, 1, 1, 2]), ("rank7_rba", [1, 1, 1, 2])],
+    [("s3_rba", [1, 1, 2]), ("d8_rba", [1, 1, 1, 1, 2]), ("rank7_rba", [1, 1, 1, 2]),
+     ("c2_rba", [1, 1]), ("petersen_rba", [1, 1, 1])],
 )
 def test_idempotent_ranks_are_squares_of_the_degrees(fixture, dims, request):
     rba = request.getfixturevalue(fixture)
@@ -223,8 +231,15 @@ def test_idempotent_ranks_are_squares_of_the_degrees(fixture, dims, request):
     assert ranks.dtype.kind == "i"
     assert sorted(ranks.tolist()) == sorted(d * d for d in dims)
     table = character_table(rba, degree_map(rba, TOL), TOL)
-    assert table.warnings == []
     assert sorted(table.degrees()) == sorted(dims)
+
+
+def test_character_table_refuses_an_idempotent_rank_that_is_not_a_square(s3_rba, monkeypatch):
+    e, ranks = central_idempotents(s3_rba, TOL)
+    ranks[ranks == 4] = 3
+    monkeypatch.setattr("rbakit.decomp.central_idempotents", lambda rba, tol: (e, ranks))
+    with pytest.raises(NumericalError, match="idempotent rank 3 is not a square"):
+        character_table(s3_rba, degree_map(s3_rba, TOL), TOL)
 
 
 def test_idempotent_algebra(s3_rba, d8_rba, rank7_rba):
@@ -292,6 +307,13 @@ def test_float_group_ladder(family, n, table):
 # ---------------------------------------------------------------------------
 # character tables
 # ---------------------------------------------------------------------------
+
+def test_character_table_refuses_a_degree_map_that_is_not_a_character(s3_rba):
+    dm = degree_map(s3_rba, TOL)
+    doubled = DegreeMap(np.array([2 * v for v in dm.values], dtype=object), exact=True)
+    with pytest.raises(NumericalError, match="degree map not found among the characters"):
+        character_table(s3_rba, doubled, TOL)
+
 
 def test_s3_table_matches_classical(s3_rba):
     dm, table = _pipeline(s3_rba)
@@ -492,6 +514,15 @@ def test_symmetrize_rejects_non_rep(s3_rba):
     bad = np.array([np.eye(2) * (i + 1) for i in range(6)], dtype=float)
     with pytest.raises(ValueError):
         symmetrize(s3_rba, dm, bad, TOL)
+
+
+@pytest.mark.parametrize("images,error,message", [
+    (np.zeros((5, 2, 2)), ValueError, r"^expected \(r, d, d\) images, got \(5, 2, 2\)$"),
+    (np.zeros((6, 2, 2)), NumericalError, "averaging matrix not positive definite"),
+], ids=["wrong-count", "all-zero"])
+def test_symmetrize_refuses(s3_rba, images, error, message):
+    with pytest.raises(error, match=message):
+        symmetrize(s3_rba, degree_map(s3_rba, TOL), images, TOL)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from rbakit.core import degree_map
+from rbakit.core import NumericalError, degree_map
 from rbakit.decomp import Character, CharacterTable, character_table
 from rbakit.indicator import (
     IndicatorReport,
@@ -54,6 +54,14 @@ def test_gap_identity(fixture, request):
     _, table, report = _report(rba)
     lhs = sum(d * d for d in table.degrees()) - report.s_predicted
     assert lhs == rba.rank - report.s_actual
+
+
+def test_indicator_report_refuses_a_raw_value_far_from_every_indicator(s3_rba):
+    dm = degree_map(s3_rba, TOL)
+    table = character_table(s3_rba, dm, TOL)
+    table[1].values_raw = 1.5 * table[1].values_raw
+    with pytest.raises(NumericalError, match="indicator out of range: raw value"):
+        indicator_report(s3_rba, dm, table, TOL)
 
 
 def test_s3_indicators(s3_rba):

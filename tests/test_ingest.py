@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from rbakit import ingest
 from rbakit.cli import main
-from rbakit.core import StructuralError, degree_map, validate
+from rbakit.core import RBA, StructuralError, degree_map, validate
 from rbakit.fixtures import fixture_text
 from rbakit.ingest import from_group, from_scheme, parse_cayley, parse_scheme, thin_scheme
 
@@ -64,6 +64,11 @@ def test_from_group_names_first_failing_column():
     bad = [[0, 1, 2], [1, 2, 0], [2, 1, 0]]
     with pytest.raises(StructuralError, match=r"not a Latin square: row/column 1$"):
         from_group(np.array(bad))
+
+
+def test_from_group_rejects_a_table_that_is_not_square():
+    with pytest.raises(StructuralError, match="^Cayley table must be square$"):
+        from_group([[0, 1]])
 
 
 def test_from_group_rejects_bad_identity():
@@ -146,6 +151,12 @@ def test_from_scheme_rejects_bad_partition():
     r0 = np.eye(2, dtype=int)
     with pytest.raises(StructuralError, match="partition"):
         from_scheme([r0, r0])
+
+
+def test_from_scheme_rejects_a_first_relation_that_is_not_the_identity():
+    r0 = np.eye(2, dtype=int)
+    with pytest.raises(StructuralError, match="^R_0 must be the identity relation$"):
+        from_scheme([1 - r0, r0])
 
 
 def test_from_scheme_rejects_missing_transpose():
@@ -253,6 +264,16 @@ def test_from_scheme_rejects_empty_relation():
 def test_parse_cayley_refuses_a_non_positive_order(m):
     with pytest.raises(StructuralError, match="^bad 'order' line$"):
         parse_cayley(f"order {m}\n")
+
+
+@pytest.mark.parametrize("text,message", [
+    ("order\n", "^bad 'order' line$"),
+    ("order 2\n0 1\n1 2\n", "^table entries out of range$"),
+    ("order 2\n0 1\n1 -1\n", "^table entries out of range$"),
+], ids=["no-size", "too-large", "negative"])
+def test_parse_cayley_errors(text, message):
+    with pytest.raises(StructuralError, match=message):
+        parse_cayley(text)
 
 
 @pytest.mark.parametrize("command,text,message", [
@@ -442,6 +463,25 @@ def test_parse_scheme_byte_and_token_paths_agree(edit):
     assert np.array_equal(parse_scheme(PETERSEN), expect)
     got = parse_scheme(edit(plain))
     assert got.dtype == np.int64 and np.array_equal(got, expect)
+
+
+def _parsed(name, text):
+    """The arrays a parse of fixture text gives: (D, N) of the tensor, the table or the stack."""
+    if name.endswith(".rba"):
+        return RBA.from_text(text).lam_int
+    return ((parse_cayley if name.endswith(".cayley") else parse_scheme)(text),)
+
+
+@pytest.mark.parametrize("name", ["s3.rba", "s3.cayley", "petersen.scheme"])
+def test_text_formats_share_one_comment_rule(name):
+    plain = [line for line in fixture_text(name).splitlines(True) if not line.startswith("#")]
+    noted = ("# note\n" + "".join(plain[:2]) + "\n"  # a leading comment, a blank line in the body
+             + plain[2].rstrip("\n") + "  # note\n" + "".join(plain[3:]))  # and a trailing comment
+    want, got = _parsed(name, "".join(plain)), _parsed(name, noted)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert type(a) is type(b) and np.array_equal(a, b)
+        assert getattr(a, "dtype", None) == getattr(b, "dtype", None)
 
 
 @pytest.mark.parametrize("text,error,message", [

@@ -363,6 +363,8 @@ def test_hilbert_errors():
         hilbert_symbol(0, 3, 2)
     with pytest.raises(ValueError):
         hilbert_symbol(2, 3, 4)  # 4 is not a prime
+    with pytest.raises(ValueError, match="cannot factor zero"):
+        quaternion._prime_factors(0)
 
 
 def test_hilbert_product_formula_seeded():

@@ -297,6 +297,19 @@ def test_analyze_c3_complex_values(c3_rba):
     assert any(isinstance(v, dict) for v in vals)
 
 
+@pytest.mark.parametrize("force_float", [False, True], ids=["exact", "float"])
+def test_render_text_signs_the_imaginary_part_once(c3_rba, force_float):
+    rep = analyze(c3_rba, TOL, force_float=force_float)
+    out = rep.render_text()
+    assert "+-" not in out
+    rows = rep.data["character_table"]["characters"]
+    entries = [v for row in rows for v in row["values"] if isinstance(v, dict)]
+    assert {v["im"] > 0 for v in entries} == {True, False}
+    for v in entries:
+        sign = "+" if v["im"] > 0 else "-"
+        assert f"{v['re']}{sign}{abs(v['im'])}i" in out
+
+
 def test_analyze_standardizes(s3_rba):
     # a rescaled (non-standard) input is standardized before decomposition
     from fractions import Fraction as F
