@@ -217,62 +217,49 @@ def character_table(rba: RBA, dm: DegreeMap, tol: ToleranceConfig = DEFAULT_TOL)
     (a) m = n * e[0] / n_chi from the idempotent expansion, and
     (b) the linear solve sum_psi m_psi psi(b_i) = n * [i = 0].
     The degree is sqrt(rank L(e)); a rank that is not a square raises NumericalError.
+    Every check runs on the arrays first; each Character is then built once, complete.
     """
-    r = rba.rank
-    trace_products = _trace_products(rba)
-    n = dm.n_float
-    chars = []
     e, ranks = central_idempotents(rba, tol)
-    for coeffs, rank in zip(e, ranks.tolist()):
-        deg = round(rank ** 0.5)
-        if deg * deg != rank:  # over C each simple component is M_n(C), of rank n^2
-            raise NumericalError(f"idempotent rank {rank} is not a square")
-        vals = trace_products @ coeffs / deg
-        mult_a = n * coeffs[0] / deg
-        chars.append(
-            Character(
-                degree=deg,
-                values_raw=vals,
-                multiplicity_raw=float(mult_a.real),
-                idempotent=coeffs,
-            )
-        )
-        if abs(mult_a.imag) > tol.eps_residual:
-            raise NumericalError("complex multiplicity: idempotents are inconsistent")
+    degrees = np.round(np.sqrt(ranks)).astype(int)
+    bad = degrees * degrees != ranks  # over C each simple component is M_n(C), of rank n^2
+    if bad.any():
+        raise NumericalError(f"idempotent rank {ranks[bad][0]} is not a square")
+    trace_products = _trace_products(rba)
+    vmat = np.array([trace_products @ coeffs / deg for coeffs, deg in zip(e, degrees.tolist())])
+    n = dm.n_float
+    mult_a = n * e[:, 0] / degrees
+    if (abs(mult_a.imag) > tol.eps_residual).any():
+        raise NumericalError("complex multiplicity: idempotents are inconsistent")
+    mult_raw = mult_a.real
 
     # route (b): the trace functional decomposes over the characters
-    vmat = np.array([c.values_raw for c in chars])
-    rhs = np.zeros(r, dtype=complex)
+    rhs = np.zeros(rba.rank, dtype=complex)
     rhs[0] = n
     mult_b, *_ = np.linalg.lstsq(vmat.T, rhs, rcond=None)
-    solve_residual = float(abs(vmat.T @ mult_b - rhs).max())
     scale = max(1.0, abs(vmat).max())
-    for c, mb in zip(chars, mult_b):
-        if abs(c.multiplicity_raw - mb) > tol.eps_residual * scale or solve_residual > tol.eps_residual * scale:
-            raise NumericalError(
-                "multiplicity inconsistency: idempotent route gives "
-                f"{c.multiplicity_raw}, trace solve gives {mb}"
-            )
+    bound = tol.eps_residual * scale
+    bad = (abs(mult_raw - mult_b) > bound) | (abs(vmat.T @ mult_b - rhs).max() > bound)
+    if bad.any():
+        a = bad.argmax()  # the first row that disagrees, or row 0 when the solve itself fails
+        raise NumericalError(
+            "multiplicity inconsistency: idempotent route gives "
+            f"{mult_raw[a]}, trace solve gives {mult_b[a]}"
+        )
 
     # identify the degree-map row, snap, and order deterministically
-    dvals = dm.values_float
-    delta_idx = None
-    for i, c in enumerate(chars):
-        if c.degree == 1 and abs(c.values_raw - dvals).max() < tol.eps_cluster * scale:
-            delta_idx = i
-            break
-    if delta_idx is None:
+    delta = (degrees == 1) & (abs(vmat - dm.values_float).max(axis=1) < tol.eps_cluster * scale)
+    if not delta.any():
         raise NumericalError("degree map not found among the characters")
-
-    m = len(chars)
-    raw = np.concatenate([vmat.ravel(), [c.multiplicity_raw for c in chars], [n]])
-    snapped = snap_value(raw, tol.eps_zero)  # values, multiplicities, order
-    for i, c in enumerate(chars):
-        c.values, c.multiplicity = snapped[i * r:(i + 1) * r], snapped[m * r + i]
-    chars[delta_idx].multiplicity = Fraction(1)
+    delta_idx = int(delta.argmax())
+    m, r = vmat.shape
+    snapped = snap_value(np.concatenate([vmat.ravel(), mult_raw, [n]]), tol.eps_zero)  # values, mults, order
+    mults = snapped[m * r:m * r + m]
+    mults[delta_idx] = Fraction(1)
+    values = [snapped[a * r:(a + 1) * r] for a in range(m)]
+    chars = list(map(Character, degrees.tolist(), vmat, mult_raw.tolist(), values, mults, e))
     rounded = np.round(vmat, 6).view(np.float64).tolist()  # sort by degree, then rounded (re, im) values
-    rest = sorted((i for i in range(m) if i != delta_idx), key=lambda i: (chars[i].degree, rounded[i]))
-    return CharacterTable([chars[i] for i in [delta_idx, *rest]], order=snapped[-1])
+    rest = sorted((a for a in range(m) if a != delta_idx), key=lambda a: (chars[a].degree, rounded[a]))
+    return CharacterTable([chars[a] for a in [delta_idx, *rest]], order=snapped[-1])
 
 
 # ---------------------------------------------------------------------------

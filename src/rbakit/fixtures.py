@@ -20,7 +20,10 @@ FIXTURES = {
 
 
 def fixture_text(name: str) -> str:
+    """Text of a bundled fixture, named by a key or a file name of FIXTURES."""
     fname = FIXTURES.get(name, name)
+    if fname not in FIXTURES.values():
+        raise KeyError(f"unknown fixture {name!r}")
     return (resources.files("rbakit") / "fixtures" / fname).read_text(encoding="utf-8")
 
 
@@ -33,6 +36,4 @@ def load_fixture(name: str) -> RBA:
         return RBA.from_text(text)
     if fname.endswith(".cayley"):
         return from_group(text)
-    if fname.endswith(".scheme"):
-        return from_scheme(text)
-    raise KeyError(f"unknown fixture {name!r}")
+    return from_scheme(text)

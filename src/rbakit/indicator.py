@@ -52,30 +52,24 @@ def indicator_report(
     table: CharacterTable,
     tol: ToleranceConfig = DEFAULT_TOL,
 ) -> IndicatorReport:
-    """Raw and snapped indicators of every character, and the real count.
+    """Raw and snapped indicators of every character, and the real count, built once.
 
-    Raw values farther than tol.eps_residual from every element of
-    {-1, 0, 1} abort instead of rounding silently.
+    One array holds the distance of every raw value to -1, 0 and 1: nu is the
+    nearest (the first on a tie), and a raw value farther than
+    tol.eps_residual * rba.scale from all three aborts instead of rounding silently.
     """
     n = dm.n_float
     w = (1.0 / dm.values_float) @ np.einsum("iik->ik", rba.lam_float)
     raws = [complex(c.multiplicity_raw / (n * c.degree) * (w @ c.values_raw)) for c in table]
-    bound = tol.eps_residual * rba.scale
-    nus = []
-    for raw in raws:
-        best = min((-1, 0, 1), key=lambda t: abs(raw - t))
-        if abs(raw - best) > bound:
-            raise NumericalError(
-                f"indicator out of range: raw value {raw} is not near -1, 0 or 1"
-            )
-        nus.append(int(best))
+    dist = abs(np.array(raws)[:, None] - np.arange(-1, 2))  # to -1, 0 and 1
+    far = dist.min(axis=1) > tol.eps_residual * rba.scale
+    if far.any():
+        raise NumericalError(
+            f"indicator out of range: raw value {raws[far.argmax()]} is not near -1, 0 or 1"
+        )
+    nus = (dist.argmin(axis=1) - 1).tolist()
     s_pred = sum(nu * c.degree for nu, c in zip(nus, table))
-    if -1 in nus:
-        pattern = "has-minus"
-    elif 0 in nus:
-        pattern = "has-zero"
-    else:
-        pattern = "all-plus"
+    pattern = "has-minus" if -1 in nus else "has-zero" if 0 in nus else "all-plus"
     return IndicatorReport(
         nu=nus,
         raw=raws,

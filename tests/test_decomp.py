@@ -242,6 +242,29 @@ def test_character_table_refuses_an_idempotent_rank_that_is_not_a_square(s3_rba,
         character_table(s3_rba, degree_map(s3_rba, TOL), TOL)
 
 
+def _complex_multiplicity(e):
+    e[1, 0] += 1e-3j
+
+
+def _scaled_idempotent(e):
+    e[2] *= 1.01
+
+
+@pytest.mark.parametrize("perturb, message", [
+    (_complex_multiplicity, "complex multiplicity: idempotents are inconsistent"),
+    (_scaled_idempotent, "multiplicity inconsistency: idempotent route gives 1.0100000000000002, "
+                         "trace solve gives (0.9900990099009896+0j)"),
+], ids=["complex-multiplicity", "routes-disagree"])
+def test_character_table_cross_checks_refuse_inconsistent_idempotents(s3_rba, monkeypatch, perturb, message):
+    # route (a) reads e[:, 0]; route (b) solves for the multiplicities from the values
+    e, ranks = central_idempotents(s3_rba, TOL)
+    perturb(e)
+    monkeypatch.setattr("rbakit.decomp.central_idempotents", lambda rba, tol: (e, ranks))
+    with pytest.raises(NumericalError) as info:
+        character_table(s3_rba, degree_map(s3_rba, TOL), TOL)
+    assert str(info.value) == message
+
+
 def test_idempotent_algebra(s3_rba, d8_rba, rank7_rba):
     for rba in (s3_rba, d8_rba, rank7_rba):
         idems, _ = central_idempotents(rba, TOL)

@@ -119,6 +119,11 @@ def test_thin_scheme_d8(d8_rba):
     assert np.array_equal(scheme.star, d8_rba.star)
 
 
+def test_thin_scheme_reads_cayley_text():
+    text = fixture_text("s3")
+    assert [m.tolist() for m in thin_scheme(text)] == [m.tolist() for m in thin_scheme(parse_cayley(text))]
+
+
 def test_from_scheme_valencies_are_degrees():
     # Johnson-style example: the cycle on 4 points with 3 classes
     pts = 4
@@ -502,6 +507,14 @@ def test_text_formats_share_one_comment_rule(name):
 ])
 def test_parse_scheme_errors(text, error, message):
     with pytest.raises(error, match=message):
+        parse_scheme(text)
+
+
+def test_parse_scheme_refuses_a_last_block_cut_short_after_blank_lines():
+    # the blank lines leave the digit reader too few bytes for the second block
+    text = "points 2 classes 2\n\n\n\n\n1 0\n0 1\n0 1\n"
+    assert ingest._digit_rows(text.encode(), text.index("\n") + 1, 2, 2) is None
+    with pytest.raises(StructuralError, match="^expected 2 blocks of 2 rows of 2 entries$"):
         parse_scheme(text)
 
 

@@ -1,5 +1,6 @@
 """Q(sqrt5) integrality, the rank-7 reconstruction, 2-adic obstruction."""
 
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from rbakit.core import RBA, degree_map, over_common_denominator, validate
-from rbakit.decomp import character_table
+from rbakit.decomp import CharacterTable, character_table
 from rbakit.integrality import (
     RANK7_IMAGES,
     integral_check,
@@ -250,3 +251,18 @@ def test_two_adic_requires_shape(s3_rba):
     table = character_table(s3_rba, dm, TOL)
     with pytest.raises(ValueError):
         two_adic_obstruction(s3_rba, table)
+
+
+def test_two_adic_refuses_a_star_that_fixes_every_element(rank7_rba):
+    table = character_table(rank7_rba, degree_map(rank7_rba, TOL), TOL)
+    fixed = RBA(rank7_rba.lam, np.arange(7))  # no nonreal pair; only nonreal_pairs is read
+    with pytest.raises(ValueError, match="^expected a rank-7 table with three nonreal pairs$"):
+        two_adic_obstruction(fixed, table)
+
+
+def test_two_adic_refuses_a_linear_row_of_floats(rank7_rba):
+    table = character_table(rank7_rba, degree_map(rank7_rba, TOL), TOL)
+    chars = list(table)
+    chars[1] = dataclasses.replace(chars[1], values=[float(v) for v in chars[1].values])
+    with pytest.raises(ValueError, match="^obstruction check requires rational table values$"):
+        two_adic_obstruction(rank7_rba, CharacterTable(chars, table.order))

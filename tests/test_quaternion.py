@@ -367,6 +367,11 @@ def test_hilbert_errors():
         quaternion._prime_factors(0)
 
 
+def test_hilbert_symbol_refuses_place_one():
+    with pytest.raises(ValueError, match=r"^place must be a prime or 'inf', got 1$"):
+        hilbert_symbol(-1, 3, 1)
+
+
 def test_hilbert_product_formula_seeded():
     rng = np.random.default_rng(23)
     for _ in range(200):

@@ -441,6 +441,12 @@ def test_bundled_fixtures(s3_rba, rank7_rba):
     assert load_fixture("c2").rank == 2
 
 
+@pytest.mark.parametrize("load", [fixture_text, load_fixture])
+def test_unknown_fixture_names_raise_key_error(load):
+    with pytest.raises(KeyError, match="unknown fixture 'nope'"):
+        load("nope")
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
